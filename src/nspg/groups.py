@@ -5,9 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 DEFAULT_MAX_ORDER = 256
 MAX_SYMMETRIC_DEGREE = 5
@@ -36,13 +34,15 @@ class FiniteGroup:
 
     Instances are immutable after construction and every structural invariant
     (Latin square, identity at index 0, associativity, two-sided inverses) is
-    checked exhaustively when the table is validated.
+    checked exactly when the table is validated. ``generators`` is the
+    generating set the validation found: every element is a product of them,
+    multiplied on the right starting from the identity.
     """
 
-    __slots__ = ("name", "table", "labels", "_inverse")
+    __slots__ = ("name", "table", "labels", "generators", "_inverse")
 
     def __init__(self, name: str, table: tuple[tuple[int, ...], ...], labels: tuple[str, ...]):
-        validate_cayley_table(table)
+        generators = validate_cayley_table(table)
         if len(labels) != len(table):
             raise ValueError("label count does not match group order")
         if len(set(labels)) != len(labels):
@@ -50,6 +50,7 @@ class FiniteGroup:
         self.name = name
         self.table = table
         self.labels = labels
+        self.generators = generators
         self._inverse = tuple(row.index(0) for row in table)
 
     @property
@@ -107,34 +108,66 @@ class FiniteGroup:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
-def validate_cayley_table(table: tuple[tuple[int, ...], ...]) -> None:
-    """Reject anything that is not a group table with the identity at index 0."""
+def validate_cayley_table(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Reject anything that is not a group table with the identity at index 0.
+
+    Returns a generating set of at most log2(n) elements. Associativity is
+    checked by Light's test over that set (Clifford & Preston, *The Algebraic
+    Theory of Semigroups* I, 1961, section 1.2), which is exact: the elements a
+    with (x*a)*y == x*(a*y) for all x, y are closed under products, so if they
+    include the generators they are the whole table.
+    """
     n = len(table)
     if n == 0:
         raise ValueError("empty Cayley table")
     if any(len(row) != n for row in table):
         raise ValueError("Cayley table must be square")
-    arr = np.asarray(table, dtype=np.int64)
-    if arr.min() < 0 or arr.max() >= n:
+    rows = tuple(map(tuple, table))
+    if min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
         raise ValueError(f"table entries must lie in [0, {n})")
-    ident = np.arange(n)
     # Latin square: every row and column is a permutation of 0..n-1.
-    if not (np.sort(arr, axis=1) == ident).all():
-        bad = int(np.flatnonzero(~(np.sort(arr, axis=1) == ident).all(axis=1))[0])
-        raise ValueError(f"row {bad} is not a permutation of 0..{n - 1}")
-    if not (np.sort(arr, axis=0) == ident[:, None]).all():
-        bad = int(np.flatnonzero(~(np.sort(arr, axis=0) == ident[:, None]).all(axis=0))[0])
-        raise ValueError(f"column {bad} is not a permutation of 0..{n - 1}")
-    if not (arr[0] == ident).all() or not (arr[:, 0] == ident).all():
+    for a, row in enumerate(rows):
+        if len(set(row)) != n:
+            raise ValueError(f"row {a} is not a permutation of 0..{n - 1}")
+    for b, col in enumerate(zip(*rows)):
+        if len(set(col)) != n:
+            raise ValueError(f"column {b} is not a permutation of 0..{n - 1}")
+    if rows[0] != tuple(range(n)) or any(row[0] != a for a, row in enumerate(rows)):
         raise ValueError("element 0 is not a two-sided identity")
-    # Exhaustive associativity: (a*b)*c == a*(b*c) for all triples.
-    if not np.array_equal(arr[arr], arr[:, arr]):
-        raise ValueError("multiplication is not associative")
+    generators = _right_generators(rows)
+    for a in generators:
+        row_a = rows[a]
+        for row_x in rows:
+            if rows[row_x[a]] != tuple(map(row_x.__getitem__, row_a)):
+                raise ValueError("multiplication is not associative")
     # Two-sided inverses (implied by the above, asserted independently).
-    for a in range(n):
-        b = int(np.flatnonzero(arr[a] == 0)[0])
-        if arr[b][a] != 0:
+    for a, row in enumerate(rows):
+        if rows[row.index(0)][a] != 0:
             raise ValueError(f"element {a} has no two-sided inverse")
+    return generators
+
+
+def _right_generators(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Generators whose right-multiplied words from the identity reach every element.
+
+    Breadth-first search by right multiplication; whenever it stalls, the
+    smallest unreached element becomes a new generator. In a group the reached
+    set is then a subgroup, and each new generator at least doubles it.
+    """
+    n = len(rows)
+    seen = bytearray(n)
+    seen[0] = 1
+    reached = [0]
+    generators: list[int] = []
+    while len(reached) < n:
+        generators.append(seen.index(0))
+        for x in reached:  # the list grows while it is walked: breadth-first
+            row = rows[x]
+            for g in generators:
+                if not seen[row[g]]:
+                    seen[row[g]] = 1
+                    reached.append(row[g])
+    return tuple(generators)
 
 
 @dataclass(frozen=True)

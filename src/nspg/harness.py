@@ -242,14 +242,12 @@ def _check_cayley(ctx: InstanceContext) -> InstanceResult:
 def _check_degree(ctx: InstanceContext) -> InstanceResult:
     G, H = ctx.G, ctx.H
     pg = ctx.parent_power_graph
-    formula_pg = [inv.degree_in_power_graph_formula(G, v) for v in G.elements()]
+    formula_pg = list(inv.degree_in_power_graph_formula(G))
     actual_pg = [pg.degree(v) for v in range(pg.vertex_count)]
     Q = ctx.quotient
     h = H.order
-    formula_nsb = [
-        h * inv.degree_in_power_graph_formula(Q.group, Q.projection[a])
-        for a in ctx.nsb.vertex_element
-    ]
+    formula_q = inv.degree_in_power_graph_formula(Q.group)
+    formula_nsb = [h * formula_q[Q.projection[a]] for a in ctx.nsb.vertex_element]
     g = ctx.graph
     actual_nsb = [g.degree(i) for i in range(g.vertex_count)]
     predicted = {"power_graph": formula_pg, "nsb": formula_nsb}

@@ -656,13 +656,12 @@ def eulerian_circuit(g: SimpleGraph) -> tuple[int, ...] | None:
 # Degree formula for power graphs
 
 
-def degree_in_power_graph_formula(G: FiniteGroup, v: int) -> int:
-    """Closed-form degree in the power graph: sum of phi over the cyclic subgroups
-    properly containing <v>, plus order(v) - 1."""
-    cyclics = {G.cyclic_subgroup(a) for a in G.elements()}
-    span = G.cyclic_subgroup(v)
-    total = sum(euler_phi(len(c)) for c in cyclics if span < c)
-    return total + G.element_order(v) - 1
+def degree_in_power_graph_formula(G: FiniteGroup) -> tuple[int, ...]:
+    """Closed-form degree of every element in the power graph: sum of phi over the
+    cyclic subgroups properly containing <v>, plus order(v) - 1."""
+    spans = [G.cyclic_subgroup(a) for a in G.elements()]
+    weighted = [(c, euler_phi(len(c))) for c in set(spans)]
+    return tuple(sum(w for c, w in weighted if span < c) + len(span) - 1 for span in spans)
 
 
 # ---------------------------------------------------------------------------

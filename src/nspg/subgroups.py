@@ -19,9 +19,6 @@ class SubgroupSet:
     def order(self) -> int:
         return len(self.elements)
 
-    def contains(self, a: int) -> bool:
-        return a in set(self.elements)
-
     def describe(self) -> str:
         """Deterministic short form: {e} for the trivial subgroup, else <generators>."""
         if self.order == 1:
@@ -100,13 +97,6 @@ def generated_subgroup(G: FiniteGroup, gens) -> SubgroupSet:
     return subgroup_from_elements(G, _closure(G, gen_set))
 
 
-def is_normal(G: FiniteGroup, H: SubgroupSet) -> bool:
-    """True iff g*h*g^-1 stays inside H for every g in G, h in H."""
-    if H.parent.table is not G.table and H.parent.table != G.table:
-        raise ValueError("H is not a subgroup of this group")
-    return H.is_normal
-
-
 def all_subgroups(G: FiniteGroup) -> list[frozenset[int]]:
     """Every subgroup of G: cyclic subgroups closed under pairwise joins to a fixpoint."""
     subs: set[frozenset[int]] = {G.cyclic_subgroup(a) for a in G.elements()}
@@ -175,13 +165,19 @@ def quotient(G: FiniteGroup, H: SubgroupSet) -> QuotientGroup:
     qtable = tuple(
         tuple(projection[G.table[reps[i]][reps[j]]] for j in range(m)) for i in range(m)
     )
-    # Well-definedness: the projection must be a homomorphism on all of G, not just reps.
-    for a in G.elements():
-        for b in G.elements():
-            if projection[G.table[a][b]] != qtable[projection[a]][projection[b]]:
-                raise ValueError("coset multiplication is not well-defined")
     labels = tuple(f"{G.labels[r]}H" for r in reps)
-    qgroup = FiniteGroup(f"{G.name}/{H.describe()}", qtable, labels)
+    try:
+        qgroup = FiniteGroup(f"{G.name}/{H.describe()}", qtable, labels)
+    except ValueError as exc:
+        raise ValueError("coset multiplication is not well-defined") from exc
+    # Well-definedness: the projection must be a homomorphism on all of G. Every b
+    # is a right-multiplied word in G.generators and both tables are associative,
+    # so checking b over the generators covers every pair.
+    for b in G.generators:
+        pb = projection[b]
+        for a in G.elements():
+            if projection[G.table[a][b]] != qtable[projection[a]][pb]:
+                raise ValueError("coset multiplication is not well-defined")
     return QuotientGroup(G, H, qgroup, tuple(projection), reps)
 
 

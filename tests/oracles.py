@@ -209,6 +209,17 @@ def order_by_iteration(table, a: int) -> int:
     return k
 
 
+def is_associative_brute(table) -> bool:
+    """(a*b)*c == a*(b*c) over every triple."""
+    n = len(table)
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+
+
 def nsb_adjacent_literal(G, h_elements, x: int, y: int) -> bool:
     """The definition verbatim: xH = y^m H or yH = x^n H for some positive exponent."""
 

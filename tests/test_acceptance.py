@@ -89,7 +89,7 @@ def test_criterion_05_degree_formulas(default_report):
     rows = rows_for(default_report, "DEGREE_4_1")
     assert rows and all(r.verdict == "PASS" for r in rows)
     Z6 = grp("Z6")
-    assert inv.degree_in_power_graph_formula(Z6, 2) == 4
+    assert inv.degree_in_power_graph_formula(Z6)[2] == 4
     assert power_graph(Z6).degree(2) == 4
     print(f"\nACCEPTANCE 05: PASS - degree formulas exact on {len(rows)} instances")
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nspg
 import nspg.invariants as inv
 from nspg.cli import main
 from nspg.power_graphs import SimpleGraph
@@ -208,3 +213,15 @@ def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
     assert "verify" in out
+
+
+def test_runs_without_numpy():
+    # A None entry in sys.modules makes any import of numpy raise ImportError.
+    code = (
+        "import sys; sys.modules['numpy'] = None; import nspg.cli; "
+        "sys.exit(nspg.cli.main(['verify', '--theorems', 'COMPLETE_3_1']))"
+    )
+    src = str(Path(nspg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from nspg.groups import (
     make_group,
     parse_group_spec,
 )
-from oracles import order_by_iteration, phi_by_gcd
+from oracles import is_associative_brute, order_by_iteration, phi_by_gcd
 
 
 def grp(text):
@@ -145,6 +147,65 @@ def test_from_cayley_table_rejects_non_associative():
     ]
     with pytest.raises(ValueError):
         from_cayley_table(table)
+
+
+def _swappable_intercalates(table):
+    """2x2 subsquares [[x, y], [y, x]] away from the identity's row and column."""
+    n = len(table)
+    return [
+        (r1, r2, c1, c2)
+        for r1 in range(1, n)
+        for r2 in range(r1 + 1, n)
+        for c1 in range(1, n)
+        for c2 in range(c1 + 1, n)
+        if table[r1][c1] == table[r2][c2] and table[r1][c2] == table[r2][c1]
+    ]
+
+
+def test_validation_agrees_with_brute_force_associativity():
+    # Swapping x and y in an intercalate keeps the Latin square and the identity,
+    # so only associativity can fail; the validator must reject exactly when it does.
+    rng = random.Random(20161)
+    groups = [grp(t) for t in ["Z4", "Z2xZ2", "Z6", "S3", "Z8", "Z2xZ4", "E(2,3)", "D4", "Q8"]]
+    outcomes = {True: 0, False: 0}
+    for _ in range(2000):
+        table = [list(row) for row in rng.choice(groups).table]
+        for _ in range(rng.randint(1, 3)):
+            spots = _swappable_intercalates(table)
+            if not spots:
+                break
+            r1, r2, c1, c2 = rng.choice(spots)
+            x, y = table[r1][c1], table[r1][c2]
+            table[r1][c1] = table[r2][c2] = y
+            table[r1][c2] = table[r2][c1] = x
+        associative = is_associative_brute(table)
+        outcomes[associative] += 1
+        if associative:
+            from_cayley_table(table)
+        else:
+            with pytest.raises(ValueError, match="not associative"):
+                from_cayley_table(table)
+    assert outcomes[True] and outcomes[False]
+
+
+@pytest.mark.parametrize(
+    "text", ["Z1", "Z12", "D4", "Q8", "S4", "S5", "Z2xZ6", "E(3,2)", "Q8xQ8", "E(2,8)", "Z256"]
+)
+def test_generators_reach_the_group_and_are_few(text):
+    G = grp(text)
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        frontier = [G.mul(x, g) for x in frontier for g in G.generators]
+        frontier = [y for y in set(frontier) if y not in reached]
+        reached.update(frontier)
+    assert reached == set(G.elements())
+    assert 2 ** len(G.generators) <= G.order  # at most log2 |G| generators
+
+
+def test_generator_counts():
+    assert len(grp("E(2,8)").generators) == 8
+    assert grp("Z256").generators == (1,)
 
 
 def test_from_cayley_table_renumbers_identity():
