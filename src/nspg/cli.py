@@ -14,7 +14,8 @@ Group spec grammar (bit-exact):
 order exceeds 256 is rejected. Subgroups are addressed either by a
 comma-separated generator list (--subgroup 1,4 means the subgroup those
 elements generate) or by position in list-normal-subgroups output
-(--subgroup-index 2). The environment variable NSPG_BUDGET overrides the
+(--subgroup-index 2); a group with more than 4096 normal subgroups is
+refused. The environment variable NSPG_BUDGET overrides the
 exact-solver vertex budget (default 64).
 """
 
@@ -69,6 +70,13 @@ def _group(spec_text: str) -> FiniteGroup:
         raise CliError(str(exc))
 
 
+def _normal_subgroups(G: FiniteGroup) -> list[SubgroupSet]:
+    try:
+        return all_normal_subgroups(G)
+    except ValueError as exc:
+        raise CliError(str(exc))
+
+
 def _subgroup(G: FiniteGroup, args: argparse.Namespace) -> SubgroupSet:
     if args.subgroup is not None:
         try:
@@ -77,7 +85,7 @@ def _subgroup(G: FiniteGroup, args: argparse.Namespace) -> SubgroupSet:
         except ValueError as exc:
             raise CliError(str(exc))
     else:
-        subs = all_normal_subgroups(G)
+        subs = _normal_subgroups(G)
         idx = args.subgroup_index
         if not 0 <= idx < len(subs):
             raise CliError(f"subgroup index {idx} out of range; {G.name} has {len(subs)} normal subgroups")
@@ -139,7 +147,7 @@ def _cmd_list_groups(_args: argparse.Namespace) -> int:
 
 def _cmd_list_normal_subgroups(args: argparse.Namespace) -> int:
     G = _group(args.group)
-    for i, H in enumerate(all_normal_subgroups(G)):
+    for i, H in enumerate(_normal_subgroups(G)):
         print(f"[{i}] order={H.order} subgroup={H.describe()}")
     return EXIT_OK
 

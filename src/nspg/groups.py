@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -278,9 +279,7 @@ def _check_spec(spec: GroupSpec, max_order: int) -> None:
 
 def _build(spec: GroupSpec) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
     if spec.family == "cyclic":
-        n = spec.n
-        table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-        return table, tuple(str(i) for i in range(n))
+        return _cyclic_table(spec.n), tuple(str(i) for i in range(spec.n))
     if spec.family == "dihedral":
         return _build_dihedral(spec.n)
     if spec.family == "symmetric":
@@ -343,58 +342,34 @@ def _build_quaternion() -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
 
 
 def _build_elementary_abelian(p: int, k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
-    size = p**k
-
-    def digits(x: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(k):
-            x, r = divmod(x, p)
-            out.append(r)
-        return tuple(reversed(out))
-
-    def undigits(d: tuple[int, ...]) -> int:
-        x = 0
-        for v in d:
-            x = x * p + v
-        return x
-
-    def mul(a: int, b: int) -> int:
-        return undigits(tuple((u + v) % p for u, v in zip(digits(a), digits(b))))
-
-    table = tuple(tuple(mul(a, b) for b in range(size)) for a in range(size))
-    labels = tuple("".join(str(v) for v in digits(x)) for x in range(size))
+    # Index x has the base-p digits of x, most significant first, as coordinates.
+    table = functools.reduce(_product_table, [_cyclic_table(p)] * k)
+    labels = tuple("".join(d) for d in itertools.product([str(v) for v in range(p)], repeat=k))
     return table, labels
 
 
 def _build_product(
     children: list[tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]],
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
-    sizes = [len(t) for t, _ in children]
-    total = math.prod(sizes)
-
-    def decode(x: int) -> tuple[int, ...]:
-        out = []
-        for s in reversed(sizes):
-            x, r = divmod(x, s)
-            out.append(r)
-        return tuple(reversed(out))
-
-    def encode(parts: tuple[int, ...]) -> int:
-        x = 0
-        for s, v in zip(sizes, parts):
-            x = x * s + v
-        return x
-
-    def mul(a: int, b: int) -> int:
-        pa, pb = decode(a), decode(b)
-        return encode(tuple(children[i][0][pa[i]][pb[i]] for i in range(len(sizes))))
-
-    table = tuple(tuple(mul(a, b) for b in range(total)) for a in range(total))
+    # Mixed radix over the factors, the first factor most significant.
+    table = functools.reduce(_product_table, [t for t, _ in children])
     labels = tuple(
-        "(" + ",".join(children[i][1][part] for i, part in enumerate(decode(x))) + ")"
-        for x in range(total)
+        "(" + ",".join(parts) + ")" for parts in itertools.product(*(lab for _, lab in children))
     )
     return table, labels
+
+
+def _product_table(
+    t1: tuple[tuple[int, ...], ...], t2: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], ...]:
+    """Direct product table: entry (a1*n2 + a2, b1*n2 + b2) is t1[a1][b1]*n2 + t2[a2][b2]."""
+    n2 = len(t2)
+    shifted = [[x * n2 for x in r1] for r1 in t1]
+    return tuple(tuple(x + y for x in s1 for y in r2) for s1 in shifted for r2 in t2)
+
+
+def _cyclic_table(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
 
 
 def from_cayley_table(table, name: str = "custom", labels=None) -> FiniteGroup:

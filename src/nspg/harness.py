@@ -104,10 +104,17 @@ def default_catalog(budgets: Budgets = Budgets()) -> Catalog:
 def parse_catalog_json(text: str, budgets: Budgets = Budgets()) -> Catalog:
     """Catalog file schema: {"instances": [{"group": str, "subgroups": ...}], "theorems": [...]}."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("catalog must be a JSON object")
+    items = data["instances"]
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise ValueError("catalog 'instances' must be a list of objects")
     entries = []
-    for item in data["instances"]:
+    for item in items:
         subs = item.get("subgroups", "all-normal")
         if subs != "all-normal":
+            if not isinstance(subs, list):
+                raise ValueError(f"'subgroups' must be \"all-normal\" or a list, got {subs!r}")
             subs = tuple(str(s) for s in subs)
         entries.append(CatalogEntry(str(item["group"]), subs))
     names = data.get("theorems")
@@ -144,6 +151,7 @@ class InstanceContext:
     def __init__(self, G: FiniteGroup, H: SubgroupSet, budgets: Budgets, group_cache: dict | None = None):
         self.G = G
         self.H = H
+        self.subgroup = H.describe()
         self.budgets = budgets
         self._group_cache = group_cache if group_cache is not None else {}
         self._cache: dict[str, object] = {}
@@ -196,7 +204,7 @@ def _skip(tid: TheoremId, ctx: InstanceContext, reason: str) -> InstanceResult:
     return InstanceResult(
         theorem=tid.value,
         group=ctx.G.name,
-        subgroup=ctx.H.describe(),
+        subgroup=ctx.subgroup,
         hypothesis_met=False,
         predicted=None,
         actual=None,
@@ -217,7 +225,7 @@ def _result(
     return InstanceResult(
         theorem=tid.value,
         group=ctx.G.name,
-        subgroup=ctx.H.describe(),
+        subgroup=ctx.subgroup,
         hypothesis_met=True,
         predicted=predicted,
         actual=actual,
@@ -357,7 +365,7 @@ def _run_check(tid: TheoremId, ctx: InstanceContext) -> InstanceResult:
         return InstanceResult(
             theorem=tid.value,
             group=ctx.G.name,
-            subgroup=ctx.H.describe(),
+            subgroup=ctx.subgroup,
             hypothesis_met=True,
             predicted=None,
             actual=None,

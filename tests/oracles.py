@@ -6,6 +6,8 @@ import itertools
 import math
 from collections import deque
 
+from nspg.groups import FiniteGroup
+
 from nspg.power_graphs import SimpleGraph
 
 
@@ -234,3 +236,107 @@ def nsb_adjacent_literal(G, h_elements, x: int, y: int) -> bool:
                 return True
             power = G.table[power][base]
     return False
+
+
+def is_normal_brute(G, elems) -> bool:
+    """g*h*g^-1 lies in the set for every g in G and h in it."""
+    members = set(elems)
+    return all(G.table[G.table[g][h]][G.inv(g)] in members for g in G.elements() for h in members)
+
+
+# --- brute-force subgroup enumeration ------------------------------------------
+
+
+def _closure(G: FiniteGroup, seed: set[int]) -> frozenset[int]:
+    """Smallest multiplication-closed superset of seed containing the identity."""
+    table = G.table
+    elems = {0} | set(seed)
+    frontier = list(elems)
+    while frontier:
+        fresh: list[int] = []
+        members = list(elems)
+        for a in frontier:
+            for b in members:
+                for c in (table[a][b], table[b][a]):
+                    if c not in elems:
+                        elems.add(c)
+                        fresh.append(c)
+        frontier = fresh
+    return frozenset(elems)
+
+
+def all_subgroups(G: FiniteGroup) -> list[frozenset[int]]:
+    """Every subgroup of G: cyclic subgroups closed under pairwise joins to a fixpoint."""
+    subs: set[frozenset[int]] = {G.cyclic_subgroup(a) for a in G.elements()}
+    while True:
+        current = sorted(subs, key=lambda s: (len(s), sorted(s)))
+        added = False
+        for i in range(len(current)):
+            for j in range(i + 1, len(current)):
+                a, b = current[i], current[j]
+                if a <= b or b <= a:
+                    continue
+                joined = _closure(G, set(a | b))
+                if joined not in subs:
+                    subs.add(joined)
+                    added = True
+        if not added:
+            return sorted(subs, key=lambda s: (len(s), sorted(s)))
+
+
+# --- per-entry group-table builders ------------------------------------------
+
+
+def build_elementary_abelian_brute(p: int, k: int):
+    """E(p,k) table and labels, decoding and re-encoding base-p digits for every entry."""
+    size = p**k
+
+    def digits(x: int) -> tuple[int, ...]:
+        out = []
+        for _ in range(k):
+            x, r = divmod(x, p)
+            out.append(r)
+        return tuple(reversed(out))
+
+    def undigits(d: tuple[int, ...]) -> int:
+        x = 0
+        for v in d:
+            x = x * p + v
+        return x
+
+    def mul(a: int, b: int) -> int:
+        return undigits(tuple((u + v) % p for u, v in zip(digits(a), digits(b))))
+
+    table = tuple(tuple(mul(a, b) for b in range(size)) for a in range(size))
+    labels = tuple("".join(str(v) for v in digits(x)) for x in range(size))
+    return table, labels
+
+
+def build_product_brute(children):
+    """Direct product table and labels, decoding and re-encoding mixed-radix indices per entry."""
+    sizes = [len(t) for t, _ in children]
+    total = math.prod(sizes)
+
+    def decode(x: int) -> tuple[int, ...]:
+        out = []
+        for s in reversed(sizes):
+            x, r = divmod(x, s)
+            out.append(r)
+        return tuple(reversed(out))
+
+    def encode(parts: tuple[int, ...]) -> int:
+        x = 0
+        for s, v in zip(sizes, parts):
+            x = x * s + v
+        return x
+
+    def mul(a: int, b: int) -> int:
+        pa, pb = decode(a), decode(b)
+        return encode(tuple(children[i][0][pa[i]][pb[i]] for i in range(len(sizes))))
+
+    table = tuple(tuple(mul(a, b) for b in range(total)) for a in range(total))
+    labels = tuple(
+        "(" + ",".join(children[i][1][part] for i, part in enumerate(decode(x))) + ")"
+        for x in range(total)
+    )
+    return table, labels

@@ -171,6 +171,34 @@ def test_verify_with_missing_catalog_exits_2(capsys, tmp_path):
     assert "cannot load catalog" in err
 
 
+@pytest.mark.parametrize(
+    "catalog, message",
+    [
+        ([{"group": "Z4"}], "JSON object"),
+        ({"instances": ["Z4"]}, "list of objects"),
+        ({"instances": [{"group": "Z12", "subgroups": "12"}]}, "all-normal"),
+    ],
+)
+def test_verify_with_malformed_catalog_exits_2(capsys, tmp_path, catalog, message):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(catalog), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--catalog", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot load catalog") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("list-normal-subgroups", "E(2,8)"), ("analyze", "E(2,8)", "--subgroup-index", "0")],
+)
+def test_too_many_normal_subgroups_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "more than 4096 normal subgroups" in err
+
+
 def test_verify_exits_1_when_a_check_fails(capsys, monkeypatch):
     import nspg.cli
     from nspg.harness import InstanceResult, Report

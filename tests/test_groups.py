@@ -11,7 +11,13 @@ from nspg.groups import (
     make_group,
     parse_group_spec,
 )
-from oracles import is_associative_brute, order_by_iteration, phi_by_gcd
+from oracles import (
+    build_elementary_abelian_brute,
+    build_product_brute,
+    is_associative_brute,
+    order_by_iteration,
+    phi_by_gcd,
+)
 
 
 def grp(text):
@@ -68,6 +74,25 @@ def test_elementary_abelian():
     G9 = grp("E(3,2)")
     assert G9.order == 9
     assert all(G9.element_order(a) == 3 for a in range(1, 9))
+
+
+def _build_brute(spec):
+    if spec.family == "elementary_abelian":
+        return build_elementary_abelian_brute(spec.p, spec.k)
+    if spec.family == "direct_product":
+        return build_product_brute([_build_brute(f) for f in spec.factors])
+    G = make_group(spec)
+    return G.table, G.labels
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["E(2,1)", "E(2,8)", "E(11,2)", "E(3,4)", "Z1xZ5", "Z2xZ4", "Z2xZ2xZ2xZ2xZ2", "Z3xE(2,2)xQ8",
+     "Q8xQ8", "S5xZ2", "D4xS3"],
+)
+def test_folded_product_tables_match_per_entry_builder(text):
+    G = grp(text)
+    assert (G.table, G.labels) == _build_brute(parse_group_spec(text))
 
 
 def test_make_group_is_deterministic():

@@ -4,13 +4,12 @@ from nspg.groups import make_group, parse_group_spec
 from nspg.subgroups import (
     SubgroupSet,
     all_normal_subgroups,
-    all_subgroups,
     generated_subgroup,
     quotient,
     recognize,
     subgroup_from_elements,
 )
-from oracles import divisor_count
+from oracles import all_subgroups, divisor_count, is_normal_brute
 
 
 def grp(text):
@@ -73,6 +72,29 @@ def test_subgroup_count_matches_divisors_for_cyclic():
     for n in range(1, 65):
         G = grp(f"Z{n}")
         assert len(all_subgroups(G)) == divisor_count(n)
+        assert len(all_normal_subgroups(G)) == divisor_count(n)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["Z12", "Z2xZ6", "E(2,4)", "Z4xZ4xZ2", "D6", "Q8", "Z2xQ8", "Z2xD4", "S4", "S3xS3", "D9"],
+)
+def test_all_normal_subgroups_matches_brute_force(text):
+    G = grp(text)
+    expected = [elems for elems in all_subgroups(G) if is_normal_brute(G, elems)]
+    got = all_normal_subgroups(G)
+    assert [tuple(sorted(elems)) for elems in expected] == [H.elements for H in got]
+    assert all(H.is_normal for H in got)
+
+
+def test_all_normal_subgroups_of_larger_groups():
+    assert len(all_normal_subgroups(grp("E(2,5)"))) == 374
+    assert [H.order for H in all_normal_subgroups(grp("S5"))] == [1, 60, 120]
+
+
+def test_all_normal_subgroups_refuses_past_the_bound():
+    with pytest.raises(ValueError, match="more than 4096 normal subgroups"):
+        all_normal_subgroups(grp("E(2,8)"))
 
 
 def test_subgroup_validation_rejects_unclosed_set():
