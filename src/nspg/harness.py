@@ -117,7 +117,9 @@ def parse_catalog_json(text: str, budgets: Budgets = Budgets()) -> Catalog:
                 raise ValueError(f"'subgroups' must be \"all-normal\" or a list, got {subs!r}")
             subs = tuple(str(s) for s in subs)
         entries.append(CatalogEntry(str(item["group"]), subs))
-    names = data.get("theorems")
+    names = data.get("theorems", [])
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ValueError(f"'theorems' must be a list of strings, got {names!r}")
     theorems = tuple(TheoremId(n) for n in names) if names else tuple(TheoremId)
     return Catalog(entries=tuple(entries), theorems=theorems, budgets=budgets)
 

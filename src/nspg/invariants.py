@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 
 from .groups import FiniteGroup, euler_phi
 from .power_graphs import SimpleGraph
@@ -246,54 +247,55 @@ def chromatic_number(
 
 
 def _max_vertex_disjoint_paths(g: SimpleGraph, s: int, t: int) -> tuple[int, list[int]]:
-    """Max s-t vertex-disjoint paths and a minimum separating vertex set."""
-    n = g.vertex_count
-    big = n + 2
-    cap: dict[int, dict[int, int]] = {}
+    """Max s-t vertex-disjoint paths and a minimum separating vertex set; s, t non-adjacent.
 
-    def arc(a: int, b: int, c: int) -> None:
-        cap.setdefault(a, {})[b] = cap.get(a, {}).get(b, 0) + c
-        cap.setdefault(b, {}).setdefault(a, 0)
-
-    for v in range(n):
-        arc(2 * v, 2 * v + 1, 1)  # internal arc carries the vertex capacity
-    for u, v in g.edges():
-        arc(2 * u + 1, 2 * v, big)
-        arc(2 * v + 1, 2 * u, big)
-    source, sink = 2 * s + 1, 2 * t
+    Augments on the split digraph without building it: state (v, 0) is v_in and
+    (v, 1) is v_out, v_in -> v_out carries v's unit capacity, and each edge is
+    unbounded from either end's out-copy to the other's in-copy. The whole flow
+    is prev[v], the vertex whose path unit enters v (-1 while v is free). The
+    states a failed search reaches are the residual reach, which gives the cut.
+    """
+    rows = g.rows
+    prev = [-1] * g.vertex_count
+    source, sink = (s, 1), (t, 0)
     flow = 0
     while True:
-        prev = {source: -1}
+        parent = {source: source}
         queue = deque([source])
-        while queue and sink not in prev:
-            a = queue.popleft()
-            for b, c in cap.get(a, {}).items():
-                if c > 0 and b not in prev:
-                    prev[b] = a
-                    queue.append(b)
-        if sink not in prev:
-            break
+        reached_in = 1 << s  # in-copies reached; s_in is never entered
+        while queue and sink not in parent:
+            v, out = state = queue.popleft()
+            if out:
+                undo = (1 << v) if prev[v] != -1 else 0  # back along a used v's internal arc
+                fresh = (rows[v] | undo) & ~reached_in
+                reached_in |= fresh
+                steps = [(w, 0) for w in _bits(fresh)]
+            else:
+                steps = [(v, 1) if prev[v] == -1 else (prev[v], 1)]
+            for step in steps:
+                if step not in parent:
+                    parent[step] = state
+                    queue.append(step)
+        if sink not in parent:
+            return flow, [v for v, out in parent if not out and (v, 1) not in parent]
         b = sink
         while b != source:
-            a = prev[b]
-            cap[a][b] -= 1
-            cap[b][a] += 1
+            a = parent[b]
+            if a[1] and not b[1]:  # a_out -> b_in: b's path unit now enters from a
+                prev[b[0]] = -1 if a[0] == b[0] else a[0]
             b = a
         flow += 1
-    reach = {source}
-    queue = deque([source])
-    while queue:
-        a = queue.popleft()
-        for b, c in cap.get(a, {}).items():
-            if c > 0 and b not in reach:
-                reach.add(b)
-                queue.append(b)
-    cut = [v for v in range(n) if v not in (s, t) and 2 * v in reach and 2 * v + 1 not in reach]
-    return flow, cut
 
 
 def vertex_connectivity(g: SimpleGraph) -> tuple[int, tuple[int, ...] | None]:
-    """Exact kappa: min over non-adjacent pairs of max vertex-disjoint paths.
+    """Exact kappa with a minimum vertex cut, from flows over Esfahanian–Hakimi's pairs.
+
+    Fix a vertex v of minimum degree and let S be a minimum cut. Either S misses
+    v, and then it separates v from some non-neighbour; or S contains v, and
+    then, being minimal, it separates two of v's neighbours. So flows from v to
+    each non-neighbour and between each non-adjacent pair of v's neighbours
+    suffice: O(n + delta^2) flows instead of one per non-adjacent pair
+    (Esfahanian & Hakimi, *Networks* 14, 1984).
 
     Complete graphs return n - 1 by convention (no cut witness); disconnected
     graphs return 0 with an empty witness.
@@ -301,19 +303,17 @@ def vertex_connectivity(g: SimpleGraph) -> tuple[int, tuple[int, ...] | None]:
     n = g.vertex_count
     if n == 1 or is_complete(g):
         return n - 1, None
-    best = n
-    best_cut: list[int] | None = None
-    for s in range(n):
-        for t in range(s + 1, n):
-            if g.has_edge(s, t):
-                continue
-            value, cut = _max_vertex_disjoint_paths(g, s, t)
-            if value < best:
-                best = value
-                best_cut = cut
-                if best == 0:
-                    return 0, tuple(sorted(best_cut))
-    return best, tuple(sorted(best_cut if best_cut is not None else []))
+    v = min(range(n), key=g.degree)
+    pairs = [(v, t) for t in range(n) if t != v and not g.has_edge(v, t)]
+    pairs += [(a, b) for a, b in combinations(g.neighbors(v), 2) if not g.has_edge(a, b)]
+    best, best_cut = n, []
+    for s, t in pairs:
+        value, cut = _max_vertex_disjoint_paths(g, s, t)
+        if value < best:
+            best, best_cut = value, cut
+            if best == 0:
+                break
+    return best, tuple(sorted(best_cut))
 
 
 # ---------------------------------------------------------------------------

@@ -89,8 +89,6 @@ class NSBPowerGraph:
     """A normal-subgroup-based power graph plus its group-side bookkeeping."""
 
     graph: SimpleGraph
-    group_name: str
-    subgroup_desc: str
     vertex_element: tuple[int, ...]
     coset_of: tuple[int, ...]
 
@@ -178,8 +176,6 @@ def nsb_power_graph(G: FiniteGroup, H: SubgroupSet) -> NSBPowerGraph:
     graph = SimpleGraph(labels, edges)
     return NSBPowerGraph(
         graph=graph,
-        group_name=G.name,
-        subgroup_desc=H.describe(),
         vertex_element=vertex_element,
         coset_of=tuple(coset[a] for a in vertex_element),
     )
@@ -215,8 +211,6 @@ def expand_quotient_graph(Q: QuotientGroup, H: SubgroupSet) -> NSBPowerGraph:
     graph = SimpleGraph(labels, edges)
     return NSBPowerGraph(
         graph=graph,
-        group_name=G.name,
-        subgroup_desc=H.describe(),
         vertex_element=vertex_element,
         coset_of=coset_of,
     )

@@ -83,7 +83,9 @@ def subgroup_from_elements(G: FiniteGroup, elements) -> SubgroupSet:
 
 
 def _normal_by_conjugation(G: FiniteGroup, members: set[int]) -> bool:
-    for g in G.elements():
+    """gHg^-1 within H for each generator g; products of generators then follow,
+    and every element is a positive word in G.generators."""
+    for g in G.generators:
         gi = G.inv(g)
         for h in members:
             if G.table[G.table[g][h]][gi] not in members:

@@ -177,6 +177,7 @@ def test_verify_with_missing_catalog_exits_2(capsys, tmp_path):
         ([{"group": "Z4"}], "JSON object"),
         ({"instances": ["Z4"]}, "list of objects"),
         ({"instances": [{"group": "Z12", "subgroups": "12"}]}, "all-normal"),
+        ({"instances": [{"group": "Z4"}], "theorems": "EDGES_6_1"}, "'theorems'"),
     ],
 )
 def test_verify_with_malformed_catalog_exits_2(capsys, tmp_path, catalog, message):

@@ -167,17 +167,66 @@ def test_kappa_anchors():
     assert inv.vertex_connectivity(two_parts)[0] == 0
 
 
+def assert_cut_witness(g, k, cut):
+    """The witness has k vertices and its removal disconnects g."""
+    assert cut is not None and len(cut) == k
+    keep = [v for v in range(g.vertex_count) if v not in set(cut)]
+    relabel = {v: i for i, v in enumerate(keep)}
+    sub = SimpleGraph(
+        [str(v) for v in keep],
+        [(relabel[u], relabel[v]) for u, v in g.edges() if u in relabel and v in relabel],
+    )
+    assert not inv.is_connected(sub)
+
+
 def test_kappa_cut_witness_disconnects():
     for g in [gamma_z6(), petersen(), path_graph(6), nsb_graph("Z12", [6])]:
+        assert_cut_witness(g, *inv.vertex_connectivity(g))
+
+
+def test_kappa_finds_a_cut_through_the_minimum_degree_vertex():
+    # Two K5s joined only through vertex 0, the first vertex of minimum degree (4).
+    # Flows from 0 to its non-neighbours all give 2; only its neighbour pairs see {0}.
+    edges = [(0, 1), (0, 2), (0, 6), (0, 7)]
+    edges += itertools.combinations(range(1, 6), 2)
+    edges += itertools.combinations(range(6, 11), 2)
+    g = SimpleGraph(labels(11), edges)
+    assert min(range(11), key=g.degree) == 0 and g.degree(0) == 4
+    assert inv.vertex_connectivity(g) == (1, (0,))
+
+
+def test_kappa_flow_reroutes_back_through_a_used_vertex():
+    # The first search takes 0-1-3-5-9. The second enters 5 from 4, so it must step
+    # back through 3 (undoing its internal arc) to 1 and leave by 6-7-8.
+    edges = [(0, 1), (1, 3), (3, 5), (5, 9), (0, 2), (2, 4), (4, 5)]
+    edges += [(1, 6), (6, 7), (7, 8), (8, 9)]
+    g = SimpleGraph(labels(10), edges)
+    assert inv._max_vertex_disjoint_paths(g, 0, 9) == (2, [1, 2])
+
+
+def test_kappa_matches_networkx_on_random_graphs():
+    import networkx as nx  # a test oracle only, never a runtime dependency
+
+    rng = random.Random(20261017)
+    for _ in range(60):
+        n = rng.randint(11, 40)
+        g = random_graph(rng, n, rng.choice([0.1, 0.2, 0.35, 0.5, 0.7, 0.9]))
+        reference = nx.Graph()
+        reference.add_nodes_from(range(n))
+        reference.add_edges_from(g.edges())
         k, cut = inv.vertex_connectivity(g)
-        assert cut is not None and len(cut) == k
-        keep = [v for v in range(g.vertex_count) if v not in set(cut)]
-        relabel = {v: i for i, v in enumerate(keep)}
-        sub = SimpleGraph(
-            [str(v) for v in keep],
-            [(relabel[u], relabel[v]) for u, v in g.edges() if u in relabel and v in relabel],
-        )
-        assert not inv.is_connected(sub)
+        assert k == nx.node_connectivity(reference)
+        if not inv.is_complete(g):
+            assert_cut_witness(g, k, cut)
+
+
+@pytest.mark.parametrize("text, gens, n", [("S5", [0], 120), ("D64", [2], 97)])
+def test_kappa_on_large_nsb_graphs(text, gens, n):
+    g = nsb_graph(text, gens)
+    assert g.vertex_count == n
+    k, cut = inv.vertex_connectivity(g)
+    assert k == 1
+    assert_cut_witness(g, k, cut)
 
 
 # --- planarity ---------------------------------------------------------------

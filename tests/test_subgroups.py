@@ -97,6 +97,15 @@ def test_all_normal_subgroups_refuses_past_the_bound():
         all_normal_subgroups(grp("E(2,8)"))
 
 
+@pytest.mark.parametrize(
+    "text", ["S4", "D4", "Z2xS3", "S3xS3", "Q8", "D6", "Z2xD4", "Z2xQ8", "D9"]
+)
+def test_normality_from_generators_matches_conjugation_by_every_element(text):
+    G = grp(text)
+    for elems in all_subgroups(G):
+        assert subgroup_from_elements(G, elems).is_normal == is_normal_brute(G, elems)
+
+
 def test_subgroup_validation_rejects_unclosed_set():
     with pytest.raises(ValueError):
         subgroup_from_elements(grp("Z6"), [0, 2])  # 2+2=4 missing
