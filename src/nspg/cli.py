@@ -176,28 +176,6 @@ def _cmd_power_graph(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_TABLE_KEYS = [
-    "group",
-    "subgroup",
-    "vertex_count",
-    "edge_count",
-    "degree_sequence",
-    "is_connected",
-    "is_complete",
-    "is_regular",
-    "is_bipartite",
-    "is_tree",
-    "is_eulerian",
-    "girth",
-    "clique_number",
-    "chromatic_number",
-    "vertex_connectivity",
-    "is_planar",
-    "is_perfect",
-    "is_hamiltonian",
-]
-
-
 def _table_value(value) -> str:
     if value is None:
         return "null"
@@ -226,14 +204,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.format == "json":
         sys.stdout.write(json.dumps(obj, indent=2) + "\n")
     else:
-        witness_rows = [
-            ("witness." + name, value) for name, value in sorted(obj.get("witnesses", {}).items())
-        ]
-        width = max(len(k) for k in _TABLE_KEYS + [k for k, _ in witness_rows]) + 2
-        for key in _TABLE_KEYS:
-            print(f"{key.ljust(width)}{_table_value(obj.get(key))}")
-        for name, value in witness_rows:
-            print(f"{name.ljust(width)}{_table_value(value)}")
+        rows = [(key, value) for key, value in obj.items() if key not in ("witnesses", "skipped")]
+        rows += [("witness." + name, value) for name, value in sorted(obj.get("witnesses", {}).items())]
+        width = max(len(key) for key, _ in rows) + 2
+        for key, value in rows:
+            print(f"{key.ljust(width)}{_table_value(value)}")
     return EXIT_BUDGET if result.skipped else EXIT_OK
 
 

@@ -135,7 +135,7 @@ def validate_cayley_table(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]
             raise ValueError(f"column {b} is not a permutation of 0..{n - 1}")
     if rows[0] != tuple(range(n)) or any(row[0] != a for a, row in enumerate(rows)):
         raise ValueError("element 0 is not a two-sided identity")
-    generators = _right_generators(rows)
+    generators, _ = generate(rows, range(n))
     for a in generators:
         row_a = rows[a]
         for row_x in rows:
@@ -148,27 +148,29 @@ def validate_cayley_table(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]
     return generators
 
 
-def _right_generators(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Generators whose right-multiplied words from the identity reach every element.
+def generate(rows, elements) -> tuple[tuple[int, ...], frozenset[int]]:
+    """Generators drawn from elements, and the subgroup they span.
 
-    Breadth-first search by right multiplication; whenever it stalls, the
-    smallest unreached element becomes a new generator. In a group the reached
-    set is then a subgroup, and each new generator at least doubles it.
+    Breadth-first right multiplication from the identity; whenever the walk
+    stalls, the smallest element not yet reached becomes a new generator. In a
+    finite group every inverse is a positive power, so each stall leaves a
+    subgroup and each new generator at least doubles it: there are at most
+    log2 |span| generators, and the span is the subgroup elements generate.
     """
-    n = len(rows)
-    seen = bytearray(n)
-    seen[0] = 1
+    seen = {0}
     reached = [0]
     generators: list[int] = []
-    while len(reached) < n:
-        generators.append(seen.index(0))
+    for a in sorted(elements):
+        if a in seen:
+            continue
+        generators.append(a)
         for x in reached:  # the list grows while it is walked: breadth-first
             row = rows[x]
             for g in generators:
-                if not seen[row[g]]:
-                    seen[row[g]] = 1
+                if row[g] not in seen:
+                    seen.add(row[g])
                     reached.append(row[g])
-    return tuple(generators)
+    return tuple(generators), frozenset(reached)
 
 
 @dataclass(frozen=True)

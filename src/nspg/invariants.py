@@ -38,16 +38,20 @@ def degree_sequence(g: SimpleGraph) -> tuple[int, ...]:
     return tuple(sorted((g.degree(u) for u in range(g.vertex_count)), reverse=True))
 
 
-def is_connected(g: SimpleGraph) -> bool:
-    n = g.vertex_count
-    seen = 1
-    queue = deque([0])
+def _mask_connected(rows: tuple[int, ...], mask: int, start: int) -> bool:
+    """Whether every vertex in mask is reached from start through mask alone."""
+    seen = 1 << start
+    queue = [start]
     while queue:
-        u = queue.popleft()
-        for v in _bits(g.rows[u] & ~seen):
-            seen |= 1 << v
-            queue.append(v)
-    return seen == (1 << n) - 1
+        u = queue.pop()
+        fresh = rows[u] & mask & ~seen
+        seen |= fresh
+        queue.extend(_bits(fresh))
+    return seen & mask == mask
+
+
+def is_connected(g: SimpleGraph) -> bool:
+    return _mask_connected(g.rows, (1 << g.vertex_count) - 1, 0)
 
 
 def is_complete(g: SimpleGraph) -> bool:
@@ -154,26 +158,6 @@ def clique_number(g: SimpleGraph, budget: int = DEFAULT_SOLVER_BUDGET) -> tuple[
 # Exact chromatic number: iterative deepening from the clique bound
 
 
-def dsatur_greedy(g: SimpleGraph) -> list[int]:
-    """Greedy coloring in saturation order; an upper bound for the exact search."""
-    n = g.vertex_count
-    colors = [-1] * n
-    sat = [0] * n  # bitmask of neighbor colors
-    for _ in range(n):
-        u = max(
-            (v for v in range(n) if colors[v] == -1),
-            key=lambda v: (sat[v].bit_count(), g.degree(v), -v),
-        )
-        c = 0
-        while (sat[u] >> c) & 1:
-            c += 1
-        colors[u] = c
-        for w in g.neighbors(u):
-            if colors[w] == -1:
-                sat[w] |= 1 << c
-    return colors
-
-
 def _k_colorable(g: SimpleGraph, k: int, clique: tuple[int, ...]) -> list[int] | None:
     """Backtracking k-colorability with the max clique pre-colored for symmetry breaking."""
     n = g.vertex_count
@@ -225,21 +209,13 @@ def _k_colorable(g: SimpleGraph, k: int, clique: tuple[int, ...]) -> list[int] |
 def chromatic_number(
     g: SimpleGraph, budget: int = DEFAULT_SOLVER_BUDGET
 ) -> tuple[int, tuple[int, ...]]:
-    """Exact chromatic number with a proper coloring witness."""
-    n = g.vertex_count
-    _check_budget("chromatic_number", n, budget)
-    if g.edge_count == 0:
-        return 1, (0,) * n
-    lower, clique = clique_number(g, budget)
-    greedy = dsatur_greedy(g)
-    upper = max(greedy) + 1
-    if upper == lower:
-        return lower, tuple(greedy)
-    for k in range(lower, upper):
-        attempt = _k_colorable(g, k, clique)
-        if attempt is not None:
-            return k, tuple(attempt)
-    return upper, tuple(greedy)
+    """Exact chromatic number with a proper coloring witness: the first k from the
+    clique number up for which the k-coloring search succeeds."""
+    _check_budget("chromatic_number", g.vertex_count, budget)
+    k, clique = clique_number(g, budget)
+    while (colors := _k_colorable(g, k, clique)) is None:
+        k += 1
+    return k, tuple(colors)
 
 
 # ---------------------------------------------------------------------------
@@ -371,40 +347,24 @@ def _biconnected_edge_groups(n: int, adj: list[set[int]]) -> list[list[tuple[int
 
 
 def _find_cycle(adj: dict[int, set[int]], start: int) -> list[int]:
-    """Some simple cycle in a biconnected graph with at least one cycle."""
-    parent = {start: -1}
-    depth = {start: 0}
-    stack = [start]
-    order = []
-    while stack:
-        u = stack.pop()
-        order.append(u)
+    """A shortest cycle through start and its smallest neighbour, in a biconnected graph.
+
+    Breadth-first search from that neighbour back to start, without the edge
+    between them; in a biconnected graph every edge lies on a cycle.
+    """
+    first = min(adj[start])
+    prev = {first: first}
+    queue = deque([first])
+    while start not in prev:
+        u = queue.popleft()
         for v in sorted(adj[u]):
-            if v not in parent:
-                parent[v] = u
-                depth[v] = depth[u] + 1
-                stack.append(v)
-    # DFS above is preorder only; rescan edges for one giving a cycle in the tree.
-    for u in order:
-        for v in sorted(adj[u]):
-            if parent[u] == v or parent[v] == u:
-                continue
-            # walk both vertices up to their common ancestor
-            pu, pv = u, v
-            au, av = [pu], [pv]
-            while depth[pu] > depth[pv]:
-                pu = parent[pu]
-                au.append(pu)
-            while depth[pv] > depth[pu]:
-                pv = parent[pv]
-                av.append(pv)
-            while pu != pv:
-                pu = parent[pu]
-                pv = parent[pv]
-                au.append(pu)
-                av.append(pv)
-            return au + list(reversed(av[:-1]))
-    raise AssertionError("biconnected component of size >= 3 must contain a cycle")
+            if v not in prev and (u, v) != (first, start):
+                prev[v] = u
+                queue.append(v)
+    cycle = [start]
+    while cycle[-1] != first:
+        cycle.append(prev[cycle[-1]])
+    return cycle
 
 
 def _demoucron_planar(vertices: list[int], edges: list[tuple[int, int]]) -> bool:
@@ -565,17 +525,6 @@ def is_perfect(g: SimpleGraph, budget: int = DEFAULT_ODD_HOLE_BUDGET) -> bool:
 # Hamiltonian cycles: exact backtracking with degree and connectivity pruning
 
 
-def _mask_connected(rows: tuple[int, ...], mask: int, start: int) -> bool:
-    seen = 1 << start
-    queue = [start]
-    while queue:
-        u = queue.pop()
-        fresh = rows[u] & mask & ~seen
-        seen |= fresh
-        queue.extend(_bits(fresh))
-    return seen & mask == mask
-
-
 def hamiltonian_cycle(
     g: SimpleGraph, budget: int = DEFAULT_SOLVER_BUDGET
 ) -> tuple[int, ...] | None:
@@ -618,38 +567,6 @@ def hamiltonian_cycle(
     if solve(0, 1):
         return tuple(path)
     return None
-
-
-# ---------------------------------------------------------------------------
-# Eulerian circuit extraction (Hierholzer), for witness validation
-
-
-def eulerian_circuit(g: SimpleGraph) -> tuple[int, ...] | None:
-    """A closed trail covering every edge once, or None when the graph is not Eulerian."""
-    if not is_eulerian(g):
-        return None
-    if g.edge_count == 0:
-        return (0,)
-    nbrs = [sorted(g.neighbors(u)) for u in range(g.vertex_count)]
-    pointer = [0] * g.vertex_count
-    used: set[frozenset[int]] = set()
-    stack = [0]
-    circuit: list[int] = []
-    while stack:
-        v = stack[-1]
-        advanced = False
-        while pointer[v] < len(nbrs[v]):
-            w = nbrs[v][pointer[v]]
-            pointer[v] += 1
-            edge = frozenset((v, w))
-            if edge not in used:
-                used.add(edge)
-                stack.append(w)
-                advanced = True
-                break
-        if not advanced:
-            circuit.append(stack.pop())
-    return tuple(reversed(circuit))
 
 
 # ---------------------------------------------------------------------------

@@ -106,15 +106,6 @@ def power_graph(G: FiniteGroup) -> SimpleGraph:
     return SimpleGraph(G.labels, edges)
 
 
-def reduced_power_graph(G: FiniteGroup) -> SimpleGraph:
-    """Power graph with the identity vertex removed; rejects the trivial group."""
-    if G.order < 2:
-        raise ValueError("reduced power graph needs a group of order at least 2")
-    pg = power_graph(G)
-    edges = [(u - 1, v - 1) for u, v in pg.edges() if u != 0]
-    return SimpleGraph(G.labels[1:], edges)
-
-
 def power_graph_edge_count_formula(G: FiniteGroup) -> int:
     """Edge count of the power graph via (1/2) * sum over a of (2*o(a) - phi(o(a)) - 1)."""
     total = sum(2 * G.element_order(a) - euler_phi(G.element_order(a)) - 1 for a in G.elements())

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, generate
 
 # all_normal_subgroups refuses a group with more normal subgroups than this.
 MAX_NORMAL_SUBGROUPS = 4096
@@ -26,40 +26,8 @@ class SubgroupSet:
         """Deterministic short form: {e} for the trivial subgroup, else <generators>."""
         if self.order == 1:
             return "{e}"
-        gens = minimal_generators(self.parent, self.elements)
+        gens, _ = generate(self.parent.table, self.elements)
         return "<" + ",".join(str(g) for g in gens) + ">"
-
-
-def minimal_generators(G: FiniteGroup, elements: tuple[int, ...]) -> tuple[int, ...]:
-    """Greedy generator selection: smallest elements that grow the generated span."""
-    gens: list[int] = []
-    span: frozenset[int] = frozenset((0,))
-    for a in elements:
-        if a in span:
-            continue
-        gens.append(a)
-        span = _span(G, gens)
-        if len(span) == len(elements):
-            break
-    return tuple(gens)
-
-
-def _span(G: FiniteGroup, gens) -> frozenset[int]:
-    """The subgroup gens generate: breadth-first right multiplication from the identity.
-
-    In a finite group every inverse is a positive power, so the words reached
-    this way already form a subgroup.
-    """
-    gens = tuple(gens)
-    seen = {0}
-    reached = [0]
-    for x in reached:  # the list grows while it is walked: breadth-first
-        row = G.table[x]
-        for g in gens:
-            if row[g] not in seen:
-                seen.add(row[g])
-                reached.append(row[g])
-    return frozenset(reached)
 
 
 def subgroup_from_elements(G: FiniteGroup, elements) -> SubgroupSet:
@@ -98,28 +66,35 @@ def generated_subgroup(G: FiniteGroup, gens) -> SubgroupSet:
     gen_set = set(int(g) for g in gens)
     if any(not 0 <= g < G.order for g in gen_set):
         raise ValueError("generator index out of range")
-    return subgroup_from_elements(G, _span(G, gen_set))
+    return subgroup_from_elements(G, generate(G.table, gen_set)[1])
 
 
 def all_normal_subgroups(G: FiniteGroup) -> list[SubgroupSet]:
     """All normal subgroups of G, sorted by order then element set; includes {e} and G.
 
     Every normal subgroup is the join of the normal closures of its elements,
-    and the normal closure of g is the span of its conjugacy class. So a
-    breadth-first walk from {e}, joining each subgroup found with each closure
-    it does not contain, reaches them all (Holt, Eick & O'Brien, *Handbook of
-    Computational Group Theory*, 2005, ch. 3). The join NP of two normal
-    subgroups is their set product, so it needs no closure. Raises ValueError
-    past MAX_NORMAL_SUBGROUPS.
+    and the normal closure of g is the span of its conjugacy class. The class
+    is g's orbit under conjugation by G.generators, since every element is a
+    positive word in them. A breadth-first walk from {e}, joining each subgroup
+    found with each closure it does not contain, reaches them all (Holt, Eick &
+    O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 3). The join
+    NP of two normal subgroups is their set product, so it needs no closure.
+    Raises ValueError past MAX_NORMAL_SUBGROUPS.
     """
     table = G.table
     closures: dict[frozenset[int], int] = {}  # normal closure -> an element it is the closure of
     classified = set()
     for g in G.elements():
         if g not in classified:
-            conj = {table[table[x][g]][G.inv(x)] for x in G.elements()}
-            classified |= conj
-            closures.setdefault(_span(G, conj), g)
+            conj = [g]
+            classified.add(g)
+            for x in conj:  # the list grows while it is walked
+                for s in G.generators:
+                    y = table[table[s][x]][G.inv(s)]
+                    if y not in classified:
+                        classified.add(y)
+                        conj.append(y)
+            closures.setdefault(generate(table, conj)[1], g)
     found = [frozenset((0,))]
     seen = set(found)
     for N in found:  # the list grows while it is walked: breadth-first

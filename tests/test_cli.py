@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -102,12 +103,26 @@ def test_analyze_json_anchor_values(capsys):
     assert obj["is_planar"] is False
 
 
-def test_analyze_table_format(capsys):
+def test_analyze_table_format(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "analyze", "Z6", "--subgroup", "3", "--format", "table")
     assert code == 0
     lines = out.splitlines()
     assert any(line.startswith("edge_count") and line.endswith("10") for line in lines)
     assert any(line.startswith("witness.clique") for line in lines)
+    # Every row, in order: the JSON keys but witnesses and skipped, then each witness,
+    # sorted; once with all solvers run and once with some skipped by the budget.
+    for budget, exit_code in [(None, 0), ("4", 3)]:
+        if budget is not None:
+            monkeypatch.setenv("NSPG_BUDGET", budget)
+        code, out, _ = run_cli(capsys, "analyze", "Z6", "--subgroup", "3", "--format", "table")
+        assert code == exit_code
+        obj = json.loads(run_cli(capsys, "analyze", "Z6", "--subgroup", "3")[1])
+        expected = [(k, v) for k, v in obj.items() if k not in ("witnesses", "skipped")]
+        expected += [("witness." + k, v) for k, v in sorted(obj.get("witnesses", {}).items())]
+        rows = [line.split(None, 1) for line in out.splitlines()]
+        assert [key for key, _ in rows] == [key for key, _ in expected]
+        for (_, text), (_, value) in zip(rows, expected):
+            assert text == (value if isinstance(value, str) else json.dumps(value))
 
 
 def test_analyze_budget_exceeded_gives_nulls_and_exit_3(capsys, monkeypatch):
@@ -254,3 +269,13 @@ def test_runs_without_numpy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_all_names_exactly_the_public_bindings():
+    public = {
+        name
+        for name, value in vars(nspg).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert len(set(nspg.__all__)) == len(nspg.__all__)
+    assert set(nspg.__all__) == public | {"__version__"}

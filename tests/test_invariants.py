@@ -143,6 +143,28 @@ def test_chromatic_anchors():
     assert inv.chromatic_number(k33())[0] == 2
     assert inv.chromatic_number(cycle_graph(5))[0] == 3
     assert inv.chromatic_number(nsb_graph("Z12", [6]))[0] == 9
+    assert inv.chromatic_number(SimpleGraph(labels(4), [])) == (1, (0, 0, 0, 0))
+
+
+def grotzsch():
+    """Mycielski's graph of C5: triangle-free (omega = 2) with chromatic number 4."""
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(5 + i, (i + 1) % 5) for i in range(5)] + [(5 + i, (i - 1) % 5) for i in range(5)]
+    edges += [(10, 5 + i) for i in range(5)]
+    return SimpleGraph(labels(11), edges)
+
+
+def test_chromatic_refutes_levels_above_the_clique_number():
+    g = grotzsch()
+    omega, clique = inv.clique_number(g)
+    assert omega == 2
+    # The search must refute k = 2 and k = 3 before it colours with 4.
+    assert inv._k_colorable(g, 2, clique) is None
+    assert inv._k_colorable(g, 3, clique) is None
+    k, coloring = inv.chromatic_number(g)
+    assert k == 4 == brute_chromatic_number(g)
+    assert len(set(coloring)) == 4
+    assert all(coloring[u] != coloring[v] for u, v in g.edges())
 
 
 def test_chromatic_witness_is_proper():
@@ -288,6 +310,14 @@ def test_planarity_on_larger_structured_graphs():
     assert not inv.is_planar(extra)
 
 
+def test_first_cycle_of_the_embedding_is_simple():
+    for g in [complete_graph(5), k33(), petersen(), cycle_graph(6), nsb_graph("Z12", [6])]:
+        adj = {v: set(g.neighbors(v)) for v in range(g.vertex_count)}
+        cycle = inv._find_cycle(adj, 0)
+        assert len(cycle) == len(set(cycle)) >= 3
+        assert all(g.has_edge(cycle[i - 1], cycle[i]) for i in range(len(cycle)))
+
+
 def test_planarity_is_subdivision_consistent():
     for g, expected in [
         (complete_graph(5), False),
@@ -364,24 +394,6 @@ def test_hamiltonian_witness_is_valid():
         assert sorted(cycle) == list(range(g.vertex_count))
         for i in range(len(cycle)):
             assert g.has_edge(cycle[i], cycle[(i + 1) % len(cycle)])
-
-
-# --- eulerian circuit witness --------------------------------------------------
-
-
-def test_eulerian_circuit_witness():
-    for g in [complete_graph(3), complete_graph(5), cycle_graph(6), nsb_graph("Z6", [3])]:
-        trail = inv.eulerian_circuit(g)
-        assert trail is not None
-        assert trail[0] == trail[-1]
-        used = set()
-        for a, b in zip(trail, trail[1:]):
-            assert g.has_edge(a, b)
-            edge = frozenset((a, b))
-            assert edge not in used
-            used.add(edge)
-        assert len(used) == g.edge_count
-    assert inv.eulerian_circuit(path_graph(3)) is None
 
 
 # --- degree formula ------------------------------------------------------------

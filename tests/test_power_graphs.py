@@ -9,7 +9,6 @@ from nspg.power_graphs import (
     nsb_power_graph,
     power_graph,
     power_graph_edge_count_formula,
-    reduced_power_graph,
 )
 from nspg.subgroups import generated_subgroup, quotient
 from oracles import nsb_adjacent_literal
@@ -65,26 +64,6 @@ def test_edge_count_divisor_form_on_cyclic_groups():
             // 2
         )
         assert power_graph_edge_count_formula(G) == by_divisors
-
-
-def test_reduced_power_graph():
-    assert reduced_power_graph(grp("Z2")).vertex_count == 1
-    assert reduced_power_graph(grp("Z2")).edge_count == 0
-    assert reduced_power_graph(grp("Z5")).edge_count == 6  # K4
-    assert reduced_power_graph(grp("Z6")).edge_count == 8  # 13 - deg(e)
-    with pytest.raises(ValueError):
-        reduced_power_graph(grp("Z1"))
-
-
-def test_reduced_power_graph_degrees_drop_by_one():
-    # removing the identity costs every other vertex exactly its edge to e
-    from nspg.invariants import degree_in_power_graph_formula
-
-    for text in ["Z6", "Z12", "D4", "Q8", "S3"]:
-        G = grp(text)
-        reduced = reduced_power_graph(G)
-        for v in range(1, G.order):
-            assert reduced.degree(v - 1) == degree_in_power_graph_formula(G)[v] - 1
 
 
 @pytest.mark.parametrize("text", ["Z2", "Z6", "Z8", "D4", "Q8", "S3", "E(2,2)"])
