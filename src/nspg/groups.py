@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -64,18 +65,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self._inverse[a]
 
-    def element_power(self, a: int, k: int) -> int:
-        """a**k by repeated table lookup; a**0 is the identity."""
-        if not 0 <= a < self.order:
-            raise ValueError(f"element index {a} out of range for group of order {self.order}")
-        if k < 0:
-            raise ValueError("exponent must be non-negative")
-        k %= self.element_order(a)
-        x = 0
-        for _ in range(k):
-            x = self.table[x][a]
-        return x
-
     def element_order(self, a: int) -> int:
         """Least k >= 1 with a**k equal to the identity."""
         if not 0 <= a < self.order:
@@ -116,7 +105,8 @@ def validate_cayley_table(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]
     checked by Light's test over that set (Clifford & Preston, *The Algebraic
     Theory of Semigroups* I, 1961, section 1.2), which is exact: the elements a
     with (x*a)*y == x*(a*y) for all x, y are closed under products, so if they
-    include the generators they are the whole table.
+    include the generators they are the whole table. The test compares whole
+    rows: row x*a must equal row x read through row a, for every x.
     """
     n = len(table)
     if n == 0:
@@ -124,7 +114,7 @@ def validate_cayley_table(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]
     if any(len(row) != n for row in table):
         raise ValueError("Cayley table must be square")
     rows = tuple(map(tuple, table))
-    if min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
+    if not set(range(n)).issuperset(itertools.chain.from_iterable(rows)):
         raise ValueError(f"table entries must lie in [0, {n})")
     # Latin square: every row and column is a permutation of 0..n-1.
     for a, row in enumerate(rows):
@@ -136,10 +126,10 @@ def validate_cayley_table(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]
     if rows[0] != tuple(range(n)) or any(row[0] != a for a, row in enumerate(rows)):
         raise ValueError("element 0 is not a two-sided identity")
     generators, _ = generate(rows, range(n))
-    for a in generators:
-        row_a = rows[a]
+    for a in generators:  # n >= 2 here, so the getter returns a tuple
+        through_a = operator.itemgetter(*rows[a])
         for row_x in rows:
-            if rows[row_x[a]] != tuple(map(row_x.__getitem__, row_a)):
+            if rows[row_x[a]] != through_a(row_x):
                 raise ValueError("multiplication is not associative")
     # Two-sided inverses (implied by the above, asserted independently).
     for a, row in enumerate(rows):
@@ -297,50 +287,43 @@ def _build(spec: GroupSpec) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...
 
 def _build_dihedral(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
     # Index f*n + j encodes s^f r^j; rotations occupy 0..n-1, reflections n..2n-1.
-    size = 2 * n
-
-    def mul(a: int, b: int) -> int:
-        f1, j1 = divmod(a, n)
-        f2, j2 = divmod(b, n)
-        j = (j1 * (-1) ** f2 + j2) % n
-        return ((f1 + f2) % 2) * n + j
-
-    table = tuple(tuple(mul(a, b) for b in range(size)) for a in range(size))
+    # Row r^i holds r^(i+j), then s r^(j-i); row s r^i holds s r^(i+j), then r^(j-i).
+    rot, ref = tuple(range(n)), tuple(range(n, 2 * n))
+    turns = [(i, -i % n) for i in range(n)]
+    table = tuple(rot[i:] + rot[:i] + ref[m:] + ref[:m] for i, m in turns)
+    table += tuple(ref[i:] + ref[:i] + rot[m:] + rot[:m] for i, m in turns)
     labels = tuple(f"r{j}" for j in range(n)) + tuple(f"s{j}" for j in range(n))
     return table, labels
 
 
 def _build_symmetric(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
     perms = list(itertools.permutations(range(n)))  # lexicographic, identity first
-    index = {p: i for i, p in enumerate(perms)}
-
-    def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(p[q[i]] for i in range(n))
-
-    table = tuple(tuple(index[compose(p, q)] for q in perms) for p in perms)
     labels = tuple("".join(str(v) for v in p) for p in perms)
-    return table, labels
+    if n == 1:  # itemgetter of one index returns a scalar, not a 1-tuple
+        return ((0,),), labels
+    index = {p: i for i, p in enumerate(perms)}
+    # Column q holds p∘q for every p, where (p∘q)[i] = p[q[i]]: one itemgetter per q.
+    columns = [tuple(map(index.__getitem__, map(operator.itemgetter(*q), perms))) for q in perms]
+    return tuple(zip(*columns)), labels
 
 
 def _build_quaternion() -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
-    # Units ordered 1, i, j, k; index = 2*unit + (0 for +, 1 for -).
-    unit_mul = {
-        (0, 0): (0, 1), (0, 1): (1, 1), (0, 2): (2, 1), (0, 3): (3, 1),
-        (1, 0): (1, 1), (1, 1): (0, -1), (1, 2): (3, 1), (1, 3): (2, -1),
-        (2, 0): (2, 1), (2, 1): (3, -1), (2, 2): (0, -1), (2, 3): (1, 1),
-        (3, 0): (3, 1), (3, 1): (2, 1), (3, 2): (1, -1), (3, 3): (0, -1),
-    }
+    # Index 2*unit + sign over the units 1, i, j, k, each a signed basis 4-vector.
+    units = [tuple(sign * (d == u) for d in range(4)) for u in range(4) for sign in (1, -1)]
+    index = {q: i for i, q in enumerate(units)}
 
-    def mul(a: int, b: int) -> int:
-        ua, sa = divmod(a, 2)
-        ub, sb = divmod(b, 2)
-        u, s = unit_mul[(ua, ub)]
-        sign = (-1) ** (sa + sb) * s
-        return 2 * u + (0 if sign == 1 else 1)
+    def hamilton(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+        a1, b1, c1, d1 = p
+        a2, b2, c2, d2 = q
+        return (
+            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+        )
 
-    table = tuple(tuple(mul(a, b) for b in range(8)) for a in range(8))
-    labels = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
-    return table, labels
+    table = tuple(tuple(index[hamilton(p, q)] for q in units) for p in units)
+    return table, ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
 
 
 def _build_elementary_abelian(p: int, k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
@@ -371,7 +354,9 @@ def _product_table(
 
 
 def _cyclic_table(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
+    # Row a is range(n) rotated left by a.
+    base = tuple(range(n))
+    return tuple(base[a:] + base[:a] for a in range(n))
 
 
 def from_cayley_table(table, name: str = "custom", labels=None) -> FiniteGroup:

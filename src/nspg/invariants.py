@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .groups import FiniteGroup, euler_phi
-from .power_graphs import SimpleGraph
+from .power_graphs import SimpleGraph, _bits
 
 DEFAULT_SOLVER_BUDGET = 64
 DEFAULT_ODD_HOLE_BUDGET = 24
@@ -20,13 +20,6 @@ class BudgetExceeded(RuntimeError):
 def _check_budget(what: str, n: int, budget: int) -> None:
     if n > budget:
         raise BudgetExceeded(f"{what}: {n} vertices exceeds budget {budget}")
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +86,10 @@ def is_eulerian(g: SimpleGraph) -> bool:
 
 
 def girth(g: SimpleGraph) -> int | None:
-    """Length of a shortest cycle via per-vertex breadth-first search; None if acyclic."""
+    """Length of a shortest cycle via per-vertex breadth-first search; None if acyclic.
+
+    Girth is at least 3, so the first triangle a non-tree edge closes ends it.
+    """
     n = g.vertex_count
     best: int | None = None
     for s in range(n):
@@ -109,10 +105,10 @@ def girth(g: SimpleGraph) -> int | None:
                     queue.append(v)
                 elif parent[u] != v:
                     length = dist[u] + dist[v] + 1
+                    if length == 3:
+                        return 3
                     if best is None or length < best:
                         best = length
-        if best == 3:
-            return 3
     return best
 
 

@@ -16,20 +16,41 @@ class SimpleGraph:
 
     def __init__(self, vertex_labels, edges):
         labels = tuple(str(s) for s in vertex_labels)
-        if len(set(labels)) != len(labels):
-            raise ValueError("vertex labels must be pairwise distinct")
         n = len(labels)
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
-            if u == v:
-                raise ValueError(f"loop at vertex {u} is not allowed")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
+        self._set_rows(labels, rows)
+
+    @classmethod
+    def _from_rows(cls, vertex_labels, rows) -> "SimpleGraph":
+        """A graph from adjacency rows the caller built symmetric."""
+        g = cls.__new__(cls)
+        g._set_rows(tuple(str(s) for s in vertex_labels), rows)
+        return g
+
+    def _set_rows(self, labels: tuple[str, ...], rows) -> None:
+        """Both constructors end here: at least one vertex, distinct labels, one row
+        per vertex, no loops and no neighbour out of range."""
+        n = len(labels)
+        if n == 0:
+            raise ValueError("a graph needs at least one vertex")
+        if len(set(labels)) != n:
+            raise ValueError("vertex labels must be pairwise distinct")
+        rows = tuple(rows)
+        if len(rows) != n:
+            raise ValueError(f"{len(rows)} rows for {n} vertices")
+        for u, row in enumerate(rows):
+            if (row >> u) & 1:
+                raise ValueError(f"loop at vertex {u} is not allowed")
+            if row < 0 or row >> n:
+                raise ValueError(f"row {u} has a neighbour out of range")
         self.vertex_count = n
         self.vertex_labels = labels
-        self.rows = tuple(rows)
+        self.rows = rows
 
     def has_edge(self, u: int, v: int) -> bool:
         return (self.rows[u] >> v) & 1 == 1
@@ -42,33 +63,17 @@ class SimpleGraph:
         return sum(self.degree(u) for u in range(self.vertex_count)) // 2
 
     def neighbors(self, u: int):
-        row = self.rows[u]
-        while row:
-            low = row & -row
-            yield low.bit_length() - 1
-            row ^= low
+        return _bits(self.rows[u])
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (i, j) pairs with i < j, in ascending lexicographic order."""
-        out = []
-        for u in range(self.vertex_count):
-            row = self.rows[u] >> (u + 1)
-            v = u + 1
-            while row:
-                if row & 1:
-                    out.append((u, v))
-                row >>= 1
-                v += 1
-        return out
+        return [(u, v) for u in range(self.vertex_count) for v in _bits(self.rows[u]) if v > u]
 
     def complement(self) -> "SimpleGraph":
-        n = self.vertex_count
-        full = (1 << n) - 1
-        g = SimpleGraph.__new__(SimpleGraph)
-        g.vertex_count = n
-        g.vertex_labels = self.vertex_labels
-        g.rows = tuple((full ^ self.rows[u]) & ~(1 << u) for u in range(n))
-        return g
+        full = (1 << self.vertex_count) - 1
+        return SimpleGraph._from_rows(
+            self.vertex_labels, ((full ^ row) & ~(1 << u) for u, row in enumerate(self.rows))
+        )
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -84,6 +89,14 @@ class SimpleGraph:
         return f"SimpleGraph(n={self.vertex_count}, m={self.edge_count})"
 
 
+def _bits(mask: int):
+    """The set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class NSBPowerGraph:
     """A normal-subgroup-based power graph plus its group-side bookkeeping."""
@@ -95,15 +108,30 @@ class NSBPowerGraph:
 
 def power_graph(G: FiniteGroup) -> SimpleGraph:
     """Undirected power graph of G: distinct u, v adjacent iff one is a power of the other."""
-    n = G.order
     powers = [G.cyclic_subgroup(a) for a in G.elements()]
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if u in powers[v] or v in powers[u]
-    ]
-    return SimpleGraph(G.labels, edges)
+    return SimpleGraph._from_rows(G.labels, _power_rows(range(G.order), powers, G.order))
+
+
+def _power_rows(class_of, powers, classes: int) -> list[int]:
+    """Rows joining i != j iff class_of[i] is in powers[j] or class_of[j] in powers[i].
+
+    in_class[c] holds the vertices of class c and into[c] those with a power in
+    c; row i is into[class_of[i]] or'd with in_class[c] for c in powers[i].
+    """
+    in_class = [0] * classes
+    into = [0] * classes
+    for i, (c, reach) in enumerate(zip(class_of, powers)):
+        bit = 1 << i
+        in_class[c] |= bit
+        for d in reach:
+            into[d] |= bit
+    rows = []
+    for i, (c, reach) in enumerate(zip(class_of, powers)):
+        row = into[c]
+        for d in reach:
+            row |= in_class[d]
+        rows.append(row & ~(1 << i))
+    return rows
 
 
 def power_graph_edge_count_formula(G: FiniteGroup) -> int:
@@ -116,15 +144,14 @@ def power_graph_edge_count_formula(G: FiniteGroup) -> int:
 
 def _coset_partition(G: FiniteGroup, H: SubgroupSet) -> tuple[int, ...]:
     """Coset index per element of G; cosets ordered by smallest member, H first."""
-    keys: dict[frozenset[int], int] = {}
-    per_element: list[frozenset[int]] = []
+    coset = [-1] * G.order
+    count = 0
     for a in G.elements():
-        key = frozenset(G.table[a][h] for h in H.elements)
-        per_element.append(key)
-        keys.setdefault(key, 0)
-    ordered = sorted(keys, key=min)
-    index = {key: i for i, key in enumerate(ordered)}
-    return tuple(index[key] for key in per_element)
+        if coset[a] == -1:  # a is the smallest member of a coset not yet numbered
+            for h in H.elements:
+                coset[G.table[a][h]] = count
+            count += 1
+    return tuple(coset)
 
 
 def _check_nsb_inputs(G: FiniteGroup, H: SubgroupSet) -> None:
@@ -137,39 +164,29 @@ def _check_nsb_inputs(G: FiniteGroup, H: SubgroupSet) -> None:
 
 
 def nsb_power_graph(G: FiniteGroup, H: SubgroupSet) -> NSBPowerGraph:
-    """Direct construction from the definition: adjacency by scanning exponent cosets.
+    """Direct construction from the definition: rows are unions of coset masks.
 
     Vertices are e followed by G \\ H in ascending element order; distinct x, y
-    are joined iff xH = y^m H or yH = x^n H for some positive exponent, decided
-    by scanning m = 1..order(y) (coset powers repeat with period dividing it).
+    are joined iff xH = y^m H or yH = x^n H for some positive exponent. So row x
+    is every vertex in one of xH, x^2 H, ... (walked up to e) together with
+    every vertex that has a power in xH.
     """
     _check_nsb_inputs(G, H)
     coset = _coset_partition(G, H)
     members = set(H.elements)
     vertex_element = (0,) + tuple(a for a in G.elements() if a not in members)
-    power_cosets: dict[int, set[int]] = {}
+    powers = []
     for a in vertex_element:
-        seen = set()
+        seen = {coset[0]}
         x = a
-        for _ in range(G.element_order(a)):
+        while x != 0:
             seen.add(coset[x])
             x = G.table[x][a]
-        power_cosets[a] = seen
-    n = len(vertex_element)
-    edges = []
-    for i in range(n):
-        x = vertex_element[i]
-        for j in range(i + 1, n):
-            y = vertex_element[j]
-            if coset[x] in power_cosets[y] or coset[y] in power_cosets[x]:
-                edges.append((i, j))
+        powers.append(seen)
+    coset_of = tuple(coset[a] for a in vertex_element)
     labels = tuple(G.labels[a] for a in vertex_element)
-    graph = SimpleGraph(labels, edges)
-    return NSBPowerGraph(
-        graph=graph,
-        vertex_element=vertex_element,
-        coset_of=tuple(coset[a] for a in vertex_element),
-    )
+    rows = _power_rows(coset_of, powers, G.order // H.order)
+    return NSBPowerGraph(SimpleGraph._from_rows(labels, rows), vertex_element, coset_of)
 
 
 def expand_quotient_graph(Q: QuotientGroup, H: SubgroupSet) -> NSBPowerGraph:

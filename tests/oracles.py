@@ -7,8 +7,7 @@ import math
 from collections import deque
 
 from nspg.groups import FiniteGroup
-
-from nspg.power_graphs import SimpleGraph
+from nspg.power_graphs import NSBPowerGraph, SimpleGraph
 
 
 def phi_by_gcd(n: int) -> int:
@@ -211,6 +210,19 @@ def order_by_iteration(table, a: int) -> int:
     return k
 
 
+def element_power(G: FiniteGroup, a: int, k: int) -> int:
+    """a**k by repeated table lookup; a**0 is the identity."""
+    if not 0 <= a < G.order:
+        raise ValueError(f"element index {a} out of range for group of order {G.order}")
+    if k < 0:
+        raise ValueError("exponent must be non-negative")
+    k %= G.element_order(a)
+    x = 0
+    for _ in range(k):
+        x = G.table[x][a]
+    return x
+
+
 def is_associative_brute(table) -> bool:
     """(a*b)*c == a*(b*c) over every triple."""
     n = len(table)
@@ -236,6 +248,54 @@ def nsb_adjacent_literal(G, h_elements, x: int, y: int) -> bool:
                 return True
             power = G.table[power][base]
     return False
+
+
+def power_graph_brute(G: FiniteGroup) -> SimpleGraph:
+    """The power graph by scanning every pair: u in <v> or v in <u>."""
+    n = G.order
+    powers = [G.cyclic_subgroup(a) for a in G.elements()]
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if u in powers[v] or v in powers[u]
+    ]
+    return SimpleGraph(G.labels, edges)
+
+
+def nsb_power_graph_brute(G: FiniteGroup, h_elements) -> NSBPowerGraph:
+    """Gamma_H(G) by scanning every vertex pair against each vertex's exponent cosets.
+
+    Cosets are numbered by smallest member, H first, as in nspg; vertices are
+    e followed by G \\ H in ascending order.
+    """
+    members = set(h_elements)
+    keys = [frozenset(G.table[a][h] for h in members) for a in G.elements()]
+    index = {key: i for i, key in enumerate(sorted(set(keys), key=min))}
+    coset = [index[key] for key in keys]
+    vertex_element = (0,) + tuple(a for a in G.elements() if a not in members)
+    power_cosets: dict[int, set[int]] = {}
+    for a in vertex_element:
+        seen = set()
+        x = a
+        for _ in range(G.element_order(a)):
+            seen.add(coset[x])
+            x = G.table[x][a]
+        power_cosets[a] = seen
+    n = len(vertex_element)
+    edges = []
+    for i in range(n):
+        x = vertex_element[i]
+        for j in range(i + 1, n):
+            y = vertex_element[j]
+            if coset[x] in power_cosets[y] or coset[y] in power_cosets[x]:
+                edges.append((i, j))
+    labels = tuple(G.labels[a] for a in vertex_element)
+    return NSBPowerGraph(
+        graph=SimpleGraph(labels, edges),
+        vertex_element=vertex_element,
+        coset_of=tuple(coset[a] for a in vertex_element),
+    )
 
 
 def is_normal_brute(G, elems) -> bool:
@@ -340,3 +400,56 @@ def build_product_brute(children):
         for x in range(total)
     )
     return table, labels
+
+
+def cyclic_table_brute(n: int):
+    """Z_n table entry by entry: (a + b) mod n."""
+    return tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
+
+
+def build_dihedral_brute(n: int):
+    """D_n table and labels entry by entry; index f*n + j encodes s^f r^j."""
+    size = 2 * n
+
+    def mul(a: int, b: int) -> int:
+        f1, j1 = divmod(a, n)
+        f2, j2 = divmod(b, n)
+        j = (j1 * (-1) ** f2 + j2) % n
+        return ((f1 + f2) % 2) * n + j
+
+    table = tuple(tuple(mul(a, b) for b in range(size)) for a in range(size))
+    labels = tuple(f"r{j}" for j in range(n)) + tuple(f"s{j}" for j in range(n))
+    return table, labels
+
+
+def build_symmetric_brute(n: int):
+    """S_n table and labels entry by entry, composing each pair of permutations."""
+    perms = list(itertools.permutations(range(n)))  # lexicographic, identity first
+    index = {p: i for i, p in enumerate(perms)}
+
+    def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(p[q[i]] for i in range(n))
+
+    table = tuple(tuple(index[compose(p, q)] for q in perms) for p in perms)
+    labels = tuple("".join(str(v) for v in p) for p in perms)
+    return table, labels
+
+
+def build_quaternion_brute():
+    """Q8 table and labels entry by entry from the unit table; index 2*unit + (0 for +, 1 for -)."""
+    unit_mul = {
+        (0, 0): (0, 1), (0, 1): (1, 1), (0, 2): (2, 1), (0, 3): (3, 1),
+        (1, 0): (1, 1), (1, 1): (0, -1), (1, 2): (3, 1), (1, 3): (2, -1),
+        (2, 0): (2, 1), (2, 1): (3, -1), (2, 2): (0, -1), (2, 3): (1, 1),
+        (3, 0): (3, 1), (3, 1): (2, 1), (3, 2): (1, -1), (3, 3): (0, -1),
+    }
+
+    def mul(a: int, b: int) -> int:
+        ua, sa = divmod(a, 2)
+        ub, sb = divmod(b, 2)
+        u, s = unit_mul[(ua, ub)]
+        sign = (-1) ** (sa + sb) * s
+        return 2 * u + (0 if sign == 1 else 1)
+
+    table = tuple(tuple(mul(a, b) for b in range(8)) for a in range(8))
+    return table, ("1", "-1", "i", "-i", "j", "-j", "k", "-k")

@@ -12,8 +12,13 @@ from nspg.groups import (
     parse_group_spec,
 )
 from oracles import (
+    build_dihedral_brute,
     build_elementary_abelian_brute,
     build_product_brute,
+    build_quaternion_brute,
+    build_symmetric_brute,
+    cyclic_table_brute,
+    element_power,
     is_associative_brute,
     order_by_iteration,
     phi_by_gcd,
@@ -33,9 +38,9 @@ def test_trivial_group():
 def test_cyclic_six_orders_and_powers():
     G = grp("Z6")
     assert G.element_order(2) == 3
-    assert G.element_power(5, 4) == 2
-    assert G.element_power(2, 2) == 4
-    assert all(G.element_power(a, 0) == 0 for a in G.elements())
+    assert element_power(G, 5, 4) == 2
+    assert element_power(G, 2, 2) == 4
+    assert all(element_power(G, a, 0) == 0 for a in G.elements())
 
 
 def test_klein_four_is_elementary():
@@ -77,12 +82,24 @@ def test_elementary_abelian():
 
 
 def _build_brute(spec):
+    if spec.family == "cyclic":
+        return cyclic_table_brute(spec.n), tuple(str(i) for i in range(spec.n))
+    if spec.family == "dihedral":
+        return build_dihedral_brute(spec.n)
+    if spec.family == "symmetric":
+        return build_symmetric_brute(spec.n)
+    if spec.family == "quaternion8":
+        return build_quaternion_brute()
     if spec.family == "elementary_abelian":
         return build_elementary_abelian_brute(spec.p, spec.k)
-    if spec.family == "direct_product":
-        return build_product_brute([_build_brute(f) for f in spec.factors])
-    G = make_group(spec)
-    return G.table, G.labels
+    assert spec.family == "direct_product"
+    return build_product_brute([_build_brute(f) for f in spec.factors])
+
+
+@pytest.mark.parametrize("text", ["Z1", "Z2", "Z256", "D1", "D2", "D64", "S1", "S2", "S3", "S5", "Q8"])
+def test_row_built_tables_match_per_entry_builder(text):
+    G = grp(text)
+    assert (G.table, G.labels) == _build_brute(parse_group_spec(text))
 
 
 @pytest.mark.parametrize(
@@ -108,7 +125,7 @@ def test_lagrange_and_power_identities(text):
     for a in G.elements():
         o = G.element_order(a)
         assert G.order % o == 0
-        assert G.element_power(a, o) == 0
+        assert element_power(G, a, o) == 0
         assert o == order_by_iteration(G.table, a)
 
 

@@ -98,6 +98,12 @@ def test_single_vertex_is_eulerian_and_connected():
     assert inv.is_eulerian(g)
 
 
+def test_empty_graph_is_refused_before_any_invariant():
+    # A 0-vertex graph once reached rows[0] in is_connected and raised IndexError.
+    with pytest.raises(ValueError, match="at least one vertex"):
+        inv.basic_invariants(SimpleGraph([], []))
+
+
 # --- girth -------------------------------------------------------------------
 
 
@@ -115,6 +121,43 @@ def test_girth_matches_oracle_on_random_graphs():
     for _ in range(120):
         g = random_graph(rng, rng.randint(2, 9), rng.choice([0.15, 0.3, 0.6]))
         assert inv.girth(g) == brute_girth(g)
+
+
+def random_bipartite_graph(rng, n, p):
+    left = set(rng.sample(range(n), rng.randint(1, n - 1)))
+    edges = [
+        (u, v)
+        for u, v in itertools.combinations(range(n), 2)
+        if (u in left) != (v in left) and rng.random() < p
+    ]
+    return SimpleGraph(labels(n), edges)
+
+
+def random_tree(rng, n):
+    return SimpleGraph(labels(n), [(v, rng.randrange(v)) for v in range(1, n)])
+
+
+def test_girth_matches_networkx_on_random_graphs():
+    import networkx as nx  # a test oracle only, never a runtime dependency
+
+    rng = random.Random(20261018)
+    graphs = [cycle_graph(n) for n in (10, 17, 25, 40)]
+    for _ in range(25):
+        n = rng.randint(10, 40)
+        graphs.append(random_graph(rng, n, rng.choice([0.04, 0.08, 0.15, 0.4])))
+        graphs.append(random_bipartite_graph(rng, n, rng.choice([0.05, 0.1, 0.3])))
+        graphs.append(random_tree(rng, n))
+    seen = set()
+    for g in graphs:
+        reference = nx.Graph()
+        reference.add_nodes_from(range(g.vertex_count))
+        reference.add_edges_from(g.edges())
+        want = nx.girth(reference)
+        got = inv.girth(g)
+        assert got == (None if want == float("inf") else want)
+        seen.add(got if got in (None, 3, 4) else "longer")
+    # Both the triangle exit and the full search ran, and some graphs had no cycle.
+    assert seen == {None, 3, 4, "longer"}
 
 
 # --- clique ------------------------------------------------------------------

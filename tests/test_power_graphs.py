@@ -10,8 +10,8 @@ from nspg.power_graphs import (
     power_graph,
     power_graph_edge_count_formula,
 )
-from nspg.subgroups import generated_subgroup, quotient
-from oracles import nsb_adjacent_literal
+from nspg.subgroups import all_normal_subgroups, generated_subgroup, quotient
+from oracles import nsb_adjacent_literal, nsb_power_graph_brute, power_graph_brute
 
 
 def grp(text):
@@ -28,6 +28,25 @@ def test_simple_graph_rejects_loops_and_duplicate_labels():
         SimpleGraph(["a", "b"], [(0, 0)])
     with pytest.raises(ValueError):
         SimpleGraph(["a", "a"], [])
+
+
+def test_simple_graph_rejects_an_empty_vertex_set():
+    with pytest.raises(ValueError, match="at least one vertex"):
+        SimpleGraph([], [])
+    with pytest.raises(ValueError, match="at least one vertex"):
+        SimpleGraph._from_rows([], [])
+
+
+def test_rows_constructor_checks_count_loops_and_range():
+    assert SimpleGraph._from_rows(["a", "b"], [0b10, 0b01]) == SimpleGraph(["a", "b"], [(0, 1)])
+    with pytest.raises(ValueError, match="rows for"):
+        SimpleGraph._from_rows(["a", "b"], [0b10])
+    with pytest.raises(ValueError, match="loop"):
+        SimpleGraph._from_rows(["a", "b"], [0b11, 0b01])
+    with pytest.raises(ValueError, match="out of range"):
+        SimpleGraph._from_rows(["a", "b"], [0b110, 0b01])
+    with pytest.raises(ValueError, match="distinct"):
+        SimpleGraph._from_rows(["a", "a"], [0, 0])
 
 
 def test_power_graph_z2_is_k2():
@@ -146,6 +165,53 @@ def test_dual_construction_equivalence_sample():
         assert direct.graph == expanded.graph
         assert direct.vertex_element == expanded.vertex_element
         assert direct.coset_of == expanded.coset_of
+
+
+def assert_symmetric_and_loop_free(g):
+    for u in range(g.vertex_count):
+        assert not g.has_edge(u, u)
+        assert all(g.has_edge(v, u) for v in g.neighbors(u))
+
+
+def assert_row_builds_match_brute(G, H):
+    """Both graphs against the pair-scanning builds, and Gamma_H(G) against the quotient blow-up."""
+    pg = power_graph(G)
+    assert pg == power_graph_brute(G)
+    assert_symmetric_and_loop_free(pg)
+    direct = nsb_power_graph(G, H)
+    assert direct == nsb_power_graph_brute(G, H.elements)
+    assert_symmetric_and_loop_free(direct.graph)
+    Q = quotient(G, H)
+    assert power_graph(Q.group) == power_graph_brute(Q.group)
+    assert direct == expand_quotient_graph(Q, H)
+
+
+# analyze-ladder and verify-large instances of the benchmark: rows past 64 bits.
+LARGE_PAIRS = [
+    ("Q8xQ8", [0]),
+    ("E(2,5)", [0]),
+    ("S5", [0]),
+    ("D64", [2]),
+    ("E(2,8)", [1, 2, 4, 8, 16, 32, 64]),
+    ("Z256", [0]),
+    ("Z256", [128]),
+    ("Z2xZ64", [64]),
+    ("Q8xQ8", [1]),
+]
+
+
+@pytest.mark.parametrize("text,gens", LARGE_PAIRS)
+def test_row_builds_match_pair_scan_at_scale(text, gens):
+    G, H = instance(text, gens)
+    assert_row_builds_match_brute(G, H)
+
+
+@pytest.mark.parametrize("text", ["Q8xQ8", "D32", "S4xZ2"])
+def test_row_builds_match_pair_scan_on_every_normal_subgroup(text):
+    G = grp(text)
+    for H in all_normal_subgroups(G):
+        if H.order < G.order:
+            assert_row_builds_match_brute(G, H)
 
 
 def test_nsb_adjacency_matches_literal_definition():
