@@ -348,9 +348,12 @@ def _product_table(
     t1: tuple[tuple[int, ...], ...], t2: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[int, ...], ...]:
     """Direct product table: entry (a1*n2 + a2, b1*n2 + b2) is t1[a1][b1]*n2 + t2[a2][b2]."""
-    n2 = len(t2)
-    shifted = [[x * n2 for x in r1] for r1 in t1]
-    return tuple(tuple(x + y for x in s1 for y in r2) for s1 in shifted for r2 in t2)
+    n1, n2 = len(t1), len(t2)
+    # blocks[a2][x] is row a2 of t2 shifted by x*n2; row (a1, a2) joins the blocks t1[a1] names.
+    blocks = [[tuple(map((x * n2).__add__, r2)) for x in range(n1)] for r2 in t2]
+    return tuple(
+        tuple(itertools.chain.from_iterable(map(block.__getitem__, r1))) for r1 in t1 for block in blocks
+    )
 
 
 def _cyclic_table(n: int) -> tuple[tuple[int, ...], ...]:

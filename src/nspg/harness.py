@@ -148,14 +148,15 @@ def resolve_catalog(cat: Catalog) -> list[tuple[FiniteGroup, SubgroupSet]]:
 
 
 class InstanceContext:
-    """Caches the per-instance artifacts shared by several theorem checks."""
+    """Caches the per-instance artifacts shared by several theorem checks; ``run_cache``
+    holds what every instance of one run shares: group power graphs and solver answers."""
 
-    def __init__(self, G: FiniteGroup, H: SubgroupSet, budgets: Budgets, group_cache: dict | None = None):
+    def __init__(self, G: FiniteGroup, H: SubgroupSet, budgets: Budgets, run_cache: dict | None = None):
         self.G = G
         self.H = H
         self.subgroup = H.describe()
         self.budgets = budgets
-        self._group_cache = group_cache if group_cache is not None else {}
+        self._run_cache = run_cache if run_cache is not None else {}
         self._cache: dict[str, object] = {}
 
     def _get(self, key: str, compute):
@@ -182,24 +183,20 @@ class InstanceContext:
     @property
     def parent_power_graph(self):
         key = ("pg", self.G.name)
-        if key not in self._group_cache:
-            self._group_cache[key] = power_graph(self.G)
-        return self._group_cache[key]
+        if key not in self._run_cache:
+            self._run_cache[key] = power_graph(self.G)
+        return self._run_cache[key]
 
-    def clique_of(self, which: str) -> int:
-        g = self.graph if which == "nsb" else self.quotient_power_graph
-        return self._get(f"clique_{which}", lambda: inv.clique_number(g, self.budgets.exact_solver)[0])
+    def solve(self, solver: str, g, *args):
+        """``inv.<solver>(g, *args)``, once per distinct graph and arguments in a run.
 
-    def kappa_of(self, which: str) -> int:
-        g = self.graph if which == "nsb" else self.quotient_power_graph
-        return self._get(f"kappa_{which}", lambda: inv.vertex_connectivity(g)[0])
-
-    def hamiltonian_of(self, which: str) -> bool:
-        g = self.graph if which == "nsb" else self.quotient_power_graph
-        return self._get(
-            f"ham_{which}",
-            lambda: inv.hamiltonian_cycle(g, self.budgets.exact_solver) is not None,
-        )
+        Keyed on the rows: labels change no value the checks read. Looked up at call
+        time, so a wrapper bound in its place sees every real solve. A BudgetExceeded
+        propagates uncached, so a later call refuses again."""
+        key = (solver, g.rows, *args)
+        if key not in self._run_cache:
+            self._run_cache[key] = getattr(inv, solver)(g, *args)
+        return self._run_cache[key]
 
 
 def _skip(tid: TheoremId, ctx: InstanceContext, reason: str) -> InstanceResult:
@@ -272,8 +269,9 @@ def _check_eulerian(ctx: InstanceContext) -> InstanceResult:
 
 
 def _check_hamiltonian(ctx: InstanceContext) -> InstanceResult:
-    predicted = ctx.hamiltonian_of("quotient")
-    actual = ctx.hamiltonian_of("nsb")
+    budget = ctx.budgets.exact_solver
+    predicted = ctx.solve("hamiltonian_cycle", ctx.quotient_power_graph, budget) is not None
+    actual = ctx.solve("hamiltonian_cycle", ctx.graph, budget) is not None
     # One-directional: a Hamiltonian quotient power graph forces a Hamiltonian graph.
     ok = (not predicted) or actual
     return _result(TheoremId.HAMILTONIAN_4_4, ctx, predicted, actual, ok)
@@ -300,7 +298,7 @@ def _check_planar(ctx: InstanceContext) -> InstanceResult:
         return _skip(TheoremId.PLANAR_5_4, ctx, "hypothesis requires a nontrivial proper subgroup")
     flags = recognize(ctx.quotient.group)
     predicted = ctx.H.order in (2, 3) and flags.is_elementary_abelian_2
-    actual = inv.is_planar(ctx.graph, ctx.budgets.exact_solver)
+    actual = ctx.solve("is_planar", ctx.graph, ctx.budgets.exact_solver)
     return _result(TheoremId.PLANAR_5_4, ctx, predicted, actual, predicted == actual)
 
 
@@ -317,28 +315,28 @@ def _check_edges(ctx: InstanceContext) -> InstanceResult:
 
 
 def _check_clique(ctx: InstanceContext) -> InstanceResult:
-    m = ctx.clique_of("quotient")
+    m = ctx.solve("clique_number", ctx.quotient_power_graph, ctx.budgets.exact_solver)[0]
     predicted = ctx.H.order * (m - 1) + 1
-    actual = ctx.clique_of("nsb")
+    actual = ctx.solve("clique_number", ctx.graph, ctx.budgets.exact_solver)[0]
     return _result(TheoremId.CLIQUE_6_4, ctx, predicted, actual, predicted == actual)
 
 
 def _check_perfect(ctx: InstanceContext) -> InstanceResult:
-    actual = inv.is_perfect(ctx.graph, ctx.budgets.odd_hole)
+    actual = ctx.solve("is_perfect", ctx.graph, ctx.budgets.odd_hole)
     return _result(TheoremId.PERFECT_6_5, ctx, True, actual, actual is True)
 
 
 def _check_chromatic(ctx: InstanceContext) -> InstanceResult:
-    m = ctx.clique_of("quotient")
+    m = ctx.solve("clique_number", ctx.quotient_power_graph, ctx.budgets.exact_solver)[0]
     predicted = ctx.H.order * (m - 1) + 1
-    actual = inv.chromatic_number(ctx.graph, ctx.budgets.exact_solver)[0]
+    actual = ctx.solve("chromatic_number", ctx.graph, ctx.budgets.exact_solver)[0]
     return _result(TheoremId.CHROMATIC_6_6, ctx, predicted, actual, predicted == actual)
 
 
 def _check_kappa(ctx: InstanceContext) -> InstanceResult:
-    k = ctx.kappa_of("quotient")
+    k = ctx.solve("vertex_connectivity", ctx.quotient_power_graph)[0]
     predicted = ctx.H.order * (k - 1) + 1
-    actual = ctx.kappa_of("nsb")
+    actual = ctx.solve("vertex_connectivity", ctx.graph)[0]
     note = "complete" if inv.is_complete(ctx.graph) else "non-complete"
     return _result(TheoremId.KAPPA_6_7, ctx, predicted, actual, predicted == actual, note=note)
 
@@ -490,10 +488,10 @@ def _csv_cell(value) -> str:
 def run_catalog(cat: Catalog) -> Report:
     """All selected theorems over all catalog instances; deterministic ordering."""
     pairs = resolve_catalog(cat)
-    group_cache: dict = {}
+    run_cache: dict = {}
     results: list[InstanceResult] = []
     for G, H in pairs:
-        ctx = InstanceContext(G, H, cat.budgets, group_cache)
+        ctx = InstanceContext(G, H, cat.budgets, run_cache)
         for tid in cat.theorems:
             results.append(_run_check(tid, ctx))
     return Report(results=tuple(results), instance_count=len(pairs))

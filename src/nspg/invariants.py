@@ -89,13 +89,18 @@ def girth(g: SimpleGraph) -> int | None:
     """Length of a shortest cycle via per-vertex breadth-first search; None if acyclic.
 
     Girth is at least 3, so the first triangle a non-tree edge closes ends it.
+    A search meeting no non-tree edge covered a tree component: skip its other vertices.
     """
     n = g.vertex_count
     best: int | None = None
+    in_trees: set[int] = set()
     for s in range(n):
+        if s in in_trees:
+            continue
         dist = {s: 0}
         parent = {s: -1}
         queue = deque([s])
+        acyclic = True
         while queue:
             u = queue.popleft()
             for v in g.neighbors(u):
@@ -104,11 +109,14 @@ def girth(g: SimpleGraph) -> int | None:
                     parent[v] = u
                     queue.append(v)
                 elif parent[u] != v:
+                    acyclic = False
                     length = dist[u] + dist[v] + 1
                     if length == 3:
                         return 3
                     if best is None or length < best:
                         best = length
+        if acyclic:
+            in_trees.update(dist)
     return best
 
 
@@ -512,9 +520,25 @@ def _has_odd_hole(g: SimpleGraph) -> bool:
 
 
 def is_perfect(g: SimpleGraph, budget: int = DEFAULT_ODD_HOLE_BUDGET) -> bool:
-    """No induced odd cycle of length >= 5 in the graph or its complement."""
+    """No induced odd cycle of length >= 5 in the graph or its complement.
+
+    The budget counts the input's vertices, but the search runs on the true-twin
+    quotient: one vertex per class of equal closed neighbourhoods. This is exact.
+    Two true twins are adjacent and have the same other neighbours, so no induced
+    cycle or co-cycle of length >= 5 holds both; and swapping each vertex of a
+    hole for its class representative keeps the hole induced.
+    """
     _check_budget("is_perfect", g.vertex_count, budget)
-    return not _has_odd_hole(g) and not _has_odd_hole(g.complement())
+    rows = g.rows
+    first_of_class: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        first_of_class.setdefault(row | 1 << v, v)
+    keep = list(first_of_class.values())
+    q = SimpleGraph._from_rows(
+        [g.vertex_labels[v] for v in keep],
+        [sum(((rows[v] >> w) & 1) << i for i, w in enumerate(keep)) for v in keep],
+    )
+    return not _has_odd_hole(q) and not _has_odd_hole(q.complement())
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import nspg.invariants as inv
 from nspg.groups import make_group, parse_group_spec
 from nspg.harness import (
     Budgets,
@@ -14,7 +15,8 @@ from nspg.harness import (
     resolve_catalog,
     run_catalog,
 )
-from nspg.subgroups import generated_subgroup
+from nspg.power_graphs import nsb_power_graph, power_graph
+from nspg.subgroups import generated_subgroup, quotient
 
 
 def grp(text):
@@ -189,3 +191,32 @@ def test_run_catalog_with_selected_theorems():
     report = run_catalog(cat)
     assert len(report.results) == 2
     assert all(r.theorem == "EULERIAN_4_2" and r.verdict == "PASS" for r in report.results)
+
+
+@pytest.mark.parametrize("budgets", [Budgets(), Budgets(exact_solver=6, odd_hole=6)])
+def test_run_rows_equal_checks_with_a_fresh_context(budgets):
+    cat = default_catalog(budgets)
+    report = run_catalog(cat)
+    fresh = [check_theorem(tid, G, H, budgets) for G, H in resolve_catalog(cat) for tid in cat.theorems]
+    assert list(report.results) == fresh
+    budget_notes = [r.note for r in fresh if r.note.startswith("budget exceeded: ")]
+    assert bool(budget_notes) == (budgets != Budgets())
+
+
+def test_default_run_solves_kappa_once_per_distinct_graph(monkeypatch, catalog_pairs):
+    solved = []
+    kappa = inv.vertex_connectivity
+
+    def counting(g):
+        solved.append(g.rows)
+        return kappa(g)
+
+    monkeypatch.setattr(inv, "vertex_connectivity", counting)
+    run_catalog(default_catalog())
+    distinct = set()
+    for G, H in catalog_pairs:
+        distinct.add(nsb_power_graph(G, H).graph.rows)
+        distinct.add(power_graph(quotient(G, H).group).rows)
+    assert len(solved) == len(set(solved)) == len(distinct)
+    assert set(solved) == distinct
+    assert len(distinct) < 2 * len(catalog_pairs)

@@ -137,6 +137,14 @@ def random_tree(rng, n):
     return SimpleGraph(labels(n), [(v, rng.randrange(v)) for v in range(1, n)])
 
 
+def disjoint_union(*graphs):
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges()]
+        offset += g.vertex_count
+    return SimpleGraph(labels(offset), edges)
+
+
 def test_girth_matches_networkx_on_random_graphs():
     import networkx as nx  # a test oracle only, never a runtime dependency
 
@@ -147,6 +155,12 @@ def test_girth_matches_networkx_on_random_graphs():
         graphs.append(random_graph(rng, n, rng.choice([0.04, 0.08, 0.15, 0.4])))
         graphs.append(random_bipartite_graph(rng, n, rng.choice([0.05, 0.1, 0.3])))
         graphs.append(random_tree(rng, n))
+        # Forests, and trees beside cycles: skipping a tree component must not skip a cycle.
+        parts = [random_tree(rng, rng.randint(1, 12)) for _ in range(rng.randint(2, 4))]
+        graphs.append(disjoint_union(*parts))
+        parts += [cycle_graph(rng.randint(3, 9)) for _ in range(rng.randint(1, 2))]
+        rng.shuffle(parts)
+        graphs.append(disjoint_union(*parts))
     seen = set()
     for g in graphs:
         reference = nx.Graph()
@@ -409,6 +423,39 @@ def test_perfect_matches_oracle_on_random_graphs():
     for _ in range(60):
         g = random_graph(rng, rng.randint(5, 11), rng.choice([0.3, 0.5, 0.7]))
         assert inv.is_perfect(g) == brute_is_perfect(g)
+
+
+def plant_true_twins(rng, g, count):
+    """g with count more vertices, each with the closed neighbourhood of a vertex before it."""
+    for _ in range(count):
+        n, v = g.vertex_count, rng.randrange(g.vertex_count)
+        g = SimpleGraph(labels(n + 1), g.edges() + [(v, n)] + [(w, n) for w in g.neighbors(v)])
+    return g
+
+
+def test_twin_reduced_perfectness_matches_oracle():
+    rng = random.Random(20261019)
+    imperfect = [cycle_graph(5), cycle_graph(7), cycle_graph(7).complement(), petersen()]
+    cases = [(g, False) for g in imperfect]
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(4, 7), rng.choice([0.3, 0.5, 0.7]))
+        cases.append((g, brute_is_perfect(g)))
+    seen = set()
+    for g, want in cases:
+        for _ in range(3):
+            twinned = plant_true_twins(rng, g, rng.randint(1, 4))
+            # A true twin never makes or breaks an odd hole or antihole.
+            assert brute_is_perfect(twinned) == want
+            assert inv.is_perfect(twinned) == want
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def test_twin_reduced_perfectness_matches_unreduced_search_on_catalog(catalog_pairs):
+    for G, H in catalog_pairs:
+        g = nsb_power_graph(G, H).graph
+        unreduced = not inv._has_odd_hole(g) and not inv._has_odd_hole(g.complement())
+        assert inv.is_perfect(g) == unreduced
 
 
 # --- hamiltonian -------------------------------------------------------------
