@@ -15,8 +15,8 @@ order exceeds 256 is rejected. Subgroups are addressed either by a
 comma-separated generator list (--subgroup 1,4 means the subgroup those
 elements generate) or by position in list-normal-subgroups output
 (--subgroup-index 2); a group with more than 4096 normal subgroups is
-refused. The environment variable NSPG_BUDGET overrides the
-exact-solver vertex budget (default 64).
+refused. The environment variable NSPG_BUDGET overrides the vertex
+budget of the clique, chromatic-number and Hamiltonicity solvers (default 64).
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "Group specs: Z<n> cyclic, D<n> dihedral of order 2n, S<n> symmetric (n <= 5), "
             "Q8 quaternion, E(p,k) elementary abelian p^k, and x-products such as Z2xZ4. "
-            "NSPG_BUDGET overrides the exact-solver vertex budget."
+            "NSPG_BUDGET overrides the clique, chromatic and Hamiltonicity vertex budget."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -258,6 +258,10 @@ def _check_spec(spec: GroupSpec, max_order: int) -> None:
     if spec.family == "elementary_abelian":
         if spec.k < 1:
             raise ValueError("elementary abelian rank must be positive")
+        # Bounded before the primality test and p**k, which stall on a huge p or k;
+        # p**k >= 2**k exceeds max_order once k reaches max_order's bit length.
+        if spec.p > max_order or (spec.p > 1 and spec.k >= max_order.bit_length()):
+            raise ValueError(f"elementary abelian group order exceeds budget {max_order}")
         if not _is_prime(spec.p):
             raise ValueError(f"elementary abelian base {spec.p} is not prime")
     if spec.family == "direct_product":

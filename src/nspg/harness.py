@@ -8,6 +8,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import invariants as inv
 from .groups import FiniteGroup, make_group, parse_group_spec
@@ -157,28 +158,22 @@ class InstanceContext:
         self.subgroup = H.describe()
         self.budgets = budgets
         self._run_cache = run_cache if run_cache is not None else {}
-        self._cache: dict[str, object] = {}
 
-    def _get(self, key: str, compute):
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def nsb(self) -> NSBPowerGraph:
-        return self._get("nsb", lambda: nsb_power_graph(self.G, self.H))
+        return nsb_power_graph(self.G, self.H)
 
     @property
     def graph(self):
         return self.nsb.graph
 
-    @property
+    @cached_property
     def quotient(self) -> QuotientGroup:
-        return self._get("quotient", lambda: quotient(self.G, self.H))
+        return quotient(self.G, self.H)
 
-    @property
+    @cached_property
     def quotient_power_graph(self):
-        return self._get("qpg", lambda: power_graph(self.quotient.group))
+        return power_graph(self.quotient.group)
 
     @property
     def parent_power_graph(self):
@@ -298,7 +293,7 @@ def _check_planar(ctx: InstanceContext) -> InstanceResult:
         return _skip(TheoremId.PLANAR_5_4, ctx, "hypothesis requires a nontrivial proper subgroup")
     flags = recognize(ctx.quotient.group)
     predicted = ctx.H.order in (2, 3) and flags.is_elementary_abelian_2
-    actual = ctx.solve("is_planar", ctx.graph, ctx.budgets.exact_solver)
+    actual = ctx.solve("is_planar", ctx.graph)
     return _result(TheoremId.PLANAR_5_4, ctx, predicted, actual, predicted == actual)
 
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, count
+from operator import or_
 
 from .groups import FiniteGroup, euler_phi
 from .power_graphs import SimpleGraph, _bits
@@ -31,8 +33,8 @@ def degree_sequence(g: SimpleGraph) -> tuple[int, ...]:
     return tuple(sorted((g.degree(u) for u in range(g.vertex_count)), reverse=True))
 
 
-def _mask_connected(rows: tuple[int, ...], mask: int, start: int) -> bool:
-    """Whether every vertex in mask is reached from start through mask alone."""
+def _reach(rows: tuple[int, ...], mask: int, start: int) -> int:
+    """The vertices reached from start through mask alone, start included."""
     seen = 1 << start
     queue = [start]
     while queue:
@@ -40,7 +42,12 @@ def _mask_connected(rows: tuple[int, ...], mask: int, start: int) -> bool:
         fresh = rows[u] & mask & ~seen
         seen |= fresh
         queue.extend(_bits(fresh))
-    return seen & mask == mask
+    return seen
+
+
+def _mask_connected(rows: tuple[int, ...], mask: int, start: int) -> bool:
+    """Whether every vertex in mask is reached from start through mask alone."""
+    return _reach(rows, mask, start) & mask == mask
 
 
 def is_connected(g: SimpleGraph) -> bool:
@@ -297,196 +304,151 @@ def vertex_connectivity(g: SimpleGraph) -> tuple[int, tuple[int, ...] | None]:
 
 
 # ---------------------------------------------------------------------------
-# Exact planarity: density filter, biconnected split, Demoucron face embedding
+# Exact planarity: density filter, blocks, Demoucron face embedding
 
 
-def _biconnected_edge_groups(n: int, adj: list[set[int]]) -> list[list[tuple[int, int]]]:
-    """Edge sets of the biconnected components (standard lowpoint edge stack)."""
-    disc = [0] * n
+def _blocks(rows: tuple[int, ...]) -> list[int]:
+    """The blocks (biconnected components) as vertex masks, by Tarjan's lowpoints.
+
+    Iterative depth-first search: a vertex stack, each vertex's unwalked
+    neighbours as a shrinking mask, and a stack of the vertices whose block is
+    still open. Two blocks share at most one vertex, so every edge with both
+    ends in a block belongs to that block: rows[v] & block is exactly the
+    block's adjacency.
+    """
+    n = len(rows)
+    disc = [0] * n  # discovery time; 0 while unvisited
     low = [0] * n
-    visited = [False] * n
-    timer = 1
-    estack: list[tuple[int, int]] = []
-    comps: list[list[tuple[int, int]]] = []
+    todo = list(rows)
+    clock = count(1)
+    blocks: list[int] = []
     for root in range(n):
-        if visited[root]:
+        if disc[root]:
             continue
-        stack: list[tuple[int, int, list[int]]] = [(root, -1, sorted(adj[root]))]
-        visited[root] = True
-        disc[root] = low[root] = timer
-        timer += 1
+        disc[root] = low[root] = next(clock)
+        stack, open_vertices = [root], [root]
         while stack:
-            u, parent, nbrs = stack[-1]
-            advanced = False
-            while nbrs:
-                v = nbrs.pop(0)
-                if v == parent:
-                    continue
-                if not visited[v]:
-                    estack.append((u, v))
-                    visited[v] = True
-                    disc[v] = low[v] = timer
-                    timer += 1
-                    stack.append((v, u, sorted(adj[v])))
-                    advanced = True
-                    break
-                if disc[v] < disc[u]:
-                    estack.append((u, v))
+            u = stack[-1]
+            if todo[u]:
+                v = (todo[u] & -todo[u]).bit_length() - 1
+                todo[u] &= todo[u] - 1
+                if disc[v]:  # the parent too: it lowers low[u] to disc[parent], which >= allows
                     low[u] = min(low[u], disc[v])
-            if advanced:
+                else:
+                    disc[v] = low[v] = next(clock)
+                    stack.append(v)
+                    open_vertices.append(v)
                 continue
             stack.pop()
             if stack:
-                pu = stack[-1][0]
-                low[pu] = min(low[pu], low[u])
-                if low[u] >= disc[pu]:
-                    comp = []
-                    while True:
-                        e = estack.pop()
-                        comp.append(e)
-                        if e == (pu, u):
-                            break
-                    comps.append(comp)
-    return comps
+                p = stack[-1]
+                low[p] = min(low[p], low[u])
+                if low[u] >= disc[p]:  # p separates u's subtree: p and its open part are a block
+                    i = open_vertices.index(u)
+                    blocks.append(sum((1 << w for w in open_vertices[i:]), 1 << p))
+                    del open_vertices[i:]
+    return blocks
 
 
-def _find_cycle(adj: dict[int, set[int]], start: int) -> list[int]:
-    """A shortest cycle through start and its smallest neighbour, in a biconnected graph.
+def _path(rows: tuple[int, ...], start: int, through: int, targets: int) -> list[int]:
+    """A shortest path from start to a vertex of targets with its inner vertices in through.
 
-    Breadth-first search from that neighbour back to start, without the edge
-    between them; in a biconnected graph every edge lies on a cycle.
+    Breadth-first; the first step goes into through only, later steps into
+    through or targets. The caller guarantees that such a path exists.
     """
-    first = min(adj[start])
-    prev = {first: first}
-    queue = deque([first])
-    while start not in prev:
+    prev: dict[int, int] = {}
+    seen = 1 << start
+    queue = deque([start])
+    while queue:
         u = queue.popleft()
-        for v in sorted(adj[u]):
-            if v not in prev and (u, v) != (first, start):
-                prev[v] = u
-                queue.append(v)
-    cycle = [start]
-    while cycle[-1] != first:
-        cycle.append(prev[cycle[-1]])
-    return cycle
+        fresh = rows[u] & (through if u == start else through | targets) & ~seen
+        seen |= fresh
+        for v in _bits(fresh):
+            prev[v] = u
+            if (targets >> v) & 1:
+                path = [v]
+                while v != start:
+                    v = prev[v]
+                    path.append(v)
+                return path[::-1]
+            queue.append(v)
+    raise AssertionError("a fragment of a block always links two attachments")
 
 
-def _demoucron_planar(vertices: list[int], edges: list[tuple[int, int]]) -> bool:
-    """Demoucron's incremental embedding: place one fragment path per step."""
-    n = len(vertices)
-    if n <= 4:
-        return True
-    m = len(edges)
+def _demoucron_planar(rows: tuple[int, ...], block: int) -> bool:
+    """Demoucron's incremental embedding of one block, one fragment path per step.
+
+    A fragment is an unembedded edge between embedded vertices, or a component
+    of the unembedded vertices with its edges to the embedded ones (its
+    attachments). It fits a face whose vertex mask holds all its attachments. A
+    fragment that fits no face makes the block non-planar; one that fits one
+    face only is placed first.
+    """
+    rows = tuple(row & block for row in rows)
+    n = block.bit_count()
+    m = sum(rows[v].bit_count() for v in _bits(block)) // 2
     if m > 3 * n - 6:
         return False
-    adj: dict[int, set[int]] = {v: set() for v in vertices}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    cycle = _find_cycle(adj, min(vertices))
-    faces: list[list[int]] = [list(cycle), list(reversed(cycle))]
-    embedded_v = set(cycle)
-    embedded_e = {frozenset((cycle[i], cycle[(i + 1) % len(cycle)])) for i in range(len(cycle))}
-    all_edges = {frozenset(e) for e in edges}
+    embedded = [0] * len(rows)  # embedded[v]: v's neighbours along embedded edges
 
-    while embedded_e != all_edges:
-        fragments: list[tuple[tuple[int, ...], frozenset[int]]] = []
-        for u in sorted(embedded_v):
-            for v in sorted(adj[u]):
-                if v > u and v in embedded_v and frozenset((u, v)) not in embedded_e:
-                    fragments.append(((u, v), frozenset()))
-        seen: set[int] = set()
-        for s in sorted(v for v in vertices if v not in embedded_v):
-            if s in seen:
-                continue
-            comp = {s}
-            queue = deque([s])
-            seen.add(s)
-            while queue:
-                u = queue.popleft()
-                for w in adj[u]:
-                    if w not in embedded_v and w not in comp:
-                        comp.add(w)
-                        seen.add(w)
-                        queue.append(w)
-            att = sorted({w for u in comp for w in adj[u] if w in embedded_v})
-            fragments.append((tuple(att), frozenset(comp)))
+    def face(cycle: list[int]) -> tuple[list[int], int]:
+        return cycle, sum(1 << v for v in cycle)
 
-        chosen = None
-        for att, interior in fragments:
-            admissible = [i for i, f in enumerate(faces) if set(att) <= set(f)]
-            if not admissible:
-                return False
-            if len(admissible) == 1:
-                chosen = (att, interior, admissible[0])
-                break
-            if chosen is None:
-                chosen = (att, interior, admissible[0])
-        att, interior, face_idx = chosen
-
-        if not interior:
-            path = [att[0], att[1]]
-        else:
-            a1 = att[0]
-            targets = set(att) - {a1}
-            prev: dict[int, int] = {}
-            queue = deque()
-            for w in sorted(adj[a1] & interior):
-                prev[w] = a1
-                queue.append(w)
-            end = None
-            while queue and end is None:
-                u = queue.popleft()
-                hits = sorted(adj[u] & targets)
-                if hits:
-                    end = (u, hits[0])
-                    break
-                for w in sorted(adj[u] & interior):
-                    if w not in prev:
-                        prev[w] = u
-                        queue.append(w)
-            if end is None:
-                raise AssertionError("fragment in a biconnected graph must link two attachments")
-            u, a2 = end
-            back = [a2, u]
-            while back[-1] != a1:
-                back.append(prev[back[-1]])
-            path = list(reversed(back))
-
+    def embed(path: list[int]) -> None:
         for a, b in zip(path, path[1:]):
-            embedded_e.add(frozenset((a, b)))
-        embedded_v.update(path)
-        face = faces[face_idx]
-        i, j = face.index(path[0]), face.index(path[-1])
-        if i <= j:
-            arc1 = face[i : j + 1]
-            arc2 = face[j:] + face[: i + 1]
-        else:
-            arc1 = face[i:] + face[: j + 1]
-            arc2 = face[j : i + 1]
-        inner = path[1:-1]
-        faces[face_idx] = arc1 + list(reversed(inner))
-        faces.append(arc2 + inner)
-    return True
+            embedded[a] |= 1 << b
+            embedded[b] |= 1 << a
 
-
-def is_planar(g: SimpleGraph, budget: int = DEFAULT_SOLVER_BUDGET) -> bool:
-    """Exact planarity: edge-density rejection, then Demoucron per biconnected component."""
-    n = g.vertex_count
-    _check_budget("is_planar", n, budget)
-    if n <= 4:
-        return True
-    if g.edge_count > 3 * n - 6:
-        return False
-    adj = [set(g.neighbors(u)) for u in range(n)]
-    for comp_edges in _biconnected_edge_groups(n, adj):
-        comp_vertices = sorted({v for e in comp_edges for v in e})
-        if len(comp_vertices) < 3:
-            continue
-        dedup = sorted({tuple(sorted(e)) for e in comp_edges})
-        if not _demoucron_planar(comp_vertices, dedup):
+    start = (block & -block).bit_length() - 1
+    first = (rows[start] & -rows[start]).bit_length() - 1
+    cycle = _path(rows, first, block & ~(1 << start | 1 << first), 1 << start)
+    faces = [face(cycle), face(cycle[::-1])]
+    placed = faces[0][1]
+    embed(cycle + cycle[:1])
+    left = m - len(cycle)
+    while left:
+        fragments = [
+            (1 << u | 1 << v, 0)
+            for u in _bits(placed)
+            for v in _bits(rows[u] & placed & ~embedded[u] & ~((2 << u) - 1))
+        ]
+        rest = block & ~placed
+        while rest:
+            interior = _reach(rows, rest, (rest & -rest).bit_length() - 1)
+            rest &= ~interior
+            att = reduce(or_, (rows[w] for w in _bits(interior))) & placed
+            fragments.append((att, interior))
+        fits = [[i for i, (_, mask) in enumerate(faces) if att & ~mask == 0] for att, _ in fragments]
+        if not all(fits):
             return False
+        k = next((k for k, f in enumerate(fits) if len(f) == 1), 0)  # a forced fragment first
+        (att, interior), face_idx = fragments[k], fits[k][0]
+        a1 = (att & -att).bit_length() - 1
+        path = _path(rows, a1, interior, att & ~(1 << a1)) if interior else list(_bits(att))
+        embed(path)
+        left -= len(path) - 1
+        inner = path[1:-1]
+        placed |= sum(1 << v for v in inner)
+        boundary = faces[face_idx][0]
+        r = boundary.index(a1)  # rotate the face to start at the path's first vertex
+        boundary = boundary[r:] + boundary[:r]
+        j = boundary.index(path[-1])
+        faces[face_idx] = face(boundary[: j + 1] + inner[::-1])
+        faces.append(face(boundary[j:] + boundary[:1] + inner))
     return True
+
+
+def is_planar(g: SimpleGraph) -> bool:
+    """Exact planarity: edge-density rejection, then Demoucron on each block.
+
+    A graph is planar iff each of its blocks is, and a block of at most four
+    vertices always is. Polynomial, so there is no budget.
+    """
+    n = g.vertex_count
+    if n > 4 and g.edge_count > 3 * n - 6:
+        return False
+    blocks = _blocks(g.rows)
+    return all(_demoucron_planar(g.rows, block) for block in blocks if block.bit_count() > 4)
 
 
 # ---------------------------------------------------------------------------
@@ -662,10 +624,7 @@ def compute_invariants(
     except BudgetExceeded:
         skipped.extend(["clique_number", "chromatic_number"])
     inv.vertex_connectivity, inv.vertex_cut = vertex_connectivity(g)
-    try:
-        inv.is_planar = is_planar(g, solver_budget)
-    except BudgetExceeded:
-        skipped.append("is_planar")
+    inv.is_planar = is_planar(g)
     try:
         inv.is_perfect = is_perfect(g, odd_hole_budget)
     except BudgetExceeded:

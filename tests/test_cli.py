@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -131,9 +132,31 @@ def test_analyze_budget_exceeded_gives_nulls_and_exit_3(capsys, monkeypatch):
     assert code == 3
     obj = json.loads(out)
     assert obj["clique_number"] is None
-    assert obj["is_planar"] is None
+    assert obj["is_planar"] is False  # a K5; planarity has no budget
     assert "clique_number" in obj["skipped"]
     assert obj["edge_count"] == 10  # partial output still present
+
+
+def test_analyze_decides_planarity_beyond_the_vertex_budget(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "S5", "--subgroup", "0")
+    assert code == 3  # the other solvers still refuse its 120 vertices
+    obj = json.loads(out)
+    assert obj["is_planar"] is False
+    assert "is_planar" not in obj["skipped"]
+
+
+@pytest.mark.parametrize("spec", ["E(1000000000000000003,1)", "E(3,200000000)", "Z2xE(3,200000000)"])
+def test_huge_elementary_abelian_spec_exits_2_at_once(spec):
+    src = str(Path(nspg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "nspg.cli", "list-normal-subgroups", spec],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and len(proc.stderr) < 100
 
 
 def test_invalid_budget_env_exits_2(capsys, monkeypatch):

@@ -369,8 +369,9 @@ def test_planarity_on_larger_structured_graphs():
 
 def test_first_cycle_of_the_embedding_is_simple():
     for g in [complete_graph(5), k33(), petersen(), cycle_graph(6), nsb_graph("Z12", [6])]:
-        adj = {v: set(g.neighbors(v)) for v in range(g.vertex_count)}
-        cycle = inv._find_cycle(adj, 0)
+        first = next(g.neighbors(0))
+        through = ((1 << g.vertex_count) - 1) & ~(1 << 0 | 1 << first)
+        cycle = inv._path(g.rows, first, through, 1 << 0)
         assert len(cycle) == len(set(cycle)) >= 3
         assert all(g.has_edge(cycle[i - 1], cycle[i]) for i in range(len(cycle)))
 
@@ -403,6 +404,52 @@ def test_planarity_random_seven_and_eight_vertices_against_oracle():
         n = rng.choice([7, 8])
         g = random_graph(rng, n, rng.choice([0.3, 0.45, 0.6]))
         assert inv.is_planar(g) == brute_is_planar(g)
+
+
+def test_planarity_and_blocks_match_networkx(catalog_pairs):
+    import networkx as nx  # a test oracle only, never a runtime dependency
+
+    def reference(edges, n):
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(edges)
+        return h
+
+    rng = random.Random(20261019)
+    graphs = []
+    for _ in range(300):
+        n = rng.randint(5, 60)
+        pairs = list(itertools.combinations(range(n), 2))
+        graphs.append(SimpleGraph(labels(n), rng.sample(pairs, rng.randint(n - 1, 3 * n - 6))))
+    halves_with_cut_vertices = 0
+    for _ in range(12):
+        n = rng.randint(5, 24)
+        pairs = list(itertools.combinations(range(n), 2))
+        rng.shuffle(pairs)
+        h = reference([], n)
+        for e in pairs:  # greedily keep every edge that leaves the graph planar
+            h.add_edge(*e)
+            if not nx.check_planarity(h)[0]:
+                h.remove_edge(*e)
+        edges = sorted(h.edges())
+        assert len(edges) == 3 * n - 6  # maximal planar
+        missing = [e for e in pairs if not h.has_edge(*e)]
+        swapped = rng.sample(edges, len(edges) - 1) + [rng.choice(missing)]  # still 3n - 6 edges
+        half = rng.sample(edges, len(edges) // 2)
+        halves_with_cut_vertices += any(nx.articulation_points(reference(half, n)))
+        for es in (edges, edges + [rng.choice(missing)], swapped, half):
+            graphs.append(SimpleGraph(labels(n), es))
+    assert halves_with_cut_vertices > 0
+    graphs += [nsb_power_graph(G, H).graph for G, H in catalog_pairs]
+    outcomes = set()
+    for g in graphs:
+        h = reference(g.edges(), g.vertex_count)
+        want = nx.check_planarity(h)[0]
+        assert inv.is_planar(g) == want, g.edges()
+        outcomes.add(want)
+        blocks = sorted(sum(1 << v for v in c) for c in nx.biconnected_components(h))
+        assert sorted(inv._blocks(g.rows)) == blocks, g.edges()
+    assert outcomes == {True, False}
 
 
 # --- perfectness -------------------------------------------------------------
@@ -517,8 +564,6 @@ def test_budget_refusals():
     with pytest.raises(inv.BudgetExceeded):
         inv.chromatic_number(g, budget=5)
     with pytest.raises(inv.BudgetExceeded):
-        inv.is_planar(g, budget=5)
-    with pytest.raises(inv.BudgetExceeded):
         inv.is_perfect(g, budget=5)
     with pytest.raises(inv.BudgetExceeded):
         inv.hamiltonian_cycle(g, budget=5)
@@ -529,14 +574,13 @@ def test_compute_invariants_partial_on_budget():
     result = inv.compute_invariants(g, solver_budget=5, odd_hole_budget=5)
     assert result.clique_number is None
     assert result.chromatic_number is None
-    assert result.is_planar is None
+    assert result.is_planar is False  # no budget on planarity either
     assert result.is_perfect is None
     assert result.is_hamiltonian is None
     assert result.vertex_connectivity == 5  # no budget on the flow computation
     assert set(result.skipped) == {
         "clique_number",
         "chromatic_number",
-        "is_planar",
         "is_perfect",
         "is_hamiltonian",
     }
