@@ -269,8 +269,15 @@ def _check_spec(spec: GroupSpec, max_order: int) -> None:
             raise ValueError("direct product needs at least two factors")
         for f in spec.factors:
             _check_spec(f, max_order)
-    if spec.group_order() > max_order:
-        raise ValueError(f"group order {spec.group_order()} exceeds budget {max_order}")
+        order = 1
+        for f in spec.factors:  # stops at the first partial order past the budget
+            order *= f.group_order()
+            if order > max_order:
+                break
+    else:
+        order = spec.group_order()
+    if order > max_order:
+        raise ValueError(f"group order {order} exceeds budget {max_order}")
 
 
 def _build(spec: GroupSpec) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:

@@ -9,7 +9,8 @@ from itertools import combinations, count
 from operator import or_
 
 from .groups import FiniteGroup, euler_phi
-from .power_graphs import SimpleGraph, _bits
+from .power_graphs import SimpleGraph
+from .subgroups import _bits
 
 DEFAULT_SOLVER_BUDGET = 64
 DEFAULT_ODD_HOLE_BUDGET = 24

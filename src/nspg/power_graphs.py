@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 
 from .groups import FiniteGroup, euler_phi
-from .subgroups import QuotientGroup, SubgroupSet
+from .subgroups import QuotientGroup, SubgroupSet, _bits
 
 
 class SimpleGraph:
@@ -87,14 +87,6 @@ class SimpleGraph:
 
     def __repr__(self) -> str:
         return f"SimpleGraph(n={self.vertex_count}, m={self.edge_count})"
-
-
-def _bits(mask: int):
-    """The set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass(frozen=True)

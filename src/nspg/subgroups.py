@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .groups import FiniteGroup, generate
 
@@ -31,7 +32,13 @@ class SubgroupSet:
 
 
 def subgroup_from_elements(G: FiniteGroup, elements) -> SubgroupSet:
-    """Wrap an element set as a SubgroupSet after checking every subgroup axiom."""
+    """Wrap an element set as a SubgroupSet after checking every subgroup axiom.
+
+    Closure is checked by span: generate() walks a set that always contains the
+    elements, and equals it exactly when they form a subgroup. The walk's first
+    step outside is a product a*s with a in the set and s one of its generators,
+    so a failure always names such a pair.
+    """
     elems = sorted(set(int(a) for a in elements))
     if any(not 0 <= a < G.order for a in elems):
         raise ValueError("subgroup element index out of range")
@@ -41,9 +48,10 @@ def subgroup_from_elements(G: FiniteGroup, elements) -> SubgroupSet:
     for a in elems:
         if G.inv(a) not in members:
             raise ValueError(f"subgroup not closed under inversion at element {a}")
-        for b in elems:
-            if G.table[a][b] not in members:
-                raise ValueError(f"subgroup not closed under multiplication at ({a}, {b})")
+    gens, span = generate(G.table, elems)
+    if len(span) != len(elems):
+        a, s = next((a, s) for a in elems for s in gens if G.table[a][s] not in members)
+        raise ValueError(f"subgroup not closed under multiplication at ({a}, {s})")
     if G.order % len(elems) != 0:
         raise ValueError("subgroup order does not divide group order")
     normal = _normal_by_conjugation(G, members)
@@ -80,32 +88,52 @@ def all_normal_subgroups(G: FiniteGroup) -> list[SubgroupSet]:
     O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 3). The join
     NP of two normal subgroups is their set product, so it needs no closure.
     Raises ValueError past MAX_NORMAL_SUBGROUPS.
+
+    Subgroups are int bitmasks over the element indices. One closure is spanned
+    per cyclic class: every c^k with c in g's class and k prime to |g| generates
+    a conjugate of <g>, so it has g's normal closure and is skipped. A subgroup
+    N the walk reaches is split into its cosets xN = Nx once, and NP is N with
+    the coset Np of each p in P it does not yet hold.
     """
     table = G.table
-    closures: dict[frozenset[int], int] = {}  # normal closure -> an element it is the closure of
-    classified = set()
+    bit = [1 << x for x in G.elements()]
+    conjugators = [(s, G.inv(s)) for s in G.generators]
+    closures: dict[int, int] = {}  # normal closure -> the first element it is the closure of
+    # Elements whose normal closure is already a key. A union of whole classes
+    # ((tct^-1)^k is the conjugate of c^k), so none of g's class is marked yet.
+    done = bytearray(G.order)
     for g in G.elements():
-        if g not in classified:
-            conj = [g]
-            classified.add(g)
-            for x in conj:  # the list grows while it is walked
-                for s in G.generators:
-                    y = table[table[s][x]][G.inv(s)]
-                    if y not in classified:
-                        classified.add(y)
-                        conj.append(y)
-            closures.setdefault(generate(table, conj)[1], g)
-    found = [frozenset((0,))]
+        if done[g]:
+            continue
+        conj = [g]
+        done[g] = 1
+        for x in conj:  # the list grows while it is walked
+            for s, si in conjugators:
+                y = table[table[s][x]][si]
+                if not done[y]:
+                    done[y] = 1
+                    conj.append(y)
+        closures.setdefault(sum(map(bit.__getitem__, generate(table, conj)[1])), g)
+        order = G.element_order(g)
+        for c in conj:
+            x, k = table[c][c], 2
+            while x:
+                if gcd(k, order) == 1:
+                    done[x] = 1
+                x, k = table[x][c], k + 1
+    found = [1]  # {e}: bit 0 is the identity
     seen = set(found)
     for N in found:  # the list grows while it is walked: breadth-first
+        coset = None
         for P, g in closures.items():
-            if g in N:
+            if N & bit[g]:
                 continue
-            joined = set(N)
-            for p in P:
-                if p not in joined:
-                    joined.update(table[n][p] for n in N)  # the coset Np
-            joined = frozenset(joined)
+            if coset is None:
+                coset = _coset_masks(table, N, bit)
+            joined, rest = N, P & ~N
+            while rest:
+                joined |= coset[(rest & -rest).bit_length() - 1]
+                rest &= ~joined
             if joined not in seen:
                 if len(found) == MAX_NORMAL_SUBGROUPS:
                     raise ValueError(
@@ -114,8 +142,29 @@ def all_normal_subgroups(G: FiniteGroup) -> list[SubgroupSet]:
                     )
                 seen.add(joined)
                 found.append(joined)
-    found.sort(key=lambda s: (len(s), sorted(s)))
-    return [subgroup_from_elements(G, elems) for elems in found]
+    subsets = sorted((list(_bits(m)) for m in found), key=lambda s: (len(s), s))
+    return [subgroup_from_elements(G, elems) for elems in subsets]
+
+
+def _bits(mask: int):
+    """The set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _coset_masks(table, N: int, bit: list[int]) -> list[int]:
+    """For each element x, the mask of its coset xN (= Nx, N being normal): one pass over G."""
+    members = list(_bits(N))
+    coset = [0] * len(table)
+    for x, row in enumerate(table):
+        if not coset[x]:
+            xN = [row[h] for h in members]
+            mask = sum(map(bit.__getitem__, xN))
+            for y in xN:
+                coset[y] = mask
+    return coset
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ import itertools
 import math
 from collections import deque
 
-from nspg.groups import FiniteGroup
+from nspg.groups import FiniteGroup, generate
 from nspg.power_graphs import NSBPowerGraph, SimpleGraph
+from nspg.subgroups import MAX_NORMAL_SUBGROUPS
 
 
 def phi_by_gcd(n: int) -> int:
@@ -342,6 +343,50 @@ def all_subgroups(G: FiniteGroup) -> list[frozenset[int]]:
                     added = True
         if not added:
             return sorted(subs, key=lambda s: (len(s), sorted(s)))
+
+
+def all_normal_subgroups_by_sets(G: FiniteGroup) -> list[tuple[int, ...]]:
+    """Element tuples of every normal subgroup, in all_normal_subgroups' order.
+
+    The same walk as nspg.subgroups.all_normal_subgroups on Python sets: one
+    closure per conjugacy class, each join rebuilt coset by coset with
+    set.update. Raises ValueError past MAX_NORMAL_SUBGROUPS.
+    """
+    table = G.table
+    closures: dict[frozenset[int], int] = {}  # normal closure -> an element it is the closure of
+    classified = set()
+    for g in G.elements():
+        if g not in classified:
+            conj = [g]
+            classified.add(g)
+            for x in conj:  # the list grows while it is walked
+                for s in G.generators:
+                    y = table[table[s][x]][G.inv(s)]
+                    if y not in classified:
+                        classified.add(y)
+                        conj.append(y)
+            closures.setdefault(generate(table, conj)[1], g)
+    found = [frozenset((0,))]
+    seen = set(found)
+    for N in found:  # the list grows while it is walked: breadth-first
+        for P, g in closures.items():
+            if g in N:
+                continue
+            joined = set(N)
+            for p in P:
+                if p not in joined:
+                    joined.update(table[n][p] for n in N)  # the coset Np
+            joined = frozenset(joined)
+            if joined not in seen:
+                if len(found) == MAX_NORMAL_SUBGROUPS:
+                    raise ValueError(
+                        f"{G.name} has more than {MAX_NORMAL_SUBGROUPS} normal subgroups; "
+                        "enumeration refused"
+                    )
+                seen.add(joined)
+                found.append(joined)
+    found.sort(key=lambda s: (len(s), sorted(s)))
+    return [tuple(sorted(s)) for s in found]
 
 
 # --- per-entry group-table builders ------------------------------------------

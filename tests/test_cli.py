@@ -69,6 +69,17 @@ def test_list_normal_subgroups(capsys):
     ]
 
 
+def test_list_normal_subgroups_matches_the_benchmark_record(capsys):
+    # The describe strings and the index order that --subgroup-index selects by.
+    record = Path(__file__).resolve().parents[1] / "bench" / "expected" / "normal_subgroups.json"
+    expected = json.loads(record.read_text(encoding="utf-8"))
+    assert len(expected) == 9
+    for spec, lines in expected.items():
+        code, out, err = run_cli(capsys, "list-normal-subgroups", spec)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == lines
+
+
 def test_subgroup_index_selector(capsys):
     _, by_gens, _ = run_cli(capsys, "build", "Z4", "--subgroup", "2")
     _, by_index, _ = run_cli(capsys, "build", "Z4", "--subgroup-index", "1")
@@ -157,6 +168,16 @@ def test_huge_elementary_abelian_spec_exits_2_at_once(spec):
     assert time.perf_counter() - start < 1
     assert proc.returncode == 2
     assert "error:" in proc.stderr and len(proc.stderr) < 100
+
+
+def test_huge_direct_product_names_the_first_order_past_the_budget(capsys):
+    code, out, err = run_cli(capsys, "list-normal-subgroups", "x".join(["Z256"] * 40))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and len(err) < 80
+    assert err.strip() == "error: group order 65536 exceeds budget 256"
+    code, _, err = run_cli(capsys, "list-normal-subgroups", "Z2xZ256")
+    assert code == 2
+    assert err.strip() == "error: group order 512 exceeds budget 256"
 
 
 def test_invalid_budget_env_exits_2(capsys, monkeypatch):

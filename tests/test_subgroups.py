@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 from nspg.groups import make_group, parse_group_spec
@@ -9,7 +12,7 @@ from nspg.subgroups import (
     recognize,
     subgroup_from_elements,
 )
-from oracles import all_subgroups, divisor_count, is_normal_brute
+from oracles import all_normal_subgroups_by_sets, all_subgroups, divisor_count, is_normal_brute
 
 
 def grp(text):
@@ -95,6 +98,88 @@ def test_all_normal_subgroups_of_larger_groups():
 def test_all_normal_subgroups_refuses_past_the_bound():
     with pytest.raises(ValueError, match="more than 4096 normal subgroups"):
         all_normal_subgroups(grp("E(2,8)"))
+
+
+@pytest.mark.parametrize(
+    "text",
+    # the normal-subgroups benchmark groups, then larger and non-abelian ones
+    ["E(2,4)", "Z4xZ4xZ2", "S3xS3", "D32", "S4xZ2", "D12xZ2", "Q8xQ8", "Z8xZ8", "Z256"]
+    + ["S5", "E(2,5)", "D64", "D128", "Q8xS3", "S4xZ3", "S4xD4", "Z4xZ4xZ4", "Z2xZ64", "Q8xZ32"],
+)
+def test_bitmask_enumeration_equals_the_set_walk(text):
+    G = grp(text)
+    assert [H.elements for H in all_normal_subgroups(G)] == all_normal_subgroups_by_sets(G)
+
+
+def _subspace_count(p, k):
+    """Subspaces of F_p^k: the sum over d of the Gaussian binomials [k, d]_p."""
+    total = 0
+    for d in range(k + 1):
+        num = den = 1
+        for i in range(d):
+            num *= p ** (k - i) - 1
+            den *= p ** (i + 1) - 1
+        total += num // den
+    return total
+
+
+@pytest.mark.parametrize(
+    "p,k", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)]
+)
+def test_elementary_abelian_counts_are_gaussian_binomial_sums(p, k):
+    assert len(all_normal_subgroups(grp(f"E({p},{k})"))) == _subspace_count(p, k)
+
+
+def test_gaussian_binomial_sums_of_named_ranks():
+    assert _subspace_count(2, 6) == 2825 and _subspace_count(3, 4) == 212
+
+
+def _candidate_sets(G, subs, rng, count):
+    """Seeded element sets containing 0: perturbed subgroups, unions, random sets."""
+    others = [a for a in G.elements() if a]
+    for _ in range(count):
+        kind = rng.randrange(5)
+        H = set(rng.choice(subs))
+        if kind == 0:  # a subgroup with one more element (and maybe its inverse)
+            x = rng.choice(others)
+            H |= {x, G.inv(x)} if rng.random() < 0.5 else {x}
+        elif kind == 1 and len(H) > 1:  # a subgroup less an element and its inverse
+            x = rng.choice(sorted(H - {0}))
+            H -= {x, G.inv(x)}
+        elif kind == 2:  # two subgroups' union
+            H |= rng.choice(subs)
+        else:  # a random set, closed under inverses half of the time
+            H = {0} | {a for a in others if rng.random() < rng.random()}
+            if kind == 4:
+                H |= {G.inv(a) for a in H}
+        yield H
+
+
+@pytest.mark.parametrize("text", ["Z12", "S4", "D6", "Z2xQ8", "S3xS3"])
+def test_span_check_accepts_exactly_the_subgroups(text):
+    G = grp(text)
+    subs = all_subgroups(G)
+    rng = random.Random(9)
+    rejected = 0
+    for S in [set(H) for H in subs] + list(_candidate_sets(G, subs, rng, 600)):
+        if frozenset(S) in subs:
+            H = subgroup_from_elements(G, S)
+            assert H.elements == tuple(sorted(S))
+            assert H.is_normal == is_normal_brute(G, S)
+            continue
+        with pytest.raises(ValueError) as err:
+            subgroup_from_elements(G, S)
+        rejected += 1
+        message = str(err.value)
+        if m := re.fullmatch(r"subgroup not closed under inversion at element (\d+)", message):
+            a = int(m.group(1))
+            assert a in S and G.inv(a) not in S
+        else:
+            m = re.fullmatch(r"subgroup not closed under multiplication at \((\d+), (\d+)\)", message)
+            assert m, message
+            a, b = int(m.group(1)), int(m.group(2))
+            assert a in S and b in S and G.table[a][b] not in S
+    assert rejected > 300
 
 
 @pytest.mark.parametrize(
