@@ -9,7 +9,7 @@ import operator
 import re
 from dataclasses import dataclass
 
-DEFAULT_MAX_ORDER = 256
+MAX_GROUP_ORDER = 256
 MAX_SYMMETRIC_DEGREE = 5
 
 
@@ -81,6 +81,8 @@ class FiniteGroup:
 
     def cyclic_subgroup(self, a: int) -> frozenset[int]:
         """The subgroup generated by a single element, as an index set."""
+        if not 0 <= a < self.order:
+            raise ValueError(f"element index {a} out of range for group of order {self.order}")
         out = {0}
         x = a
         while x != 0:
@@ -238,14 +240,14 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def make_group(spec: GroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+def make_group(spec: GroupSpec) -> FiniteGroup:
     """Build the validated group an explicit spec describes; deterministic per spec."""
-    _check_spec(spec, max_order)
+    _check_spec(spec)
     table, labels = _build(spec)
     return FiniteGroup(spec.spec_string(), table, labels)
 
 
-def _check_spec(spec: GroupSpec, max_order: int) -> None:
+def _check_spec(spec: GroupSpec) -> None:
     if spec.family == "cyclic" and spec.n < 1:
         raise ValueError("cyclic order must be positive")
     if spec.family == "dihedral" and spec.n < 1:
@@ -259,25 +261,25 @@ def _check_spec(spec: GroupSpec, max_order: int) -> None:
         if spec.k < 1:
             raise ValueError("elementary abelian rank must be positive")
         # Bounded before the primality test and p**k, which stall on a huge p or k;
-        # p**k >= 2**k exceeds max_order once k reaches max_order's bit length.
-        if spec.p > max_order or (spec.p > 1 and spec.k >= max_order.bit_length()):
-            raise ValueError(f"elementary abelian group order exceeds budget {max_order}")
+        # p**k >= 2**k exceeds the budget once k reaches its bit length.
+        if spec.p > MAX_GROUP_ORDER or (spec.p > 1 and spec.k >= MAX_GROUP_ORDER.bit_length()):
+            raise ValueError(f"elementary abelian group order exceeds budget {MAX_GROUP_ORDER}")
         if not _is_prime(spec.p):
             raise ValueError(f"elementary abelian base {spec.p} is not prime")
     if spec.family == "direct_product":
         if len(spec.factors) < 2:
             raise ValueError("direct product needs at least two factors")
         for f in spec.factors:
-            _check_spec(f, max_order)
+            _check_spec(f)
         order = 1
         for f in spec.factors:  # stops at the first partial order past the budget
             order *= f.group_order()
-            if order > max_order:
+            if order > MAX_GROUP_ORDER:
                 break
     else:
         order = spec.group_order()
-    if order > max_order:
-        raise ValueError(f"group order {order} exceeds budget {max_order}")
+    if order > MAX_GROUP_ORDER:
+        raise ValueError(f"group order {order} exceeds budget {MAX_GROUP_ORDER}")
 
 
 def _build(spec: GroupSpec) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
@@ -392,6 +394,8 @@ def from_cayley_table(table, name: str = "custom", labels=None) -> FiniteGroup:
         labels = tuple(str(i) for i in range(n))
     else:
         labels = tuple(labels)
+        if len(labels) != n:  # checked before the renumbering reads labels[old]
+            raise ValueError("label count does not match group order")
     if ident != 0:
         # Renumber so the identity lands at index 0; other elements keep relative order.
         old_order = [ident] + [x for x in range(n) if x != ident]

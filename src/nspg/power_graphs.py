@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 
 from .groups import FiniteGroup, euler_phi
-from .subgroups import QuotientGroup, SubgroupSet, _bits
+from .subgroups import QuotientGroup, SubgroupSet, _bits, _coset_partition
 
 
 class SimpleGraph:
@@ -134,18 +134,6 @@ def power_graph_edge_count_formula(G: FiniteGroup) -> int:
     return total // 2
 
 
-def _coset_partition(G: FiniteGroup, H: SubgroupSet) -> tuple[int, ...]:
-    """Coset index per element of G; cosets ordered by smallest member, H first."""
-    coset = [-1] * G.order
-    count = 0
-    for a in G.elements():
-        if coset[a] == -1:  # a is the smallest member of a coset not yet numbered
-            for h in H.elements:
-                coset[G.table[a][h]] = count
-            count += 1
-    return tuple(coset)
-
-
 def _check_nsb_inputs(G: FiniteGroup, H: SubgroupSet) -> None:
     if H.parent.table != G.table:
         raise ValueError("H is not a subgroup of this group")
@@ -164,7 +152,7 @@ def nsb_power_graph(G: FiniteGroup, H: SubgroupSet) -> NSBPowerGraph:
     every vertex that has a power in xH.
     """
     _check_nsb_inputs(G, H)
-    coset = _coset_partition(G, H)
+    coset = _coset_partition(G.table, H.elements)
     members = set(H.elements)
     vertex_element = (0,) + tuple(a for a in G.elements() if a not in members)
     powers = []

@@ -13,11 +13,13 @@ MAX_NORMAL_SUBGROUPS = 4096
 
 @dataclass(frozen=True)
 class SubgroupSet:
-    """A validated subgroup of a parent group, stored as a sorted index tuple."""
+    """A validated subgroup of a parent group, stored as a sorted index tuple,
+    with the generators generate() drew from it when its closure was checked."""
 
     parent: FiniteGroup
     elements: tuple[int, ...]
     is_normal: bool
+    generators: tuple[int, ...]
 
     @property
     def order(self) -> int:
@@ -27,8 +29,7 @@ class SubgroupSet:
         """Deterministic short form: {e} for the trivial subgroup, else <generators>."""
         if self.order == 1:
             return "{e}"
-        gens, _ = generate(self.parent.table, self.elements)
-        return "<" + ",".join(str(g) for g in gens) + ">"
+        return "<" + ",".join(str(g) for g in self.generators) + ">"
 
 
 def subgroup_from_elements(G: FiniteGroup, elements) -> SubgroupSet:
@@ -55,7 +56,7 @@ def subgroup_from_elements(G: FiniteGroup, elements) -> SubgroupSet:
     if G.order % len(elems) != 0:
         raise ValueError("subgroup order does not divide group order")
     normal = _normal_by_conjugation(G, members)
-    return SubgroupSet(G, tuple(elems), normal)
+    return SubgroupSet(G, tuple(elems), normal, gens)
 
 
 def _normal_by_conjugation(G: FiniteGroup, members: set[int]) -> bool:
@@ -92,8 +93,9 @@ def all_normal_subgroups(G: FiniteGroup) -> list[SubgroupSet]:
     Subgroups are int bitmasks over the element indices. One closure is spanned
     per cyclic class: every c^k with c in g's class and k prime to |g| generates
     a conjugate of <g>, so it has g's normal closure and is skipped. A subgroup
-    N the walk reaches is split into its cosets xN = Nx once, and NP is N with
-    the coset Np of each p in P it does not yet hold.
+    N the walk reaches is split into its cosets xN = Nx once, by the partition
+    the quotient uses, and NP is N with the coset Np of each p in P it does not
+    yet hold.
     """
     table = G.table
     bit = [1 << x for x in G.elements()]
@@ -124,15 +126,18 @@ def all_normal_subgroups(G: FiniteGroup) -> list[SubgroupSet]:
     found = [1]  # {e}: bit 0 is the identity
     seen = set(found)
     for N in found:  # the list grows while it is walked: breadth-first
-        coset = None
+        part = None
         for P, g in closures.items():
             if N & bit[g]:
                 continue
-            if coset is None:
-                coset = _coset_masks(table, N, bit)
+            if part is None:
+                part = _coset_partition(table, list(_bits(N)))
+                masks = [0] * (len(table) // N.bit_count())
+                for x, c in enumerate(part):
+                    masks[c] |= bit[x]
             joined, rest = N, P & ~N
             while rest:
-                joined |= coset[(rest & -rest).bit_length() - 1]
+                joined |= masks[part[(rest & -rest).bit_length() - 1]]
                 rest &= ~joined
             if joined not in seen:
                 if len(found) == MAX_NORMAL_SUBGROUPS:
@@ -154,16 +159,19 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _coset_masks(table, N: int, bit: list[int]) -> list[int]:
-    """For each element x, the mask of its coset xN (= Nx, N being normal): one pass over G."""
-    members = list(_bits(N))
-    coset = [0] * len(table)
+def _coset_partition(table, members) -> list[int]:
+    """The index of each element x's coset xH, where members lists the subgroup H.
+
+    Cosets are numbered by their smallest member, so H (holding the identity 0)
+    is coset 0. One pass over G.
+    """
+    coset = [-1] * len(table)
+    count = 0
     for x, row in enumerate(table):
-        if not coset[x]:
-            xN = [row[h] for h in members]
-            mask = sum(map(bit.__getitem__, xN))
-            for y in xN:
-                coset[y] = mask
+        if coset[x] < 0:  # x is the smallest member of a coset not yet numbered
+            for h in members:
+                coset[row[h]] = count
+            count += 1
     return coset
 
 
@@ -184,19 +192,12 @@ def quotient(G: FiniteGroup, H: SubgroupSet) -> QuotientGroup:
         raise ValueError("H is not a subgroup of this group")
     if not H.is_normal:
         raise ValueError("cannot form the quotient by a non-normal subgroup")
-    cosets: dict[frozenset[int], int] = {}
-    key_of: list[frozenset[int]] = []
-    for a in G.elements():
-        key = frozenset(G.table[a][h] for h in H.elements)
-        key_of.append(key)
-        cosets.setdefault(key, -1)
-    # Coset order: by smallest member, which places H (containing 0) first.
-    keys = sorted(cosets, key=min)
-    for idx, key in enumerate(keys):
-        cosets[key] = idx
-    projection = [cosets[key] for key in key_of]
-    reps = tuple(min(key) for key in keys)
-    m = len(keys)
+    projection = _coset_partition(G.table, H.elements)
+    reps: list[int] = []  # the first element to reach each index: its coset's smallest member
+    for a, c in enumerate(projection):
+        if c == len(reps):
+            reps.append(a)
+    m = len(reps)
     qtable = tuple(
         tuple(projection[G.table[reps[i]][reps[j]]] for j in range(m)) for i in range(m)
     )
@@ -213,7 +214,7 @@ def quotient(G: FiniteGroup, H: SubgroupSet) -> QuotientGroup:
         for a in G.elements():
             if projection[G.table[a][b]] != qtable[projection[a]][pb]:
                 raise ValueError("coset multiplication is not well-defined")
-    return QuotientGroup(G, H, qgroup, tuple(projection), reps)
+    return QuotientGroup(G, H, qgroup, tuple(projection), tuple(reps))
 
 
 @dataclass(frozen=True)

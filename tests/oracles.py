@@ -264,6 +264,14 @@ def power_graph_brute(G: FiniteGroup) -> SimpleGraph:
     return SimpleGraph(G.labels, edges)
 
 
+def coset_partition_by_sets(G: FiniteGroup, h_elements) -> list[int]:
+    """Coset index per element: each element's coset aH as a frozenset, the
+    distinct sets numbered by their smallest member (so H is coset 0)."""
+    keys = [frozenset(G.table[a][h] for h in h_elements) for a in G.elements()]
+    index = {key: i for i, key in enumerate(sorted(set(keys), key=min))}
+    return [index[key] for key in keys]
+
+
 def nsb_power_graph_brute(G: FiniteGroup, h_elements) -> NSBPowerGraph:
     """Gamma_H(G) by scanning every vertex pair against each vertex's exponent cosets.
 
@@ -271,9 +279,7 @@ def nsb_power_graph_brute(G: FiniteGroup, h_elements) -> NSBPowerGraph:
     e followed by G \\ H in ascending order.
     """
     members = set(h_elements)
-    keys = [frozenset(G.table[a][h] for h in members) for a in G.elements()]
-    index = {key: i for i, key in enumerate(sorted(set(keys), key=min))}
-    coset = [index[key] for key in keys]
+    coset = coset_partition_by_sets(G, members)
     vertex_element = (0,) + tuple(a for a in G.elements() if a not in members)
     power_cosets: dict[int, set[int]] = {}
     for a in vertex_element:
@@ -308,7 +314,7 @@ def is_normal_brute(G, elems) -> bool:
 # --- brute-force subgroup enumeration ------------------------------------------
 
 
-def _closure(G: FiniteGroup, seed: set[int]) -> frozenset[int]:
+def closure(G: FiniteGroup, seed: set[int]) -> frozenset[int]:
     """Smallest multiplication-closed superset of seed containing the identity."""
     table = G.table
     elems = {0} | set(seed)
@@ -337,7 +343,7 @@ def all_subgroups(G: FiniteGroup) -> list[frozenset[int]]:
                 a, b = current[i], current[j]
                 if a <= b or b <= a:
                     continue
-                joined = _closure(G, set(a | b))
+                joined = closure(G, set(a | b))
                 if joined not in subs:
                     subs.add(joined)
                     added = True

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -260,6 +261,37 @@ def test_from_cayley_table_renumbers_identity():
     G = from_cayley_table(table)
     assert G.table[0] == (0, 1, 2)
     assert sorted(G.element_order(a) for a in G.elements()) == [1, 3, 3]
+
+
+@pytest.mark.parametrize("labels", [("a",), ("a", "b", "c")])
+def test_from_cayley_table_checks_the_label_count(labels):
+    # Z2 with the identity at index 0, then at index 1, where the labels are
+    # renumbered: too few must not reach an IndexError, too many must not be cut.
+    for table in ([[0, 1], [1, 0]], [[1, 0], [0, 1]]):
+        with pytest.raises(ValueError, match="^label count does not match group order$"):
+            from_cayley_table(table, labels=labels)
+    assert from_cayley_table([[1, 0], [0, 1]], labels=("a", "b")).labels == ("b", "a")
+
+
+def test_cyclic_subgroup_checks_the_index_range():
+    G = grp("Z4")
+    assert G.cyclic_subgroup(0) == frozenset({0})
+    assert G.cyclic_subgroup(3) == frozenset({0, 1, 2, 3})
+    for a in (-1, 4):
+        with pytest.raises(ValueError, match=f"^element index {a} out of range for group of order 4$"):
+            G.cyclic_subgroup(a)
+
+
+def test_order_budgets_keep_their_messages():
+    for text, message in [
+        ("Z257", "group order 257 exceeds budget 256"),
+        ("S6", "symmetric degree 6 exceeds budget 5"),
+        ("E(2,9)", "elementary abelian group order exceeds budget 256"),
+        ("E(257,1)", "elementary abelian group order exceeds budget 256"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_group(parse_group_spec(text))
+    assert make_group(parse_group_spec("Z256")).order == 256
 
 
 def test_euler_phi_anchors():

@@ -4,15 +4,24 @@ import re
 import pytest
 
 from nspg.groups import make_group, parse_group_spec
+from nspg.harness import DEFAULT_CATALOG_GROUPS
 from nspg.subgroups import (
     SubgroupSet,
+    _coset_partition,
     all_normal_subgroups,
     generated_subgroup,
     quotient,
     recognize,
     subgroup_from_elements,
 )
-from oracles import all_normal_subgroups_by_sets, all_subgroups, divisor_count, is_normal_brute
+from oracles import (
+    all_normal_subgroups_by_sets,
+    all_subgroups,
+    closure,
+    coset_partition_by_sets,
+    divisor_count,
+    is_normal_brute,
+)
 
 
 def grp(text):
@@ -249,6 +258,27 @@ def test_projection_well_defined():
             assert same == (G.mul(a, G.inv(b)) in members)
 
 
+@pytest.mark.parametrize(
+    "text", DEFAULT_CATALOG_GROUPS + ("Q8xQ8", "S4xZ2", "D32", "E(2,5)", "Z256")
+)
+def test_one_coset_partition_serves_quotient_and_generators(text):
+    # The partition the quotient, the direct construction and the enumeration
+    # share equals one built from frozenset cosets; the quotient's representatives
+    # are the fibres' minima; a subgroup's generators span exactly its elements.
+    G = grp(text)
+    for H in all_normal_subgroups(G):
+        expected = coset_partition_by_sets(G, H.elements)
+        assert _coset_partition(G.table, H.elements) == expected, (text, H.elements)
+        Q = quotient(G, H)
+        assert Q.projection == tuple(expected)
+        fibres = {}
+        for a in G.elements():
+            fibres.setdefault(Q.projection[a], []).append(a)
+        assert Q.representatives == tuple(min(fibres[c]) for c in range(Q.group.order))
+        assert set(H.generators) <= set(H.elements)
+        assert closure(G, set(H.generators)) == frozenset(H.elements), (text, H.generators)
+
+
 def test_quotient_rejects_non_normal():
     H = generated_subgroup(S3, [TRANSPOSITION])
     with pytest.raises(ValueError):
@@ -265,7 +295,7 @@ def test_quotient_rejects_non_normal_marked_normal(text):
         if H.is_normal:
             continue
         with pytest.raises(ValueError, match="not well-defined"):
-            quotient(G, SubgroupSet(G, H.elements, True))
+            quotient(G, SubgroupSet(G, H.elements, True, H.generators))
 
 
 def test_recognize_flags():
