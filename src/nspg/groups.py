@@ -375,9 +375,16 @@ def _cyclic_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(base[a:] + base[:a] for a in range(n))
 
 
+def _table_entry(v) -> int:
+    try:
+        return operator.index(v)  # int() would truncate 1.9 to 1 and accept "1"
+    except TypeError:
+        raise ValueError(f"table entries must be integers, got {v!r}") from None
+
+
 def from_cayley_table(table, name: str = "custom", labels=None) -> FiniteGroup:
     """Validate an arbitrary square index table as a group, renumbering so the identity is 0."""
-    rows = tuple(tuple(int(v) for v in row) for row in table)
+    rows = tuple(tuple(_table_entry(v) for v in row) for row in table)
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("Cayley table must be a non-empty square array")

@@ -9,6 +9,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import invariants as inv
 from .groups import FiniteGroup, make_group, parse_group_spec
@@ -194,54 +195,29 @@ class InstanceContext:
         return self._run_cache[key]
 
 
-def _skip(tid: TheoremId, ctx: InstanceContext, reason: str) -> InstanceResult:
-    return InstanceResult(
-        theorem=tid.value,
-        group=ctx.G.name,
-        subgroup=ctx.subgroup,
-        hypothesis_met=False,
-        predicted=None,
-        actual=None,
-        verdict=SKIPPED,
-        note=reason,
-    )
+class Claim(NamedTuple):
+    """What one check states about one instance; only KAPPA fills ``note``."""
+
+    predicted: object
+    actual: object
+    ok: bool
+    note: str = ""
 
 
-def _result(
-    tid: TheoremId, ctx: InstanceContext, predicted, actual, ok: bool, note: str = ""
-) -> InstanceResult:
-    if ok:
-        verdict = PASS
-    elif tid in REPORT_ONLY:
-        verdict = FLAGGED
-    else:
-        verdict = FAIL
-    return InstanceResult(
-        theorem=tid.value,
-        group=ctx.G.name,
-        subgroup=ctx.subgroup,
-        hypothesis_met=True,
-        predicted=predicted,
-        actual=actual,
-        verdict=verdict,
-        note=note,
-    )
-
-
-def _check_complete(ctx: InstanceContext) -> InstanceResult:
+def _check_complete(ctx: InstanceContext) -> Claim:
     predicted = recognize(ctx.quotient.group).is_cyclic_p_group_or_trivial
     actual = inv.is_complete(ctx.graph)
-    return _result(TheoremId.COMPLETE_3_1, ctx, predicted, actual, predicted == actual)
+    return Claim(predicted, actual, predicted == actual)
 
 
-def _check_cayley(ctx: InstanceContext) -> InstanceResult:
+def _check_cayley(ctx: InstanceContext) -> Claim:
     # Restated form: the graph is regular iff it is complete.
     predicted = inv.is_complete(ctx.graph)
     actual = inv.is_regular(ctx.graph)
-    return _result(TheoremId.CAYLEY_3_3, ctx, predicted, actual, predicted == actual)
+    return Claim(predicted, actual, predicted == actual)
 
 
-def _check_degree(ctx: InstanceContext) -> InstanceResult:
+def _check_degree(ctx: InstanceContext) -> Claim:
     G, H = ctx.G, ctx.H
     pg = ctx.parent_power_graph
     formula_pg = list(inv.degree_in_power_graph_formula(G))
@@ -254,86 +230,79 @@ def _check_degree(ctx: InstanceContext) -> InstanceResult:
     actual_nsb = [g.degree(i) for i in range(g.vertex_count)]
     predicted = {"power_graph": formula_pg, "nsb": formula_nsb}
     actual = {"power_graph": actual_pg, "nsb": actual_nsb}
-    return _result(TheoremId.DEGREE_4_1, ctx, predicted, actual, predicted == actual)
+    return Claim(predicted, actual, predicted == actual)
 
 
-def _check_eulerian(ctx: InstanceContext) -> InstanceResult:
+def _check_eulerian(ctx: InstanceContext) -> Claim:
     predicted = (ctx.G.order - ctx.H.order) % 2 == 0
     actual = inv.is_eulerian(ctx.graph)
-    return _result(TheoremId.EULERIAN_4_2, ctx, predicted, actual, predicted == actual)
+    return Claim(predicted, actual, predicted == actual)
 
 
-def _check_hamiltonian(ctx: InstanceContext) -> InstanceResult:
+def _check_hamiltonian(ctx: InstanceContext) -> Claim:
     budget = ctx.budgets.exact_solver
     predicted = ctx.solve("hamiltonian_cycle", ctx.quotient_power_graph, budget) is not None
     actual = ctx.solve("hamiltonian_cycle", ctx.graph, budget) is not None
     # One-directional: a Hamiltonian quotient power graph forces a Hamiltonian graph.
-    ok = (not predicted) or actual
-    return _result(TheoremId.HAMILTONIAN_4_4, ctx, predicted, actual, ok)
+    return Claim(predicted, actual, (not predicted) or actual)
 
 
-def _check_girth(ctx: InstanceContext) -> InstanceResult:
-    if ctx.H.order < 2:
-        return _skip(TheoremId.GIRTH_5_3, ctx, "hypothesis requires a nontrivial proper subgroup")
+def _check_girth(ctx: InstanceContext) -> Claim:
     actual = inv.girth(ctx.graph)
-    return _result(TheoremId.GIRTH_5_3, ctx, 3, actual, actual == 3)
+    return Claim(3, actual, actual == 3)
 
 
-def _check_bipartite_tree(ctx: InstanceContext) -> InstanceResult:
-    if ctx.H.order < 2:
-        return _skip(
-            TheoremId.BIPARTITE_TREE_5_2, ctx, "hypothesis requires a nontrivial proper subgroup"
-        )
+def _check_bipartite_tree(ctx: InstanceContext) -> Claim:
     actual = inv.is_bipartite(ctx.graph) or inv.is_tree(ctx.graph)
-    return _result(TheoremId.BIPARTITE_TREE_5_2, ctx, False, actual, actual is False)
+    return Claim(False, actual, actual is False)
 
 
-def _check_planar(ctx: InstanceContext) -> InstanceResult:
-    if ctx.H.order < 2:
-        return _skip(TheoremId.PLANAR_5_4, ctx, "hypothesis requires a nontrivial proper subgroup")
+def _check_planar(ctx: InstanceContext) -> Claim:
     flags = recognize(ctx.quotient.group)
     predicted = ctx.H.order in (2, 3) and flags.is_elementary_abelian_2
     actual = ctx.solve("is_planar", ctx.graph)
-    return _result(TheoremId.PLANAR_5_4, ctx, predicted, actual, predicted == actual)
+    return Claim(predicted, actual, predicted == actual)
 
 
-def _check_edges(ctx: InstanceContext) -> InstanceResult:
-    if ctx.H.order < 2:
-        return _skip(TheoremId.EDGES_6_1, ctx, "hypothesis requires a nontrivial subgroup")
+def _check_edges(ctx: InstanceContext) -> Claim:
     Q = ctx.quotient.group
     t = power_graph_edge_count_formula(Q)
     n = Q.order
     h = ctx.H.order
     predicted = (t - n + 1) * h * h + math.comb(h, 2) * (n - 1) + (ctx.G.order - h)
     actual = ctx.graph.edge_count
-    return _result(TheoremId.EDGES_6_1, ctx, predicted, actual, predicted == actual)
+    return Claim(predicted, actual, predicted == actual)
 
 
-def _check_clique(ctx: InstanceContext) -> InstanceResult:
+def _clique_prediction(ctx: InstanceContext) -> int:
+    """|H|(m - 1) + 1, m the quotient power graph's clique number: both ω and χ."""
     m = ctx.solve("clique_number", ctx.quotient_power_graph, ctx.budgets.exact_solver)[0]
-    predicted = ctx.H.order * (m - 1) + 1
+    return ctx.H.order * (m - 1) + 1
+
+
+def _check_clique(ctx: InstanceContext) -> Claim:
+    predicted = _clique_prediction(ctx)
     actual = ctx.solve("clique_number", ctx.graph, ctx.budgets.exact_solver)[0]
-    return _result(TheoremId.CLIQUE_6_4, ctx, predicted, actual, predicted == actual)
+    return Claim(predicted, actual, predicted == actual)
 
 
-def _check_perfect(ctx: InstanceContext) -> InstanceResult:
+def _check_perfect(ctx: InstanceContext) -> Claim:
     actual = ctx.solve("is_perfect", ctx.graph, ctx.budgets.odd_hole)
-    return _result(TheoremId.PERFECT_6_5, ctx, True, actual, actual is True)
+    return Claim(True, actual, actual is True)
 
 
-def _check_chromatic(ctx: InstanceContext) -> InstanceResult:
-    m = ctx.solve("clique_number", ctx.quotient_power_graph, ctx.budgets.exact_solver)[0]
-    predicted = ctx.H.order * (m - 1) + 1
+def _check_chromatic(ctx: InstanceContext) -> Claim:
+    predicted = _clique_prediction(ctx)
     actual = ctx.solve("chromatic_number", ctx.graph, ctx.budgets.exact_solver)[0]
-    return _result(TheoremId.CHROMATIC_6_6, ctx, predicted, actual, predicted == actual)
+    return Claim(predicted, actual, predicted == actual)
 
 
-def _check_kappa(ctx: InstanceContext) -> InstanceResult:
+def _check_kappa(ctx: InstanceContext) -> Claim:
     k = ctx.solve("vertex_connectivity", ctx.quotient_power_graph)[0]
     predicted = ctx.H.order * (k - 1) + 1
     actual = ctx.solve("vertex_connectivity", ctx.graph)[0]
     note = "complete" if inv.is_complete(ctx.graph) else "non-complete"
-    return _result(TheoremId.KAPPA_6_7, ctx, predicted, actual, predicted == actual, note=note)
+    return Claim(predicted, actual, predicted == actual, note)
 
 
 _CHECKS = {
@@ -352,21 +321,31 @@ _CHECKS = {
     TheoremId.KAPPA_6_7: _check_kappa,
 }
 
+# Theorems whose hypothesis excludes H = {e}, with the note their skipped rows carry.
+_TRIVIAL_SUBGROUP_SKIPS = {
+    TheoremId.GIRTH_5_3: "hypothesis requires a nontrivial proper subgroup",
+    TheoremId.BIPARTITE_TREE_5_2: "hypothesis requires a nontrivial proper subgroup",
+    TheoremId.PLANAR_5_4: "hypothesis requires a nontrivial proper subgroup",
+    TheoremId.EDGES_6_1: "hypothesis requires a nontrivial subgroup",
+}
+
 
 def _run_check(tid: TheoremId, ctx: InstanceContext) -> InstanceResult:
-    try:
-        return _CHECKS[tid](ctx)
-    except inv.BudgetExceeded as exc:
-        return InstanceResult(
-            theorem=tid.value,
-            group=ctx.G.name,
-            subgroup=ctx.subgroup,
-            hypothesis_met=True,
-            predicted=None,
-            actual=None,
-            verdict=SKIPPED,
-            note=f"budget exceeded: {exc}",
-        )
+    """The one place a claim becomes a row: hypothesis skip, budget skip, or a verdict."""
+    predicted = actual = None
+    verdict = SKIPPED
+    note = _TRIVIAL_SUBGROUP_SKIPS.get(tid) if ctx.H.order == 1 else None
+    hypothesis_met = note is None
+    if hypothesis_met:
+        try:
+            predicted, actual, ok, note = _CHECKS[tid](ctx)
+        except inv.BudgetExceeded as exc:
+            note = f"budget exceeded: {exc}"
+        else:
+            verdict = PASS if ok else FLAGGED if tid in REPORT_ONLY else FAIL
+    return InstanceResult(
+        tid.value, ctx.G.name, ctx.subgroup, hypothesis_met, predicted, actual, verdict, note
+    )
 
 
 def check_theorem(
@@ -382,12 +361,9 @@ class Report:
     instance_count: int
 
     def counts(self) -> dict[str, dict[str, int]]:
-        out: dict[str, dict[str, int]] = {}
-        for tid in TheoremId:
-            out[tid.value] = {"pass": 0, "fail": 0, "flagged": 0, "skipped": 0}
+        out = {tid.value: {"pass": 0, "fail": 0, "flagged": 0, "skipped": 0} for tid in TheoremId}
         for r in self.results:
-            if r.theorem in out:
-                out[r.theorem][r.verdict.lower()] += 1
+            out[r.theorem][r.verdict.lower()] += 1
         return {k: v for k, v in out.items() if sum(v.values()) > 0}
 
     def non_pass(self) -> list[InstanceResult]:
@@ -413,27 +389,10 @@ class Report:
             "summary": self.counts(),
             "kappa_connectivity": self.kappa_breakdown(),
             "non_pass": [
-                {
-                    "theorem": r.theorem,
-                    "group": r.group,
-                    "subgroup": r.subgroup,
-                    "verdict": r.verdict,
-                }
+                {k: getattr(r, k) for k in ("theorem", "group", "subgroup", "verdict")}
                 for r in self.non_pass()
             ],
-            "results": [
-                {
-                    "theorem": r.theorem,
-                    "group": r.group,
-                    "subgroup": r.subgroup,
-                    "hypothesis_met": r.hypothesis_met,
-                    "predicted": _jsonable(r.predicted),
-                    "actual": _jsonable(r.actual),
-                    "verdict": r.verdict,
-                    "note": r.note,
-                }
-                for r in self.results
-            ],
+            "results": [dict(vars(r)) for r in self.results],
         }
 
     def to_json(self) -> str:
@@ -446,24 +405,11 @@ class Report:
             ["theorem", "group", "subgroup", "hypothesis_met", "predicted", "actual", "verdict"]
         )
         for r in self.results:
-            writer.writerow(
-                [
-                    r.theorem,
-                    r.group,
-                    r.subgroup,
-                    _csv_cell(r.hypothesis_met),
-                    _csv_cell(r.predicted),
-                    _csv_cell(r.actual),
-                    r.verdict,
-                ]
-            )
+            writer.writerow([
+                r.theorem, r.group, r.subgroup, _csv_cell(r.hypothesis_met),
+                _csv_cell(r.predicted), _csv_cell(r.actual), r.verdict,
+            ])
         return buf.getvalue()
-
-
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return list(value)
-    return value
 
 
 def _csv_cell(value) -> str:
@@ -473,9 +419,7 @@ def _csv_cell(value) -> str:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, (dict, list, tuple)):
+    if isinstance(value, (dict, list)):
         return json.dumps(value, sort_keys=True, separators=(",", ":"))
     return str(value)
 

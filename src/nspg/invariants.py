@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 from itertools import combinations, count
 from operator import or_
@@ -640,35 +640,25 @@ def compute_invariants(
     return inv
 
 
+# Witness fields and their keys in the "witnesses" sub-object.
+_WITNESS_KEYS = {
+    "clique_witness": "clique",
+    "coloring": "coloring",
+    "vertex_cut": "vertex_cut",
+    "hamiltonian_cycle": "hamiltonian_cycle",
+}
+
+
 def invariants_to_json_obj(inv: GraphInvariants) -> dict:
-    """Flat JSON object with stable key order; witnesses grouped under one sub-object."""
-    obj = {
-        "vertex_count": inv.vertex_count,
-        "edge_count": inv.edge_count,
-        "degree_sequence": list(inv.degree_sequence),
-        "is_connected": inv.is_connected,
-        "is_complete": inv.is_complete,
-        "is_regular": inv.is_regular,
-        "is_bipartite": inv.is_bipartite,
-        "is_tree": inv.is_tree,
-        "is_eulerian": inv.is_eulerian,
-        "girth": inv.girth,
-        "clique_number": inv.clique_number,
-        "chromatic_number": inv.chromatic_number,
-        "vertex_connectivity": inv.vertex_connectivity,
-        "is_planar": inv.is_planar,
-        "is_perfect": inv.is_perfect,
-        "is_hamiltonian": inv.is_hamiltonian,
-    }
-    witnesses = {}
-    if inv.clique_witness is not None:
-        witnesses["clique"] = list(inv.clique_witness)
-    if inv.coloring is not None:
-        witnesses["coloring"] = list(inv.coloring)
-    if inv.vertex_cut is not None:
-        witnesses["vertex_cut"] = list(inv.vertex_cut)
-    if inv.hamiltonian_cycle is not None:
-        witnesses["hamiltonian_cycle"] = list(inv.hamiltonian_cycle)
+    """Flat JSON object in field order; witnesses grouped under one sub-object."""
+    obj, witnesses = {}, {}
+    for f in fields(inv):
+        value = getattr(inv, f.name)
+        if f.name in _WITNESS_KEYS:
+            if value is not None:
+                witnesses[_WITNESS_KEYS[f.name]] = list(value)
+        elif f.name != "skipped":
+            obj[f.name] = list(value) if isinstance(value, tuple) else value
     if witnesses:
         obj["witnesses"] = witnesses
     if inv.skipped:

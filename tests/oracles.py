@@ -181,13 +181,17 @@ def brute_is_planar(g: SimpleGraph) -> bool:
     n = g.vertex_count
     if n > 8:
         raise ValueError("subdivision search oracle is limited to 8 vertices")
+    # A K3,3 subdivision has at least 9 edges, a K5 one at least 10.
+    if g.edge_count < 9:
+        return True
     adj = [set(g.neighbors(u)) for u in range(n)]
-    for branch in itertools.combinations(range(n), 5):
+    # A branch vertex has its branch degree in the subdivision: 4 in K5, 3 in K3,3.
+    for branch in itertools.combinations([v for v in range(n) if len(adj[v]) >= 4], 5):
         spare = frozenset(set(range(n)) - set(branch))
         pairs = list(itertools.combinations(branch, 2))
         if _assign_paths(adj, pairs, spare):
             return False
-    for branch in itertools.combinations(range(n), 6):
+    for branch in itertools.combinations([v for v in range(n) if len(adj[v]) >= 3], 6):
         spare = frozenset(set(range(n)) - set(branch))
         for left in itertools.combinations(branch, 3):
             if branch[0] not in left:

@@ -273,6 +273,13 @@ def test_from_cayley_table_checks_the_label_count(labels):
     assert from_cayley_table([[1, 0], [0, 1]], labels=("a", "b")).labels == ("b", "a")
 
 
+@pytest.mark.parametrize("entry", [1.9, None, "1"])
+def test_from_cayley_table_rejects_non_integer_entries(entry):
+    # int() would truncate 1.9 into a valid Z2 table and accept the string "1".
+    with pytest.raises(ValueError, match=f"^table entries must be integers, got {re.escape(repr(entry))}$"):
+        from_cayley_table([[0, entry], [1, 0]])
+
+
 def test_cyclic_subgroup_checks_the_index_range():
     G = grp("Z4")
     assert G.cyclic_subgroup(0) == frozenset({0})

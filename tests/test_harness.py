@@ -55,23 +55,41 @@ def test_complete_anchors():
 
 
 def test_hypothesis_skips_for_trivial_subgroup():
-    for tid in [
-        TheoremId.GIRTH_5_3,
-        TheoremId.BIPARTITE_TREE_5_2,
-        TheoremId.PLANAR_5_4,
-        TheoremId.EDGES_6_1,
-    ]:
+    proper = "hypothesis requires a nontrivial proper subgroup"
+    skips = {
+        TheoremId.GIRTH_5_3: proper,
+        TheoremId.BIPARTITE_TREE_5_2: proper,
+        TheoremId.PLANAR_5_4: proper,
+        TheoremId.EDGES_6_1: "hypothesis requires a nontrivial subgroup",
+    }
+    for tid in TheoremId:
         r = check_theorem(tid, *instance("Z6", []))
-        assert r.verdict == "SKIPPED"
-        assert not r.hypothesis_met
-        assert r.predicted is None and r.actual is None
+        if tid in skips:
+            assert r.verdict == "SKIPPED"
+            assert not r.hypothesis_met
+            assert r.predicted is None and r.actual is None
+            assert r.note == skips[tid]
+        else:
+            assert r.verdict != "SKIPPED" and r.hypothesis_met
 
 
 def test_budget_exhaustion_skips_with_reason():
     r = check_theorem(TheoremId.CLIQUE_6_4, *instance("Z12", [6]), budgets=Budgets(exact_solver=4))
     assert r.verdict == "SKIPPED"
     assert r.hypothesis_met
-    assert "budget" in r.note
+    assert r.predicted is None and r.actual is None
+    assert r.note == "budget exceeded: clique_number: 6 vertices exceeds budget 4"
+
+
+def test_only_kappa_rows_carry_a_completeness_note(default_report):
+    complete = {
+        (r.group, r.subgroup): r.actual for r in default_report.results if r.theorem == "COMPLETE_3_1"
+    }
+    for r in default_report.results:
+        if r.theorem == "KAPPA_6_7":
+            assert r.note == ("complete" if complete[r.group, r.subgroup] else "non-complete")
+        elif r.hypothesis_met:
+            assert r.note == ""
 
 
 def test_empty_catalog_gives_empty_report():
@@ -134,6 +152,9 @@ def test_report_serializations(default_report):
     obj = default_report.to_json_obj()
     assert set(obj) == {"instances", "summary", "kappa_connectivity", "non_pass", "results"}
     json.dumps(obj)  # must be JSON-serializable as-is
+    keys = ["theorem", "group", "subgroup", "hypothesis_met", "predicted", "actual", "verdict", "note"]
+    assert all(list(row) == keys for row in obj["results"])
+    assert list(obj["non_pass"][0]) == ["theorem", "group", "subgroup", "verdict"]
     csv_text = default_report.to_csv()
     header, *rows = csv_text.splitlines()
     assert header == "theorem,group,subgroup,hypothesis_met,predicted,actual,verdict"
