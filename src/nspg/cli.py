@@ -47,7 +47,7 @@ EXIT_BUDGET = 3
 
 
 class CliError(Exception):
-    """User-facing CLI failure; message goes to stderr, exit status 2."""
+    """User-facing CLI failure; message goes to stderr, exit status 2, as for any ValueError."""
 
 
 def _budgets_from_env() -> Budgets:
@@ -64,28 +64,14 @@ def _budgets_from_env() -> Budgets:
 
 
 def _group(spec_text: str) -> FiniteGroup:
-    try:
-        return make_group(parse_group_spec(spec_text))
-    except ValueError as exc:
-        raise CliError(str(exc))
-
-
-def _normal_subgroups(G: FiniteGroup) -> list[SubgroupSet]:
-    try:
-        return all_normal_subgroups(G)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return make_group(parse_group_spec(spec_text))
 
 
 def _subgroup(G: FiniteGroup, args: argparse.Namespace) -> SubgroupSet:
     if args.subgroup is not None:
-        try:
-            gens = [int(tok) for tok in args.subgroup.split(",") if tok != ""]
-            H = generated_subgroup(G, gens)
-        except ValueError as exc:
-            raise CliError(str(exc))
+        H = generated_subgroup(G, [int(tok) for tok in args.subgroup.split(",") if tok != ""])
     else:
-        subs = _normal_subgroups(G)
+        subs = all_normal_subgroups(G)
         idx = args.subgroup_index
         if not 0 <= idx < len(subs):
             raise CliError(f"subgroup index {idx} out of range; {G.name} has {len(subs)} normal subgroups")
@@ -147,7 +133,7 @@ def _cmd_list_groups(_args: argparse.Namespace) -> int:
 
 def _cmd_list_normal_subgroups(args: argparse.Namespace) -> int:
     G = _group(args.group)
-    for i, H in enumerate(_normal_subgroups(G)):
+    for i, H in enumerate(all_normal_subgroups(G)):
         print(f"[{i}] order={H.order} subgroup={H.describe()}")
     return EXIT_OK
 
@@ -162,11 +148,7 @@ def _emit_graph(graph, name: str, fmt: str) -> None:
 def _cmd_build(args: argparse.Namespace) -> int:
     G = _group(args.group)
     H = _subgroup(G, args)
-    try:
-        nsb = nsb_power_graph(G, H)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    _emit_graph(nsb.graph, f"{G.name} mod {H.describe()}", args.format)
+    _emit_graph(nsb_power_graph(G, H).graph, f"{G.name} mod {H.describe()}", args.format)
     return EXIT_OK
 
 
@@ -192,10 +174,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     G = _group(args.group)
     H = _subgroup(G, args)
     budgets = _budgets_from_env()
-    try:
-        nsb = nsb_power_graph(G, H)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    nsb = nsb_power_graph(G, H)
     result = inv.compute_invariants(
         nsb.graph, solver_budget=budgets.exact_solver, odd_hole_budget=budgets.odd_hole
     )
@@ -229,10 +208,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             valid = ",".join(t.value for t in TheoremId)
             raise CliError(f"unknown theorem id in {args.theorems!r}; valid ids: {valid}")
         catalog = Catalog(entries=catalog.entries, theorems=wanted, budgets=catalog.budgets)
-    try:
-        report = run_catalog(catalog)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    report = run_catalog(catalog)
     if args.format == "csv":
         sys.stdout.write(report.to_csv())
     else:
@@ -258,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

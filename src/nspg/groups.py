@@ -7,28 +7,38 @@ import itertools
 import math
 import operator
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 MAX_GROUP_ORDER = 256
 MAX_SYMMETRIC_DEGREE = 5
 
+_Built = tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]  # a table and its element labels
+
 
 def euler_phi(n: int) -> int:
-    """Euler totient of n >= 1, by trial-division factorization."""
+    """Euler totient of n >= 1."""
     if n < 1:
         raise ValueError(f"euler_phi requires n >= 1, got {n}")
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result -= result // m
+    for p in _prime_factors(n):
+        result -= result // p
     return result
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division; [] for n < 2."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
 class FiniteGroup:
@@ -175,35 +185,9 @@ class GroupSpec:
     k: int = 0
     factors: tuple["GroupSpec", ...] = ()
 
-    def spec_string(self) -> str:
-        if self.family == "cyclic":
-            return f"Z{self.n}"
-        if self.family == "dihedral":
-            return f"D{self.n}"
-        if self.family == "symmetric":
-            return f"S{self.n}"
-        if self.family == "quaternion8":
-            return "Q8"
-        if self.family == "elementary_abelian":
-            return f"E({self.p},{self.k})"
-        if self.family == "direct_product":
-            return "x".join(f.spec_string() for f in self.factors)
-        raise ValueError(f"unknown family {self.family!r}")
-
     def group_order(self) -> int:
-        if self.family == "cyclic":
-            return self.n
-        if self.family == "dihedral":
-            return 2 * self.n
-        if self.family == "symmetric":
-            return math.factorial(self.n)
-        if self.family == "quaternion8":
-            return 8
-        if self.family == "elementary_abelian":
-            return self.p**self.k
-        if self.family == "direct_product":
-            return math.prod(f.group_order() for f in self.factors)
-        raise ValueError(f"unknown family {self.family!r}")
+        """The order of the described group; raises ValueError on a spec make_group refuses."""
+        return _describe(self)[1]
 
 
 _ATOM_RE = re.compile(r"^(?:(Z|D|S)([0-9]+)|Q8|E\(([0-9]+),([0-9]+)\))$")
@@ -231,74 +215,64 @@ def _parse_atom(text: str) -> GroupSpec:
     return GroupSpec("quaternion8")
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for d in range(2, int(math.isqrt(p)) + 1):
-        if p % d == 0:
-            return False
-    return True
-
-
 def make_group(spec: GroupSpec) -> FiniteGroup:
     """Build the validated group an explicit spec describes; deterministic per spec."""
-    _check_spec(spec)
-    table, labels = _build(spec)
-    return FiniteGroup(spec.spec_string(), table, labels)
+    name, _, build = _describe(spec)
+    return FiniteGroup(name, *build())
 
 
-def _check_spec(spec: GroupSpec) -> None:
-    if spec.family == "cyclic" and spec.n < 1:
-        raise ValueError("cyclic order must be positive")
-    if spec.family == "dihedral" and spec.n < 1:
-        raise ValueError("dihedral parameter must be positive")
-    if spec.family == "symmetric":
-        if spec.n < 1:
+def _describe(spec: GroupSpec) -> tuple[str, int, Callable[[], _Built]]:
+    """Check a spec's parameters; give its canonical name, order and unbuilt table builder.
+
+    This is the one switch over the families. The builder is not called here,
+    so no table is made for a spec past the order budget.
+    """
+    n, p, k = spec.n, spec.p, spec.k
+    if spec.family == "cyclic":
+        if n < 1:
+            raise ValueError("cyclic order must be positive")
+        name, order, build = f"Z{n}", n, lambda: (_cyclic_table(n), tuple(map(str, range(n))))
+    elif spec.family == "dihedral":
+        if n < 1:
+            raise ValueError("dihedral parameter must be positive")
+        name, order, build = f"D{n}", 2 * n, lambda: _build_dihedral(n)
+    elif spec.family == "symmetric":
+        if n < 1:
             raise ValueError("symmetric degree must be positive")
-        if spec.n > MAX_SYMMETRIC_DEGREE:
-            raise ValueError(f"symmetric degree {spec.n} exceeds budget {MAX_SYMMETRIC_DEGREE}")
-    if spec.family == "elementary_abelian":
-        if spec.k < 1:
+        if n > MAX_SYMMETRIC_DEGREE:
+            raise ValueError(f"symmetric degree {n} exceeds budget {MAX_SYMMETRIC_DEGREE}")
+        name, order, build = f"S{n}", math.factorial(n), lambda: _build_symmetric(n)
+    elif spec.family == "quaternion8":
+        name, order, build = "Q8", 8, _build_quaternion
+    elif spec.family == "elementary_abelian":
+        if k < 1:
             raise ValueError("elementary abelian rank must be positive")
         # Bounded before the primality test and p**k, which stall on a huge p or k;
         # p**k >= 2**k exceeds the budget once k reaches its bit length.
-        if spec.p > MAX_GROUP_ORDER or (spec.p > 1 and spec.k >= MAX_GROUP_ORDER.bit_length()):
+        if p > MAX_GROUP_ORDER or (p > 1 and k >= MAX_GROUP_ORDER.bit_length()):
             raise ValueError(f"elementary abelian group order exceeds budget {MAX_GROUP_ORDER}")
-        if not _is_prime(spec.p):
-            raise ValueError(f"elementary abelian base {spec.p} is not prime")
-    if spec.family == "direct_product":
+        if _prime_factors(p) != [p]:
+            raise ValueError(f"elementary abelian base {p} is not prime")
+        name, order, build = f"E({p},{k})", p**k, lambda: _build_elementary_abelian(p, k)
+    elif spec.family == "direct_product":
         if len(spec.factors) < 2:
             raise ValueError("direct product needs at least two factors")
-        for f in spec.factors:
-            _check_spec(f)
+        parts = [_describe(f) for f in spec.factors]  # every factor checked before the product
         order = 1
-        for f in spec.factors:  # stops at the first partial order past the budget
-            order *= f.group_order()
+        for _, factor_order, _ in parts:  # stops at the first partial order past the budget
+            order *= factor_order
             if order > MAX_GROUP_ORDER:
                 break
+        name = "x".join(part[0] for part in parts)
+        build = lambda: _build_product([part[2]() for part in parts])
     else:
-        order = spec.group_order()
+        raise ValueError(f"unknown family {spec.family!r}")
     if order > MAX_GROUP_ORDER:
         raise ValueError(f"group order {order} exceeds budget {MAX_GROUP_ORDER}")
+    return name, order, build
 
 
-def _build(spec: GroupSpec) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
-    if spec.family == "cyclic":
-        return _cyclic_table(spec.n), tuple(str(i) for i in range(spec.n))
-    if spec.family == "dihedral":
-        return _build_dihedral(spec.n)
-    if spec.family == "symmetric":
-        return _build_symmetric(spec.n)
-    if spec.family == "quaternion8":
-        return _build_quaternion()
-    if spec.family == "elementary_abelian":
-        return _build_elementary_abelian(spec.p, spec.k)
-    if spec.family == "direct_product":
-        return _build_product([_build(f) for f in spec.factors])
-    raise ValueError(f"unknown family {spec.family!r}")
-
-
-def _build_dihedral(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
+def _build_dihedral(n: int) -> _Built:
     # Index f*n + j encodes s^f r^j; rotations occupy 0..n-1, reflections n..2n-1.
     # Row r^i holds r^(i+j), then s r^(j-i); row s r^i holds s r^(i+j), then r^(j-i).
     rot, ref = tuple(range(n)), tuple(range(n, 2 * n))
@@ -309,7 +283,7 @@ def _build_dihedral(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...
     return table, labels
 
 
-def _build_symmetric(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
+def _build_symmetric(n: int) -> _Built:
     perms = list(itertools.permutations(range(n)))  # lexicographic, identity first
     labels = tuple("".join(str(v) for v in p) for p in perms)
     if n == 1:  # itemgetter of one index returns a scalar, not a 1-tuple
@@ -320,7 +294,7 @@ def _build_symmetric(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ..
     return tuple(zip(*columns)), labels
 
 
-def _build_quaternion() -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
+def _build_quaternion() -> _Built:
     # Index 2*unit + sign over the units 1, i, j, k, each a signed basis 4-vector.
     units = [tuple(sign * (d == u) for d in range(4)) for u in range(4) for sign in (1, -1)]
     index = {q: i for i, q in enumerate(units)}
@@ -339,16 +313,14 @@ def _build_quaternion() -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
     return table, ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
 
 
-def _build_elementary_abelian(p: int, k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
+def _build_elementary_abelian(p: int, k: int) -> _Built:
     # Index x has the base-p digits of x, most significant first, as coordinates.
     table = functools.reduce(_product_table, [_cyclic_table(p)] * k)
     labels = tuple("".join(d) for d in itertools.product([str(v) for v in range(p)], repeat=k))
     return table, labels
 
 
-def _build_product(
-    children: list[tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]],
-) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
+def _build_product(children: list[_Built]) -> _Built:
     # Mixed radix over the factors, the first factor most significant.
     table = functools.reduce(_product_table, [t for t, _ in children])
     labels = tuple(
@@ -384,7 +356,10 @@ def _table_entry(v) -> int:
 
 def from_cayley_table(table, name: str = "custom", labels=None) -> FiniteGroup:
     """Validate an arbitrary square index table as a group, renumbering so the identity is 0."""
-    rows = tuple(tuple(_table_entry(v) for v in row) for row in table)
+    try:
+        rows = tuple(tuple(map(_table_entry, row)) for row in table)
+    except TypeError:  # the table or a row is not iterable: refused below as empty
+        rows = ()
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("Cayley table must be a non-empty square array")

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .groups import FiniteGroup, generate
+from .groups import FiniteGroup, _prime_factors, generate
 
 # all_normal_subgroups refuses a group with more normal subgroups than this.
 MAX_NORMAL_SUBGROUPS = 4096
@@ -233,8 +233,9 @@ def recognize(Q: FiniteGroup) -> StructureFlags:
     n = Q.order
     orders = [Q.element_order(a) for a in Q.elements()]
     cyclic = any(o == n for o in orders)
-    p = _prime_power_base(n)
-    p_group = p is not None
+    primes = _prime_factors(n)
+    p_group = len(primes) == 1
+    p = primes[0] if p_group else None
     elem_ab_2 = all(o == 2 for o in orders[1:])
     return StructureFlags(
         is_cyclic=cyclic,
@@ -244,15 +245,3 @@ def recognize(Q: FiniteGroup) -> StructureFlags:
         is_elementary_abelian_2=elem_ab_2,
     )
 
-
-def _prime_power_base(n: int) -> int | None:
-    if n < 2:
-        return None
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return p if n == 1 else None
-        p += 1
-    return n

@@ -95,6 +95,30 @@ def brute_vertex_connectivity(g: SimpleGraph) -> int:
 
 
 def brute_hamiltonian_exists(g: SimpleGraph) -> bool:
+    """Held-Karp over vertex subsets, O(2^n n^2).
+
+    ends[S] is the mask of vertices v such that some path from vertex 0 visits
+    exactly the vertex set S and stops at v. A Hamiltonian cycle exists iff a
+    path over all vertices stops at a neighbour of vertex 0.
+    """
+    n = g.vertex_count
+    if n < 3:
+        return False
+    adj = [sum(1 << v for v in range(n) if g.has_edge(u, v)) for u in range(n)]
+    ends = [0] * (1 << n)
+    ends[1] = 1
+    for visited in range(1, 1 << n, 2):  # only sets that contain vertex 0
+        for v in range(n):
+            if ends[visited] >> v & 1:
+                fresh = adj[v] & ~visited
+                while fresh:
+                    w = fresh & -fresh
+                    ends[visited | w] |= w
+                    fresh ^= w
+    return ends[(1 << n) - 1] & adj[0] != 0
+
+
+def brute_hamiltonian_by_permutations(g: SimpleGraph) -> bool:
     """Scan all permutations with a fixed start vertex."""
     n = g.vertex_count
     if n < 3:

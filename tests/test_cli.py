@@ -104,6 +104,29 @@ def test_whole_group_selector_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("build", "Z4", "--subgroup", "x"), "invalid literal for int() with base 10: 'x'"),
+        (("analyze", "Z4", "--subgroup", "-1"), "generator index out of range"),
+        (("analyze", "Z4", "--subgroup-index", "7"), "subgroup index 7 out of range; Z4 has 3 normal subgroups"),
+        (("list-normal-subgroups", "E(4,2)"), "elementary abelian base 4 is not prime"),
+        (("power-graph", "Z0"), "cyclic order must be positive"),
+    ],
+)
+def test_library_errors_exit_2_with_their_message(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_verify_reports_a_catalog_group_past_the_budget(capsys, tmp_path):
+    # The file parses; the spec is refused when run_catalog resolves the catalog's groups.
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"instances": [{"group": "Z257", "subgroups": ["0"]}]}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--catalog", str(path))
+    assert (code, out, err) == (2, "", "error: group order 257 exceeds budget 256\n")
+
+
 def test_analyze_json_anchor_values(capsys):
     code, out, _ = run_cli(capsys, "analyze", "Z6", "--subgroup", "3")
     assert code == 0

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from nspg.groups import (
     FiniteGroup,
+    GroupSpec,
     euler_phi,
     from_cayley_table,
     make_group,
     parse_group_spec,
 )
+from nspg.harness import DEFAULT_CATALOG_GROUPS
 from oracles import (
     build_dihedral_brute,
     build_elementary_abelian_brute,
@@ -19,6 +21,7 @@ from oracles import (
     build_quaternion_brute,
     build_symmetric_brute,
     cyclic_table_brute,
+    divisor_count,
     element_power,
     is_associative_brute,
     order_by_iteration,
@@ -103,14 +106,59 @@ def test_row_built_tables_match_per_entry_builder(text):
     assert (G.table, G.labels) == _build_brute(parse_group_spec(text))
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["E(2,1)", "E(2,8)", "E(11,2)", "E(3,4)", "Z1xZ5", "Z2xZ4", "Z2xZ2xZ2xZ2xZ2", "Z3xE(2,2)xQ8",
-     "Q8xQ8", "S5xZ2", "D4xS3"],
-)
+FOLDED_SPECS = ["E(2,1)", "E(2,8)", "E(11,2)", "E(3,4)", "Z1xZ5", "Z2xZ4", "Z2xZ2xZ2xZ2xZ2",
+                "Z3xE(2,2)xQ8", "Q8xQ8", "S5xZ2", "D4xS3"]
+
+
+@pytest.mark.parametrize("text", FOLDED_SPECS)
 def test_folded_product_tables_match_per_entry_builder(text):
     G = grp(text)
     assert (G.table, G.labels) == _build_brute(parse_group_spec(text))
+
+
+@pytest.mark.parametrize("text", FOLDED_SPECS)
+def test_group_order_matches_the_built_group(text):
+    assert parse_group_spec(text).group_order() == grp(text).order
+
+
+def test_catalog_specs_are_their_own_canonical_names():
+    for text in DEFAULT_CATALOG_GROUPS:
+        assert grp(text).name == text
+
+
+@pytest.mark.parametrize("text, name", [("Z012", "Z12"), ("E(02,3)", "E(2,3)"), ("Z02xQ8", "Z2xQ8")])
+def test_leading_zeros_normalise_in_the_name(text, name):
+    assert grp(text).name == name
+
+
+def test_elementary_abelian_base_must_be_prime():
+    for p in range(257):
+        spec = parse_group_spec(f"E({p},1)")
+        if divisor_count(p) == 2:
+            assert make_group(spec).order == p
+        else:
+            with pytest.raises(ValueError, match=f"^elementary abelian base {p} is not prime$"):
+                make_group(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (GroupSpec("cyclic", n=0), "cyclic order must be positive"),
+        (
+            GroupSpec("direct_product", factors=(GroupSpec("cyclic", n=2),)),
+            "direct product needs at least two factors",
+        ),
+        (GroupSpec("bogus"), "unknown family 'bogus'"),
+        (parse_group_spec("E(3,200000000)"), "elementary abelian group order exceeds budget 256"),
+        (parse_group_spec("Z2xZ257"), "group order 257 exceeds budget 256"),
+    ],
+)
+def test_refused_specs_have_no_order(spec, message):
+    # group_order() checks the spec as make_group does: E(3,200000000) must not compute 3**200000000.
+    for call in (make_group, GroupSpec.group_order):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(spec)
 
 
 def test_make_group_is_deterministic():
@@ -278,6 +326,12 @@ def test_from_cayley_table_rejects_non_integer_entries(entry):
     # int() would truncate 1.9 into a valid Z2 table and accept the string "1".
     with pytest.raises(ValueError, match=f"^table entries must be integers, got {re.escape(repr(entry))}$"):
         from_cayley_table([[0, entry], [1, 0]])
+
+
+@pytest.mark.parametrize("table", [[0, 1], [[0, 1], 5], None])
+def test_from_cayley_table_rejects_non_sequences(table):
+    with pytest.raises(ValueError, match="^Cayley table must be a non-empty square array$"):
+        from_cayley_table(table)
 
 
 def test_cyclic_subgroup_checks_the_index_range():

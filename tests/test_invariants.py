@@ -13,6 +13,7 @@ from oracles import (
     brute_chromatic_number,
     brute_clique_number,
     brute_girth,
+    brute_hamiltonian_by_permutations,
     brute_hamiltonian_exists,
     brute_is_perfect,
     brute_is_planar,
@@ -522,6 +523,18 @@ def test_power_graphs_of_cyclic_groups_are_hamiltonian():
     for n in range(3, 13):
         cycle = inv.hamiltonian_cycle(power_graph(grp(f"Z{n}")))
         assert cycle is not None
+
+
+def test_hamiltonian_oracles_agree():
+    # The subset DP against the permutation scan it replaced as the oracle.
+    rng = random.Random(1973)
+    outcomes = set()
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 8), rng.choice([0.3, 0.5, 0.7, 0.9]))
+        found = brute_hamiltonian_exists(g)
+        assert found == brute_hamiltonian_by_permutations(g)
+        outcomes.add(found)
+    assert outcomes == {True, False}
 
 
 def test_hamiltonian_witness_is_valid():

@@ -311,6 +311,14 @@ def test_recognize_flags():
     assert recognize(grp("E(2,3)")).is_elementary_abelian_2
 
 
+def test_recognize_finds_the_prime_of_prime_power_orders():
+    for n in range(1, 65):
+        primes = [d for d in range(2, n + 1) if n % d == 0 and divisor_count(d) == 2]
+        flags = recognize(grp(f"Z{n}"))
+        assert flags.is_p_group == (len(primes) == 1)
+        assert flags.p == (primes[0] if len(primes) == 1 else None)
+
+
 def test_recognize_through_trivial_quotient_agrees():
     for text in ["Z6", "Z8", "D4", "Q8", "S3", "Z2xZ2"]:
         G = grp(text)
