@@ -36,18 +36,15 @@ from .harness import (
     default_catalog,
     parse_catalog_json,
     run_catalog,
+    select_subgroup,
 )
 from .power_graphs import graph_to_dot, graph_to_json, nsb_power_graph, power_graph
-from .subgroups import SubgroupSet, all_normal_subgroups, generated_subgroup
+from .subgroups import SubgroupSet, all_normal_subgroups
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-
-class CliError(Exception):
-    """User-facing CLI failure; message goes to stderr, exit status 2, as for any ValueError."""
 
 
 def _budgets_from_env() -> Budgets:
@@ -59,7 +56,7 @@ def _budgets_from_env() -> Budgets:
         if value < 1:
             raise ValueError
     except ValueError:
-        raise CliError(f"NSPG_BUDGET must be a positive integer, got {raw!r}")
+        raise ValueError(f"NSPG_BUDGET must be a positive integer, got {raw!r}")
     return Budgets(exact_solver=value)
 
 
@@ -69,16 +66,12 @@ def _group(spec_text: str) -> FiniteGroup:
 
 def _subgroup(G: FiniteGroup, args: argparse.Namespace) -> SubgroupSet:
     if args.subgroup is not None:
-        H = generated_subgroup(G, [int(tok) for tok in args.subgroup.split(",") if tok != ""])
-    else:
-        subs = all_normal_subgroups(G)
-        idx = args.subgroup_index
-        if not 0 <= idx < len(subs):
-            raise CliError(f"subgroup index {idx} out of range; {G.name} has {len(subs)} normal subgroups")
-        H = subs[idx]
-    if not H.is_normal:
-        raise CliError(f"subgroup {H.describe()} is not normal in {G.name}")
-    return H
+        return select_subgroup(G, args.subgroup)
+    subs = all_normal_subgroups(G)
+    idx = args.subgroup_index
+    if not 0 <= idx < len(subs):
+        raise ValueError(f"subgroup index {idx} out of range; {G.name} has {len(subs)} normal subgroups")
+    return subs[idx]
 
 
 def _add_subgroup_flags(p: argparse.ArgumentParser) -> None:
@@ -198,7 +191,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             with open(args.catalog, "r", encoding="utf-8") as fh:
                 catalog = parse_catalog_json(fh.read(), budgets)
         except (OSError, ValueError, KeyError) as exc:
-            raise CliError(f"cannot load catalog: {exc}")
+            raise ValueError(f"cannot load catalog: {exc}")
     else:
         catalog = default_catalog(budgets)
     if args.theorems:
@@ -206,7 +199,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             wanted = tuple(TheoremId(tok) for tok in args.theorems.split(","))
         except ValueError:
             valid = ",".join(t.value for t in TheoremId)
-            raise CliError(f"unknown theorem id in {args.theorems!r}; valid ids: {valid}")
+            raise ValueError(f"unknown theorem id in {args.theorems!r}; valid ids: {valid}")
         catalog = Catalog(entries=catalog.entries, theorems=wanted, budgets=catalog.budgets)
     report = run_catalog(catalog)
     if args.format == "csv":
@@ -234,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -75,30 +75,26 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self._inverse[a]
 
-    def element_order(self, a: int) -> int:
-        """Least k >= 1 with a**k equal to the identity."""
+    def powers(self, a: int) -> list[int]:
+        """a, a**2, ... up to the first power equal to the identity: as many as a's order."""
         if not 0 <= a < self.order:
             raise ValueError(f"element index {a} out of range for group of order {self.order}")
-        x = a
-        k = 1
-        while x != 0:
-            x = self.table[x][a]
-            k += 1
-        return k
+        table, out, x = self.table, [a], a
+        while x:
+            x = table[x][a]
+            out.append(x)
+        return out
+
+    def element_order(self, a: int) -> int:
+        """Least k >= 1 with a**k equal to the identity."""
+        return len(self.powers(a))
 
     def elements(self) -> range:
         return range(self.order)
 
     def cyclic_subgroup(self, a: int) -> frozenset[int]:
         """The subgroup generated by a single element, as an index set."""
-        if not 0 <= a < self.order:
-            raise ValueError(f"element index {a} out of range for group of order {self.order}")
-        out = {0}
-        x = a
-        while x != 0:
-            out.add(x)
-            x = self.table[x][a]
-        return frozenset(out)
+        return frozenset(self.powers(a))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FiniteGroup) and self.table == other.table and self.labels == other.labels

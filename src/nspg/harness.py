@@ -112,13 +112,20 @@ def parse_catalog_json(text: str, budgets: Budgets = Budgets()) -> Catalog:
     if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
         raise ValueError("catalog 'instances' must be a list of objects")
     entries = []
-    for item in items:
+    for i, item in enumerate(items):
+        if "group" not in item:
+            raise ValueError(f"instance {i} has no 'group'")
+        group = str(item["group"])
+        try:
+            parse_group_spec(group).group_order()
+        except ValueError as exc:
+            raise ValueError(f"instance {i} ({group}): {exc}") from None
         subs = item.get("subgroups", "all-normal")
         if subs != "all-normal":
             if not isinstance(subs, list):
                 raise ValueError(f"'subgroups' must be \"all-normal\" or a list, got {subs!r}")
             subs = tuple(str(s) for s in subs)
-        entries.append(CatalogEntry(str(item["group"]), subs))
+        entries.append(CatalogEntry(group, subs))
     names = data.get("theorems", [])
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ValueError(f"'theorems' must be a list of strings, got {names!r}")
@@ -137,16 +144,27 @@ def resolve_catalog(cat: Catalog) -> list[tuple[FiniteGroup, SubgroupSet]]:
                     out.append((G, H))
         else:
             for selector in entry.subgroups:
-                gens = [int(tok) for tok in selector.split(",") if tok != ""]
-                H = generated_subgroup(G, gens)
-                if not H.is_normal:
-                    raise ValueError(
-                        f"selector {selector!r} generates a non-normal subgroup of {entry.group}"
-                    )
-                if H.order == G.order:
-                    raise ValueError(f"selector {selector!r} generates all of {entry.group}")
-                out.append((G, H))
+                out.append((G, select_subgroup(G, selector)))
     return out
+
+
+def select_subgroup(G: FiniteGroup, selector: str) -> SubgroupSet:
+    """The proper normal subgroup of G generated by a selector such as "1,4" (the
+    comma-separated element indices of --subgroup and of catalog files; "" gives {e})."""
+    try:
+        gens = [int(tok) for tok in selector.split(",") if tok != ""]
+    except ValueError:
+        raise ValueError(
+            f"selector {selector!r} is not a comma-separated list of element indices"
+        ) from None
+    H = generated_subgroup(G, gens)
+    if not H.is_normal:
+        raise ValueError(
+            f"selector {selector!r} generates {H.describe()}, which is not normal in {G.name}"
+        )
+    if H.order == G.order:
+        raise ValueError(f"selector {selector!r} generates all of {G.name}")
+    return H
 
 
 class InstanceContext:

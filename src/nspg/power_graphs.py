@@ -100,7 +100,7 @@ class NSBPowerGraph:
 
 def power_graph(G: FiniteGroup) -> SimpleGraph:
     """Undirected power graph of G: distinct u, v adjacent iff one is a power of the other."""
-    powers = [G.cyclic_subgroup(a) for a in G.elements()]
+    powers = [G.powers(a) for a in G.elements()]
     return SimpleGraph._from_rows(G.labels, _power_rows(range(G.order), powers, G.order))
 
 
@@ -155,14 +155,7 @@ def nsb_power_graph(G: FiniteGroup, H: SubgroupSet) -> NSBPowerGraph:
     coset = _coset_partition(G.table, H.elements)
     members = set(H.elements)
     vertex_element = (0,) + tuple(a for a in G.elements() if a not in members)
-    powers = []
-    for a in vertex_element:
-        seen = {coset[0]}
-        x = a
-        while x != 0:
-            seen.add(coset[x])
-            x = G.table[x][a]
-        powers.append(seen)
+    powers = [{coset[x] for x in G.powers(a)} for a in vertex_element]
     coset_of = tuple(coset[a] for a in vertex_element)
     labels = tuple(G.labels[a] for a in vertex_element)
     rows = _power_rows(coset_of, powers, G.order // H.order)

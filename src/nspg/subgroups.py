@@ -118,11 +118,9 @@ def all_normal_subgroups(G: FiniteGroup) -> list[SubgroupSet]:
         closures.setdefault(sum(map(bit.__getitem__, generate(table, conj)[1])), g)
         order = G.element_order(g)
         for c in conj:
-            x, k = table[c][c], 2
-            while x:
+            for k, x in enumerate(G.powers(c), 1):
                 if gcd(k, order) == 1:
                     done[x] = 1
-                x, k = table[x][c], k + 1
     found = [1]  # {e}: bit 0 is the identity
     seen = set(found)
     for N in found:  # the list grows while it is walked: breadth-first

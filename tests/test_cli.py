@@ -107,11 +107,14 @@ def test_whole_group_selector_exits_2(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("build", "Z4", "--subgroup", "x"), "invalid literal for int() with base 10: 'x'"),
+        (("build", "Z4", "--subgroup", "x"), "selector 'x' is not a comma-separated list of element indices"),
         (("analyze", "Z4", "--subgroup", "-1"), "generator index out of range"),
         (("analyze", "Z4", "--subgroup-index", "7"), "subgroup index 7 out of range; Z4 has 3 normal subgroups"),
         (("list-normal-subgroups", "E(4,2)"), "elementary abelian base 4 is not prime"),
         (("power-graph", "Z0"), "cyclic order must be positive"),
+        (("analyze", "Z4", "--subgroup", "x"), "selector 'x' is not a comma-separated list of element indices"),
+        (("build", "S3", "--subgroup", "1"), "selector '1' generates <1>, which is not normal in S3"),
+        (("build", "Z4", "--subgroup", "1"), "selector '1' generates all of Z4"),
     ],
 )
 def test_library_errors_exit_2_with_their_message(capsys, argv, message):
@@ -120,11 +123,38 @@ def test_library_errors_exit_2_with_their_message(capsys, argv, message):
 
 
 def test_verify_reports_a_catalog_group_past_the_budget(capsys, tmp_path):
-    # The file parses; the spec is refused when run_catalog resolves the catalog's groups.
+    # The loader checks every entry's spec, so the refusal names the entry and is a load error.
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps({"instances": [{"group": "Z257", "subgroups": ["0"]}]}), encoding="utf-8")
     code, out, err = run_cli(capsys, "verify", "--catalog", str(path))
-    assert (code, out, err) == (2, "", "error: group order 257 exceeds budget 256\n")
+    assert (code, out, err) == (
+        2, "", "error: cannot load catalog: instance 0 (Z257): group order 257 exceeds budget 256\n"
+    )
+
+
+def test_verify_checks_every_catalog_spec_before_building_a_group(capsys, tmp_path, monkeypatch):
+    import nspg.harness
+
+    def refuse(spec):
+        raise AssertionError(f"built {spec} before the catalog was checked")
+
+    monkeypatch.setattr(nspg.harness, "make_group", refuse)
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"instances": [{"group": "Z4"}, {"group": "Z257"}]}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--catalog", str(path))
+    assert (code, out, err) == (
+        2, "", "error: cannot load catalog: instance 1 (Z257): group order 257 exceeds budget 256\n"
+    )
+
+
+@pytest.mark.parametrize("group, selector", [("Z4", "x"), ("S3", "1"), ("Z4", "1"), ("Z4", "-1")])
+def test_catalog_selectors_fail_as_build_does(capsys, tmp_path, group, selector):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"instances": [{"group": group, "subgroups": [selector]}]}), encoding="utf-8")
+    by_catalog = run_cli(capsys, "verify", "--catalog", str(path))
+    by_build = run_cli(capsys, "build", group, "--subgroup", selector)
+    assert by_catalog == by_build
+    assert by_build[0] == 2 and by_build[1] == "" and by_build[2].startswith("error: ")
 
 
 def test_analyze_json_anchor_values(capsys):
@@ -260,6 +290,7 @@ def test_verify_with_missing_catalog_exits_2(capsys, tmp_path):
         ({"instances": ["Z4"]}, "list of objects"),
         ({"instances": [{"group": "Z12", "subgroups": "12"}]}, "all-normal"),
         ({"instances": [{"group": "Z4"}], "theorems": "EDGES_6_1"}, "'theorems'"),
+        ({"instances": [{"subgroups": "all-normal"}]}, "instance 0 has no 'group'"),
     ],
 )
 def test_verify_with_malformed_catalog_exits_2(capsys, tmp_path, catalog, message):

@@ -339,8 +339,19 @@ def test_cyclic_subgroup_checks_the_index_range():
     assert G.cyclic_subgroup(0) == frozenset({0})
     assert G.cyclic_subgroup(3) == frozenset({0, 1, 2, 3})
     for a in (-1, 4):
-        with pytest.raises(ValueError, match=f"^element index {a} out of range for group of order 4$"):
-            G.cyclic_subgroup(a)
+        for method in (G.powers, G.element_order, G.cyclic_subgroup):
+            with pytest.raises(ValueError, match=f"^element index {a} out of range for group of order 4$"):
+                method(a)
+
+
+@pytest.mark.parametrize("text", ["Z12", "D6", "S4", "Q8", "E(3,2)", "Z2xQ8"])
+def test_powers_walk_to_the_first_identity(text):
+    G = grp(text)
+    for a in G.elements():
+        walk = G.powers(a)
+        assert len(walk) == order_by_iteration(G.table, a)
+        assert walk == [element_power(G, a, k) for k in range(1, len(walk) + 1)]
+        assert walk[-1] == 0 and 0 not in walk[:-1]
 
 
 def test_order_budgets_keep_their_messages():
