@@ -32,11 +32,11 @@ from .harness import (
     Budgets,
     Catalog,
     DEFAULT_CATALOG_GROUPS,
-    TheoremId,
     default_catalog,
     parse_catalog_json,
     run_catalog,
     select_subgroup,
+    theorem_ids,
 )
 from .power_graphs import graph_to_dot, graph_to_json, nsb_power_graph, power_graph
 from .subgroups import SubgroupSet, all_normal_subgroups
@@ -190,16 +190,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         try:
             with open(args.catalog, "r", encoding="utf-8") as fh:
                 catalog = parse_catalog_json(fh.read(), budgets)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             raise ValueError(f"cannot load catalog: {exc}")
     else:
         catalog = default_catalog(budgets)
     if args.theorems:
-        try:
-            wanted = tuple(TheoremId(tok) for tok in args.theorems.split(","))
-        except ValueError:
-            valid = ",".join(t.value for t in TheoremId)
-            raise ValueError(f"unknown theorem id in {args.theorems!r}; valid ids: {valid}")
+        wanted = theorem_ids(args.theorems.split(","))
         catalog = Catalog(entries=catalog.entries, theorems=wanted, budgets=catalog.budgets)
     report = run_catalog(catalog)
     if args.format == "csv":

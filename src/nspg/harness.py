@@ -108,6 +108,8 @@ def parse_catalog_json(text: str, budgets: Budgets = Budgets()) -> Catalog:
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("catalog must be a JSON object")
+    if "instances" not in data:
+        raise ValueError("missing 'instances'")
     items = data["instances"]
     if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
         raise ValueError("catalog 'instances' must be a list of objects")
@@ -129,8 +131,17 @@ def parse_catalog_json(text: str, budgets: Budgets = Budgets()) -> Catalog:
     names = data.get("theorems", [])
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ValueError(f"'theorems' must be a list of strings, got {names!r}")
-    theorems = tuple(TheoremId(n) for n in names) if names else tuple(TheoremId)
+    theorems = theorem_ids(names) if names else tuple(TheoremId)
     return Catalog(entries=tuple(entries), theorems=theorems, budgets=budgets)
+
+
+def theorem_ids(names) -> tuple[TheoremId, ...]:
+    """The theorems named, as --theorems and a catalog's "theorems" list give them."""
+    valid = [t.value for t in TheoremId]
+    for name in names:
+        if name not in valid:
+            raise ValueError(f"unknown theorem id {name!r}; valid ids: {','.join(valid)}")
+    return tuple(TheoremId(name) for name in names)
 
 
 def resolve_catalog(cat: Catalog) -> list[tuple[FiniteGroup, SubgroupSet]]:

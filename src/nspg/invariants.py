@@ -34,16 +34,19 @@ def degree_sequence(g: SimpleGraph) -> tuple[int, ...]:
     return tuple(sorted((g.degree(u) for u in range(g.vertex_count)), reverse=True))
 
 
+def _layers(rows: tuple[int, ...], mask: int, start: int):
+    """Breadth-first layers from start through mask, as vertex masks: {start}
+    first, then each layer's neighbours in mask not yet reached."""
+    layer = seen = 1 << start
+    while layer:
+        yield layer
+        layer = reduce(or_, (rows[u] for u in _bits(layer))) & mask & ~seen
+        seen |= layer
+
+
 def _reach(rows: tuple[int, ...], mask: int, start: int) -> int:
     """The vertices reached from start through mask alone, start included."""
-    seen = 1 << start
-    queue = [start]
-    while queue:
-        u = queue.pop()
-        fresh = rows[u] & mask & ~seen
-        seen |= fresh
-        queue.extend(_bits(fresh))
-    return seen
+    return reduce(or_, _layers(rows, mask, start))
 
 
 def _mask_connected(rows: tuple[int, ...], mask: int, start: int) -> bool:
@@ -66,21 +69,15 @@ def is_regular(g: SimpleGraph) -> bool:
 
 
 def is_bipartite(g: SimpleGraph) -> bool:
-    n = g.vertex_count
-    color = [-1] * n
-    for s in range(n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in g.neighbors(u):
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return False
+    """No edge inside a breadth-first layer of any component; edges of such a
+    search only join a layer to itself or to the next one."""
+    rows = g.rows
+    unseen = (1 << g.vertex_count) - 1
+    while unseen:
+        for layer in _layers(rows, unseen, (unseen & -unseen).bit_length() - 1):
+            unseen &= ~layer
+            if any(rows[u] & layer for u in _bits(layer)):
+                return False
     return True
 
 
@@ -94,37 +91,40 @@ def is_eulerian(g: SimpleGraph) -> bool:
 
 
 def girth(g: SimpleGraph) -> int | None:
-    """Length of a shortest cycle via per-vertex breadth-first search; None if acyclic.
+    """Length of a shortest cycle from breadth-first layers; None if acyclic.
 
-    Girth is at least 3, so the first triangle a non-tree edge closes ends it.
-    A search meeting no non-tree edge covered a tree component: skip its other vertices.
+    From a root s, a vertex of layer k with two neighbours in layer k-1 closes
+    a walk of length 2k through s, and an edge inside layer k closes one of
+    length 2k+1. Either walk holds a cycle no longer than itself. From a vertex
+    of a shortest cycle of length c, the cycle's far vertex (c even) or far
+    edge (c odd) lies in layer c // 2, so the least such walk over all roots is
+    the girth. A root stops at its first walk, or once 2k reaches the best
+    length so far. A root that finds no walk spans a tree component: skip its
+    other vertices.
     """
-    n = g.vertex_count
+    rows = g.rows
+    full = (1 << g.vertex_count) - 1
     best: int | None = None
-    in_trees: set[int] = set()
-    for s in range(n):
-        if s in in_trees:
+    in_trees = 0
+    for s in range(g.vertex_count):
+        if (in_trees >> s) & 1:
             continue
-        dist = {s: 0}
-        parent = {s: -1}
-        queue = deque([s])
-        acyclic = True
-        while queue:
-            u = queue.popleft()
-            for v in g.neighbors(u):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    queue.append(v)
-                elif parent[u] != v:
-                    acyclic = False
-                    length = dist[u] + dist[v] + 1
-                    if length == 3:
-                        return 3
-                    if best is None or length < best:
-                        best = length
-        if acyclic:
-            in_trees.update(dist)
+        above = reached = 0
+        for k, layer in enumerate(_layers(rows, full, s)):
+            if best is not None and 2 * k >= best:
+                break
+            if any((rows[v] & above).bit_count() > 1 for v in _bits(layer)):
+                best = 2 * k
+                break
+            if any(rows[u] & layer for u in _bits(layer)):
+                if k == 1:
+                    return 3
+                best = 2 * k + 1
+                break
+            above = layer
+            reached |= layer
+        else:
+            in_trees |= reached
     return best
 
 
@@ -182,8 +182,6 @@ def _k_colorable(g: SimpleGraph, k: int, clique: tuple[int, ...]) -> list[int] |
         colors[v] = c
         for w in g.neighbors(v):
             sat[w] |= 1 << c
-    if any(colors[v] == -1 and (sat[v] & full) == full for v in range(n)):
-        return None
 
     def pick() -> int:
         return max(
@@ -517,11 +515,9 @@ def hamiltonian_cycle(
     if n < 3:
         return None
     rows = g.rows
-    if any(rows[u].bit_count() < 2 for u in range(n)):
+    if rows[0].bit_count() < 2:  # solve(0, 1) checks every other degree and the connectivity
         return None
     full = (1 << n) - 1
-    if not _mask_connected(rows, full, 0):
-        return None
     nbr_order = [
         sorted(_bits(rows[u]), key=lambda v: (rows[v].bit_count(), v)) for u in range(n)
     ]

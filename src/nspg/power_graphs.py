@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .groups import FiniteGroup, euler_phi
 from .subgroups import QuotientGroup, SubgroupSet, _bits, _coset_partition
@@ -165,36 +167,27 @@ def nsb_power_graph(G: FiniteGroup, H: SubgroupSet) -> NSBPowerGraph:
 def expand_quotient_graph(Q: QuotientGroup, H: SubgroupSet) -> NSBPowerGraph:
     """Independent construction: build the quotient's power graph, then blow up cosets.
 
-    Every non-identity coset becomes a clique of |H| vertices, vertices in
-    distinct non-identity cosets are joined iff their cosets are adjacent in
-    the quotient's power graph, and the identity vertex is joined to all.
+    blocks[c] holds the vertices in coset c and lifted[c] ORs the blocks of c
+    and of its neighbours in the quotient's power graph, so every non-identity
+    coset becomes a clique of |H| vertices joined to the cosets the quotient
+    joins it to. Coset 0's block is the identity vertex alone, and the
+    quotient's identity is joined to every coset, so that vertex is joined to all.
     """
     if Q.subgroup.elements != H.elements or Q.parent.table != H.parent.table:
         raise ValueError("quotient was not built from this subgroup")
     G = Q.parent
     _check_nsb_inputs(G, H)
-    qpg = power_graph(Q.group)
+    qrows = power_graph(Q.group).rows
     members = set(H.elements)
     vertex_element = (0,) + tuple(a for a in G.elements() if a not in members)
     coset_of = tuple(Q.projection[a] for a in vertex_element)
-    n = len(vertex_element)
-    edges = []
-    for j in range(1, n):
-        edges.append((0, j))  # identity dominates
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            ci, cj = coset_of[i], coset_of[j]
-            if ci == cj:
-                edges.append((i, j))  # coset clique
-            elif qpg.has_edge(ci, cj):
-                edges.append((i, j))  # lifted quotient adjacency
+    blocks = [0] * len(qrows)
+    for i, c in enumerate(coset_of):
+        blocks[c] |= 1 << i
+    lifted = [reduce(or_, (blocks[d] for d in _bits(row | 1 << c))) for c, row in enumerate(qrows)]
+    rows = [lifted[c] & ~(1 << i) for i, c in enumerate(coset_of)]
     labels = tuple(G.labels[a] for a in vertex_element)
-    graph = SimpleGraph(labels, edges)
-    return NSBPowerGraph(
-        graph=graph,
-        vertex_element=vertex_element,
-        coset_of=coset_of,
-    )
+    return NSBPowerGraph(SimpleGraph._from_rows(labels, rows), vertex_element, coset_of)
 
 
 def graph_to_json_obj(graph: SimpleGraph) -> dict:

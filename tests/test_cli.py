@@ -255,6 +255,17 @@ def test_verify_unknown_theorem_exits_2(capsys):
     assert "valid ids" in err
 
 
+def test_verify_names_the_unknown_theorem_id(capsys):
+    code, out, err = run_cli(capsys, "verify", "--theorems", "EDGES_6_1,BOGUS")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: unknown theorem id 'BOGUS'; valid ids: COMPLETE_3_1,CAYLEY_3_3,DEGREE_4_1,"
+        "EULERIAN_4_2,HAMILTONIAN_4_4,GIRTH_5_3,BIPARTITE_TREE_5_2,PLANAR_5_4,EDGES_6_1,"
+        "CLIQUE_6_4,PERFECT_6_5,CHROMATIC_6_6,KAPPA_6_7\n"
+    )
+
+
 def test_verify_json_summary(capsys):
     code, out, _ = run_cli(capsys, "verify", "--theorems", "GIRTH_5_3,EDGES_6_1")
     assert code == 0
@@ -277,6 +288,17 @@ def test_verify_with_catalog_file(capsys, tmp_path):
     assert lines[2] == "KAPPA_6_7,Z4,<2>,true,1,2,FLAGGED"
 
 
+def test_readme_catalog_example_runs(capsys, tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    after = readme.split("Catalog file schema", 1)[1]
+    example = after.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "catalog.json"
+    path.write_text(example, encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--catalog", str(path), "--format", "csv")
+    assert (code, err) == (0, "")
+    assert '\nEDGES_6_1,D4,"<2,4>",true,' in out
+
+
 def test_verify_with_missing_catalog_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", "--catalog", str(tmp_path / "nope.json"))
     assert code == 2
@@ -291,6 +313,13 @@ def test_verify_with_missing_catalog_exits_2(capsys, tmp_path):
         ({"instances": [{"group": "Z12", "subgroups": "12"}]}, "all-normal"),
         ({"instances": [{"group": "Z4"}], "theorems": "EDGES_6_1"}, "'theorems'"),
         ({"instances": [{"subgroups": "all-normal"}]}, "instance 0 has no 'group'"),
+        ({"theorems": []}, "missing 'instances'"),
+        (
+            {"instances": [{"group": "Z4"}], "theorems": ["EDGES_6_1", "BOGUS"]},
+            "error: cannot load catalog: unknown theorem id 'BOGUS'; valid ids: COMPLETE_3_1,"
+            "CAYLEY_3_3,DEGREE_4_1,EULERIAN_4_2,HAMILTONIAN_4_4,GIRTH_5_3,BIPARTITE_TREE_5_2,"
+            "PLANAR_5_4,EDGES_6_1,CLIQUE_6_4,PERFECT_6_5,CHROMATIC_6_6,KAPPA_6_7\n",
+        ),
     ],
 )
 def test_verify_with_malformed_catalog_exits_2(capsys, tmp_path, catalog, message):

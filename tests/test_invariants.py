@@ -162,7 +162,7 @@ def test_girth_matches_networkx_on_random_graphs():
         parts += [cycle_graph(rng.randint(3, 9)) for _ in range(rng.randint(1, 2))]
         rng.shuffle(parts)
         graphs.append(disjoint_union(*parts))
-    seen = set()
+    seen, outcomes = set(), set()
     for g in graphs:
         reference = nx.Graph()
         reference.add_nodes_from(range(g.vertex_count))
@@ -171,8 +171,12 @@ def test_girth_matches_networkx_on_random_graphs():
         got = inv.girth(g)
         assert got == (None if want == float("inf") else want)
         seen.add(got if got in (None, 3, 4) else "longer")
+        bipartite = inv.is_bipartite(g)
+        assert bipartite == nx.is_bipartite(reference)
+        outcomes.add(bipartite)
     # Both the triangle exit and the full search ran, and some graphs had no cycle.
     assert seen == {None, 3, 4, "longer"}
+    assert outcomes == {True, False}
 
 
 # --- clique ------------------------------------------------------------------
@@ -517,6 +521,12 @@ def test_hamiltonian_anchors():
     assert inv.hamiltonian_cycle(nsb_graph("D4", [2])) is None
     assert inv.hamiltonian_cycle(SimpleGraph(["a"], [])) is None
     assert inv.hamiltonian_cycle(SimpleGraph(["a", "b"], [(0, 1)])) is None
+    # K5 with a pendant vertex: at vertex 0 the degree check refuses it, elsewhere the search.
+    pendant_at_0 = [(0, 1), *itertools.combinations(range(1, 6), 2)]
+    assert inv.hamiltonian_cycle(SimpleGraph(labels(6), pendant_at_0)) is None
+    pendant_at_5 = [*itertools.combinations(range(5), 2), (2, 5)]
+    assert inv.hamiltonian_cycle(SimpleGraph(labels(6), pendant_at_5)) is None
+    assert inv.hamiltonian_cycle(disjoint_union(complete_graph(3), complete_graph(3))) is None
 
 
 def test_power_graphs_of_cyclic_groups_are_hamiltonian():
