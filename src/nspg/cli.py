@@ -194,7 +194,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError(f"cannot load catalog: {exc}")
     else:
         catalog = default_catalog(budgets)
-    if args.theorems:
+    if args.theorems is not None:
         wanted = theorem_ids(args.theorems.split(","))
         catalog = Catalog(entries=catalog.entries, theorems=wanted, budgets=catalog.budgets)
     report = run_catalog(catalog)

@@ -10,7 +10,7 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass
 
-MAX_GROUP_ORDER = 256
+MAX_GROUP_ORDER = 256  # at most 256: validate_cayley_table holds each table entry in one byte
 MAX_SYMMETRIC_DEGREE = 5
 
 _Built = tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]  # a table and its element labels
@@ -115,29 +115,43 @@ def validate_cayley_table(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]
     with (x*a)*y == x*(a*y) for all x, y are closed under products, so if they
     include the generators they are the whole table. The test compares whole
     rows: row x*a must equal row x read through row a, for every x.
+
+    Tables past MAX_GROUP_ORDER are refused, so every entry fits in a byte and
+    each check runs on ``bytes`` rows: ``r.translate(None, s)`` is what is left
+    of r once every value in s is deleted, and ``rows[a].translate(row_x)``,
+    row x padded to 256 bytes, reads row x through row a.
     """
     n = len(table)
     if n == 0:
         raise ValueError("empty Cayley table")
     if any(len(row) != n for row in table):
         raise ValueError("Cayley table must be square")
-    rows = tuple(map(tuple, table))
-    if not set(range(n)).issuperset(itertools.chain.from_iterable(rows)):
+    if n > MAX_GROUP_ORDER:
+        raise ValueError(f"group order {n} exceeds budget {MAX_GROUP_ORDER}")
+    try:
+        rows = tuple(map(bytes, table))
+    except (TypeError, ValueError):  # a non-integer entry, or one outside 0..255
+        raise ValueError(f"table entries must lie in [0, {n})") from None
+    full = bytes(range(n))
+    flat = b"".join(rows)
+    if flat.translate(None, full):
         raise ValueError(f"table entries must lie in [0, {n})")
-    # Latin square: every row and column is a permutation of 0..n-1.
+    # Latin square: every row and column, of n entries, holds each of 0..n-1.
     for a, row in enumerate(rows):
-        if len(set(row)) != n:
+        if full.translate(None, row):
             raise ValueError(f"row {a} is not a permutation of 0..{n - 1}")
-    for b, col in enumerate(zip(*rows)):
-        if len(set(col)) != n:
+    for b in range(n):
+        if full.translate(None, flat[b::n]):
             raise ValueError(f"column {b} is not a permutation of 0..{n - 1}")
-    if rows[0] != tuple(range(n)) or any(row[0] != a for a, row in enumerate(rows)):
+    if rows[0] != full or flat[::n] != full:
         raise ValueError("element 0 is not a two-sided identity")
     generators, _ = generate(rows, range(n))
-    for a in generators:  # n >= 2 here, so the getter returns a tuple
-        through_a = operator.itemgetter(*rows[a])
-        for row_x in rows:
-            if rows[row_x[a]] != through_a(row_x):
+    pad = bytes(256 - n)  # translate maps through a table of exactly 256 bytes
+    padded = [row_x + pad for row_x in rows]
+    for a in generators:
+        through_a = rows[a].translate
+        for row_x, map_x in zip(rows, padded):
+            if rows[row_x[a]] != through_a(map_x):
                 raise ValueError("multiplication is not associative")
     # Two-sided inverses (implied by the above, asserted independently).
     for a, row in enumerate(rows):

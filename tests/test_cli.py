@@ -115,6 +115,12 @@ def test_whole_group_selector_exits_2(capsys):
         (("analyze", "Z4", "--subgroup", "x"), "selector 'x' is not a comma-separated list of element indices"),
         (("build", "S3", "--subgroup", "1"), "selector '1' generates <1>, which is not normal in S3"),
         (("build", "Z4", "--subgroup", "1"), "selector '1' generates all of Z4"),
+        (
+            ("verify", "--theorems", ""),
+            "unknown theorem id ''; valid ids: COMPLETE_3_1,CAYLEY_3_3,DEGREE_4_1,EULERIAN_4_2,"
+            "HAMILTONIAN_4_4,GIRTH_5_3,BIPARTITE_TREE_5_2,PLANAR_5_4,EDGES_6_1,CLIQUE_6_4,"
+            "PERFECT_6_5,CHROMATIC_6_6,KAPPA_6_7",
+        ),
     ],
 )
 def test_library_errors_exit_2_with_their_message(capsys, argv, message):

@@ -12,6 +12,7 @@ from nspg.groups import (
     from_cayley_table,
     make_group,
     parse_group_spec,
+    validate_cayley_table,
 )
 from nspg.harness import DEFAULT_CATALOG_GROUPS
 from oracles import (
@@ -277,6 +278,97 @@ def test_validation_agrees_with_brute_force_associativity():
             with pytest.raises(ValueError, match="not associative"):
                 from_cayley_table(table)
     assert outcomes[True] and outcomes[False]
+
+
+LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+# 2*3 = 0 but 3*2 = 1: a loop without two-sided inverses. Light's test refuses it
+# first; the inverse check after it is implied by the checks before it.
+ONE_SIDED5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 3, 4, 0, 1), (3, 4, 1, 2, 0), (4, 2, 0, 1, 3))
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ((), "empty Cayley table"),
+        (((0, 1), (1,)), "Cayley table must be square"),
+        (((0, 1), (1, -1)), "table entries must lie in [0, 2)"),
+        (((0, 1), (1, 2)), "table entries must lie in [0, 2)"),
+        (((0, 1), (1, 256)), "table entries must lie in [0, 2)"),
+        (((0, 1), (1, "0")), "table entries must lie in [0, 2)"),
+        (((0, 1, 2), (1, 1, 0), (2, 0, 1)), "row 1 is not a permutation of 0..2"),
+        (((0, 1, 2), (1, 2, 0), (2, 1, 0)), "column 1 is not a permutation of 0..2"),
+        (((1, 0), (0, 1)), "element 0 is not a two-sided identity"),
+        (((0, 1, 2), (2, 0, 1), (1, 2, 0)), "element 0 is not a two-sided identity"),  # left only
+        (((0, 2, 1), (1, 0, 2), (2, 1, 0)), "element 0 is not a two-sided identity"),  # right only
+        (LOOP5, "multiplication is not associative"),
+        (ONE_SIDED5, "multiplication is not associative"),
+    ],
+)
+def test_each_malformed_table_class_keeps_its_message(table, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        validate_cayley_table(table)
+
+
+def test_a_float_entry_is_out_of_range():
+    with pytest.raises(ValueError, match=r"^table entries must lie in \[0, 2\)$"):
+        FiniteGroup("x", [[0, 1], [1, 0.0]], ("0", "1"))
+
+
+@pytest.mark.parametrize("n", [257, 300])
+def test_custom_tables_are_capped_at_the_order_budget(n):
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    with pytest.raises(ValueError, match=f"^group order {n} exceeds budget 256$"):
+        from_cayley_table(table)
+
+
+@pytest.mark.parametrize("text", ["Z2", "Z255", "Z256", "E(2,8)"])
+def test_byte_rows_accept_tables_at_the_padding_boundaries(text):
+    # Light's test pads each row to translate's 256-byte map: by 254 bytes at
+    # order 2, by one byte at 255 and not at all at 256.
+    G = grp(text)
+    assert validate_cayley_table([list(row) for row in G.table]) == G.generators
+    assert from_cayley_table(G.table).table == G.table
+
+
+def _switch_row_cycle(table, r1, r2, c):
+    """Swap rows r1 and r2 on the cycle of columns through c; the table stays a Latin square.
+
+    Column c' follows c when row r2 holds at c' what row r1 holds at c. A cycle of
+    two columns is an intercalate.
+    """
+    col_of = {v: col for col, v in enumerate(table[r2])}
+    cols = [c]
+    while col_of[table[r1][cols[-1]]] != c:
+        cols.append(col_of[table[r1][cols[-1]]])
+    for col in cols:
+        table[r1][col], table[r2][col] = table[r2][col], table[r1][col]
+    return cols
+
+
+@pytest.mark.parametrize(
+    "text, r1, r2, c, length",
+    # Z255 is the only group of order 255 and, of odd order and abelian, has no
+    # intercalate: its switch is a cycle of three columns.
+    [("Z255", 1, 86, 1, 3), ("Z256", 1, 129, 1, 2), ("E(2,8)", 1, 3, 4, 2)],
+)
+def test_light_test_refuses_a_switched_cycle_at_the_padding_boundaries(text, r1, r2, c, length):
+    table = [list(row) for row in grp(text).table]
+    cols = _switch_row_cycle(table, r1, r2, c)
+    assert len(cols) == length and 0 not in cols  # away from the identity's row and column
+    n = len(table)
+    triple = next(
+        (
+            (x, y, z)
+            for x in (r1, r2)
+            for y in cols
+            for z in range(n)
+            if table[table[x][y]][z] != table[x][table[y][z]]
+        ),
+        None,
+    )
+    assert triple is not None
+    with pytest.raises(ValueError, match="^multiplication is not associative$"):
+        validate_cayley_table(table)
 
 
 @pytest.mark.parametrize(
