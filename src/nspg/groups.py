@@ -367,12 +367,15 @@ def _table_entry(v) -> int:
 def from_cayley_table(table, name: str = "custom", labels=None) -> FiniteGroup:
     """Validate an arbitrary square index table as a group, renumbering so the identity is 0."""
     try:
-        rows = tuple(tuple(map(_table_entry, row)) for row in table)
+        rows = tuple(map(tuple, table))
     except TypeError:  # the table or a row is not iterable: refused below as empty
         rows = ()
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("Cayley table must be a non-empty square array")
+    if n > MAX_GROUP_ORDER:  # before any entry is read
+        raise ValueError(f"group order {n} exceeds budget {MAX_GROUP_ORDER}")
+    rows = tuple(tuple(map(_table_entry, row)) for row in rows)
     if any(not 0 <= v < n for r in rows for v in r):
         raise ValueError(f"table entries must lie in [0, {n})")
     ident = None

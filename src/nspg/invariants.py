@@ -63,6 +63,23 @@ def is_complete(g: SimpleGraph) -> bool:
     return g.edge_count == n * (n - 1) // 2
 
 
+def _universal(g: SimpleGraph) -> int:
+    """The mask of g's universal vertices, those adjacent to every other vertex."""
+    full = (1 << g.vertex_count) - 1
+    return sum(1 << v for v, row in enumerate(g.rows) if row | 1 << v == full)
+
+
+def _induced(g: SimpleGraph, keep: list[int]) -> SimpleGraph:
+    """The subgraph induced on keep, in its order: vertex i is g's keep[i]."""
+    if len(keep) == g.vertex_count:
+        return g
+    rows = g.rows
+    return SimpleGraph._from_rows(
+        [g.vertex_labels[v] for v in keep],
+        [sum(((rows[v] >> w) & 1) << i for i, w in enumerate(keep)) for v in keep],
+    )
+
+
 def is_regular(g: SimpleGraph) -> bool:
     degrees = {g.degree(u) for u in range(g.vertex_count)}
     return len(degrees) <= 1
@@ -133,10 +150,16 @@ def girth(g: SimpleGraph) -> int | None:
 
 
 def clique_number(g: SimpleGraph, budget: int = DEFAULT_SOLVER_BUDGET) -> tuple[int, tuple[int, ...]]:
-    """Exact clique number with one witness clique."""
+    """Exact clique number with one witness clique.
+
+    The universal vertices U extend every clique, so the search starts from U
+    and branches only on G - U: omega(G) = |U| + omega(G - U), and the witness
+    always holds U.
+    """
     n = g.vertex_count
     _check_budget("clique_number", n, budget)
     rows = g.rows
+    universal = _universal(g)
     best_size = 0
     best_mask = 0
 
@@ -162,7 +185,7 @@ def clique_number(g: SimpleGraph, budget: int = DEFAULT_SOLVER_BUDGET) -> tuple[
             p &= ~bit
             x |= bit
 
-    expand(0, 0, (1 << n) - 1, 0)
+    expand(universal, universal.bit_count(), (1 << n) - 1 & ~universal, 0)
     return best_size, tuple(_bits(best_mask))
 
 
@@ -170,23 +193,27 @@ def clique_number(g: SimpleGraph, budget: int = DEFAULT_SOLVER_BUDGET) -> tuple[
 # Exact chromatic number: iterative deepening from the clique bound
 
 
-def _k_colorable(g: SimpleGraph, k: int, clique: tuple[int, ...]) -> list[int] | None:
-    """Backtracking k-colorability with the max clique pre-colored for symmetry breaking."""
-    n = g.vertex_count
-    colors = [-1] * n
-    sat = [0] * n
+def _k_colorable(
+    g: SimpleGraph, k: int, clique: tuple[int, ...], todo: int
+) -> list[int | None] | None:
+    """Backtracking k-colorability of the subgraph induced on the vertex mask todo,
+    with a maximum clique of it pre-colored for symmetry breaking. Vertices
+    outside todo get None; -1 marks one not yet coloured."""
+    rows = [row & todo for row in g.rows]
+    colors = [-1 if (todo >> v) & 1 else None for v in range(g.vertex_count)]
+    sat = [0] * g.vertex_count
     full = (1 << k) - 1
     for c, v in enumerate(clique):
         if c >= k:
             return None
         colors[v] = c
-        for w in g.neighbors(v):
+        for w in _bits(rows[v]):
             sat[w] |= 1 << c
 
     def pick() -> int:
         return max(
-            (v for v in range(n) if colors[v] == -1),
-            key=lambda v: ((sat[v] & full).bit_count(), g.degree(v), -v),
+            (v for v in range(len(rows)) if colors[v] == -1),
+            key=lambda v: ((sat[v] & full).bit_count(), rows[v].bit_count(), -v),
         )
 
     def solve(remaining: int) -> bool:
@@ -198,7 +225,7 @@ def _k_colorable(g: SimpleGraph, k: int, clique: tuple[int, ...]) -> list[int] |
             colors[v] = c
             touched = []
             ok = True
-            for w in g.neighbors(v):
+            for w in _bits(rows[v]):
                 if colors[w] == -1 and not (sat[w] >> c) & 1:
                     sat[w] |= 1 << c
                     touched.append(w)
@@ -211,7 +238,7 @@ def _k_colorable(g: SimpleGraph, k: int, clique: tuple[int, ...]) -> list[int] |
                 sat[w] &= ~(1 << c)
         return False
 
-    if solve(n - len(clique)):
+    if solve(todo.bit_count() - len(clique)):
         return colors
     return None
 
@@ -219,13 +246,26 @@ def _k_colorable(g: SimpleGraph, k: int, clique: tuple[int, ...]) -> list[int] |
 def chromatic_number(
     g: SimpleGraph, budget: int = DEFAULT_SOLVER_BUDGET
 ) -> tuple[int, tuple[int, ...]]:
-    """Exact chromatic number with a proper coloring witness: the first k from the
-    clique number up for which the k-coloring search succeeds."""
-    _check_budget("chromatic_number", g.vertex_count, budget)
-    k, clique = clique_number(g, budget)
-    while (colors := _k_colorable(g, k, clique)) is None:
+    """Exact chromatic number with a proper coloring witness.
+
+    Each universal vertex needs a colour of its own, so chi(G) = |U| + chi(R)
+    with R = G - U, searched as a vertex mask of G. R is coloured by the first k
+    from omega(R) up for which the k-coloring search succeeds, seeded by the
+    clique witness less U (a maximum clique of R, since the witness holds U);
+    U takes the colours after R's.
+    """
+    n = g.vertex_count
+    _check_budget("chromatic_number", n, budget)
+    _, clique = clique_number(g, budget)
+    universal = _universal(g)
+    rest = (1 << n) - 1 & ~universal
+    rest_clique = tuple(v for v in clique if (rest >> v) & 1)
+    k = len(rest_clique)
+    while (colors := _k_colorable(g, k, rest_clique, rest)) is None:
         k += 1
-    return k, tuple(colors)
+    for c, u in enumerate(_bits(universal), k):
+        colors[u] = c
+    return k + universal.bit_count(), tuple(colors)
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +313,38 @@ def _max_vertex_disjoint_paths(g: SimpleGraph, s: int, t: int) -> tuple[int, lis
         flow += 1
 
 
-def vertex_connectivity(g: SimpleGraph) -> tuple[int, tuple[int, ...] | None]:
-    """Exact kappa with a minimum vertex cut, from flows over Esfahanian–Hakimi's pairs.
+def _kappa(g: SimpleGraph) -> tuple[int, list[int]]:
+    """Kappa and a minimum cut of a connected, non-complete g, by flows over
+    Esfahanian–Hakimi's pairs."""
+    v = min(range(g.vertex_count), key=g.degree)
+    pairs = [(v, t) for t in range(g.vertex_count) if t != v and not g.has_edge(v, t)]
+    pairs += [(a, b) for a, b in combinations(g.neighbors(v), 2) if not g.has_edge(a, b)]
+    best, best_cut = g.vertex_count, []
+    for s, t in pairs:
+        value, cut = _max_vertex_disjoint_paths(g, s, t)
+        if value < best:
+            best, best_cut = value, cut
+    return best, best_cut
 
-    Fix a vertex v of minimum degree and let S be a minimum cut. Either S misses
-    v, and then it separates v from some non-neighbour; or S contains v, and
-    then, being minimal, it separates two of v's neighbours. So flows from v to
-    each non-neighbour and between each non-adjacent pair of v's neighbours
-    suffice: O(n + delta^2) flows instead of one per non-adjacent pair
-    (Esfahanian & Hakimi, *Networks* 14, 1984).
+
+def vertex_connectivity(g: SimpleGraph) -> tuple[int, tuple[int, ...] | None]:
+    """Exact kappa with a minimum vertex cut: universal vertices first, then flows
+    over Esfahanian–Hakimi's pairs.
+
+    Let U be the universal vertices of a non-complete G and R = G - U. A vertex
+    of U left outside a set S joins every two vertices of G - S, so every vertex
+    cut of G holds U, and S is a cut of G exactly when S - U is a cut of R:
+    kappa(G) = |U| + kappa(R). When R is disconnected, U itself is a minimum
+    cut and no flow runs. Otherwise R has at least two vertices, is not
+    complete (G would be) and has no universal vertex (it would be universal in
+    G), so one pass suffices, and the flows run on R.
+
+    There, fix a vertex v of minimum degree and let S be a minimum cut. Either S
+    misses v, and then it separates v from some non-neighbour; or S contains v,
+    and then, being minimal, it separates two of v's neighbours. So flows from
+    v to each non-neighbour and between each non-adjacent pair of v's
+    neighbours suffice: O(n + delta^2) flows instead of one per non-adjacent
+    pair (Esfahanian & Hakimi, *Networks* 14, 1984).
 
     Complete graphs return n - 1 by convention (no cut witness); disconnected
     graphs return 0 with an empty witness.
@@ -289,17 +352,13 @@ def vertex_connectivity(g: SimpleGraph) -> tuple[int, tuple[int, ...] | None]:
     n = g.vertex_count
     if n == 1 or is_complete(g):
         return n - 1, None
-    v = min(range(n), key=g.degree)
-    pairs = [(v, t) for t in range(n) if t != v and not g.has_edge(v, t)]
-    pairs += [(a, b) for a, b in combinations(g.neighbors(v), 2) if not g.has_edge(a, b)]
-    best, best_cut = n, []
-    for s, t in pairs:
-        value, cut = _max_vertex_disjoint_paths(g, s, t)
-        if value < best:
-            best, best_cut = value, cut
-            if best == 0:
-                break
-    return best, tuple(sorted(best_cut))
+    universal = _universal(g)
+    rest = (1 << n) - 1 & ~universal
+    if not _mask_connected(g.rows, rest, (rest & -rest).bit_length() - 1):
+        return universal.bit_count(), tuple(_bits(universal))
+    keep = list(_bits(rest))
+    k, cut = _kappa(_induced(g, keep))
+    return universal.bit_count() + k, tuple(sorted([*_bits(universal), *(keep[v] for v in cut)]))
 
 
 # ---------------------------------------------------------------------------
@@ -490,15 +549,10 @@ def is_perfect(g: SimpleGraph, budget: int = DEFAULT_ODD_HOLE_BUDGET) -> bool:
     hole for its class representative keeps the hole induced.
     """
     _check_budget("is_perfect", g.vertex_count, budget)
-    rows = g.rows
     first_of_class: dict[int, int] = {}
-    for v, row in enumerate(rows):
+    for v, row in enumerate(g.rows):
         first_of_class.setdefault(row | 1 << v, v)
-    keep = list(first_of_class.values())
-    q = SimpleGraph._from_rows(
-        [g.vertex_labels[v] for v in keep],
-        [sum(((rows[v] >> w) & 1) << i for i, w in enumerate(keep)) for v in keep],
-    )
+    q = _induced(g, list(first_of_class.values()))
     return not _has_odd_hole(q) and not _has_odd_hole(q.complement())
 
 
@@ -509,11 +563,17 @@ def is_perfect(g: SimpleGraph, budget: int = DEFAULT_ODD_HOLE_BUDGET) -> bool:
 def hamiltonian_cycle(
     g: SimpleGraph, budget: int = DEFAULT_SOLVER_BUDGET
 ) -> tuple[int, ...] | None:
-    """A Hamiltonian cycle as a vertex sequence, or None when provably absent."""
+    """A Hamiltonian cycle as a vertex sequence, or None when provably absent.
+
+    A complete graph of n >= 3 vertices gets 0, 1, ..., n-1 without a search;
+    that is also the cycle the search finds there first.
+    """
     n = g.vertex_count
     _check_budget("hamiltonian_cycle", n, budget)
     if n < 3:
         return None
+    if is_complete(g):
+        return tuple(range(n))
     rows = g.rows
     if rows[0].bit_count() < 2:  # solve(0, 1) checks every other degree and the connectivity
         return None

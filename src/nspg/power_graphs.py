@@ -62,7 +62,7 @@ class SimpleGraph:
 
     @property
     def edge_count(self) -> int:
-        return sum(self.degree(u) for u in range(self.vertex_count)) // 2
+        return sum(map(int.bit_count, self.rows)) // 2
 
     def neighbors(self, u: int):
         return _bits(self.rows[u])

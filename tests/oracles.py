@@ -27,6 +27,22 @@ def random_graph(rng, n: int, p: float) -> SimpleGraph:
     return SimpleGraph([str(i) for i in range(n)], edges)
 
 
+def plant_universal(rng, g: SimpleGraph, count: int) -> SimpleGraph:
+    """g with count vertices added that are adjacent to every other vertex; all
+    vertices are shuffled, so the planted ones land anywhere."""
+    n = g.vertex_count + count
+    place = rng.sample(range(n), n)
+    old, planted = place[: g.vertex_count], place[g.vertex_count :]
+    edges = [(old[u], old[v]) for u, v in g.edges()]
+    edges += [(p, w) for p in planted for w in range(n) if w != p]
+    return SimpleGraph([str(i) for i in range(n)], edges)
+
+
+def universal_vertices(g: SimpleGraph) -> set[int]:
+    """The vertices of degree n - 1."""
+    return {v for v in range(g.vertex_count) if g.degree(v) == g.vertex_count - 1}
+
+
 def _connected_on(g: SimpleGraph, keep: set[int]) -> bool:
     if not keep:
         return True

@@ -1,7 +1,6 @@
 """Acceptance criteria: one test per criterion, each exact, printing a pass line."""
 
 import json
-import random
 import time
 from pathlib import Path
 
@@ -19,7 +18,6 @@ from oracles import (
     brute_clique_number,
     brute_hamiltonian_exists,
     brute_vertex_connectivity,
-    random_graph,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -171,23 +169,10 @@ def test_criterion_11_kappa_flagging(default_report):
     )
 
 
-def test_criterion_12_small_graph_oracle_equivalence(catalog_pairs):
+def test_criterion_12_small_graph_oracle_equivalence(small_graphs):
     start = time.monotonic()
-    graphs = {}
-    for G, H in catalog_pairs:
-        nsb = nsb_power_graph(G, H)
-        if nsb.graph.vertex_count <= 10:
-            graphs[(nsb.graph.vertex_labels, nsb.graph.rows)] = nsb.graph
-        qpg = power_graph(quotient(G, H).group)
-        if qpg.vertex_count <= 10:
-            graphs[(qpg.vertex_labels, qpg.rows)] = qpg
-    rng = random.Random(19520810)
-    randoms = [
-        random_graph(rng, rng.randint(4, 10), rng.choice([0.2, 0.35, 0.5, 0.65, 0.8]))
-        for _ in range(100)
-    ]
-    suite = list(graphs.values()) + randoms
-    for g in suite:
+    graphs, randoms = small_graphs
+    for g in graphs + randoms:
         assert inv.clique_number(g)[0] == brute_clique_number(g)
         assert inv.chromatic_number(g)[0] == brute_chromatic_number(g)
         assert inv.vertex_connectivity(g)[0] == brute_vertex_connectivity(g)

@@ -321,6 +321,14 @@ def test_custom_tables_are_capped_at_the_order_budget(n):
         from_cayley_table(table)
 
 
+@pytest.mark.parametrize("entry", [None, "0", 1.5])
+def test_oversized_tables_are_refused_before_any_entry_is_read(entry):
+    # A non-integer entry would be refused as such if it were read first.
+    table = [[entry] * 1000 for _ in range(1000)]
+    with pytest.raises(ValueError, match="^group order 1000 exceeds budget 256$"):
+        from_cayley_table(table)
+
+
 @pytest.mark.parametrize("text", ["Z2", "Z255", "Z256", "E(2,8)"])
 def test_byte_rows_accept_tables_at_the_padding_boundaries(text):
     # Light's test pads each row to translate's 256-byte map: by 254 bytes at

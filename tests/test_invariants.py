@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -18,7 +19,9 @@ from oracles import (
     brute_is_perfect,
     brute_is_planar,
     brute_vertex_connectivity,
+    plant_universal,
     random_graph,
+    universal_vertices,
 )
 
 
@@ -221,8 +224,9 @@ def test_chromatic_refutes_levels_above_the_clique_number():
     omega, clique = inv.clique_number(g)
     assert omega == 2
     # The search must refute k = 2 and k = 3 before it colours with 4.
-    assert inv._k_colorable(g, 2, clique) is None
-    assert inv._k_colorable(g, 3, clique) is None
+    every_vertex = (1 << g.vertex_count) - 1
+    assert inv._k_colorable(g, 2, clique, every_vertex) is None
+    assert inv._k_colorable(g, 3, clique, every_vertex) is None
     k, coloring = inv.chromatic_number(g)
     assert k == 4 == brute_chromatic_number(g)
     assert len(set(coloring)) == 4
@@ -249,6 +253,11 @@ def test_kappa_anchors():
     assert inv.vertex_connectivity(nsb_graph("Z12", [6]))[0] == 5
     two_parts = SimpleGraph(labels(4), [(0, 1), (2, 3)])
     assert inv.vertex_connectivity(two_parts)[0] == 0
+    # Two universal vertices on Petersen: flows on G - U, which is connected.
+    assert inv.vertex_connectivity(plant_universal(random.Random(3), petersen(), 2))[0] == 2 + 3
+    # G - U disconnected: U itself is the cut.
+    z12 = nsb_graph("Z12", [6])
+    assert inv.vertex_connectivity(z12) == (5, tuple(sorted(universal_vertices(z12))))
 
 
 def assert_cut_witness(g, k, cut):
@@ -554,6 +563,96 @@ def test_hamiltonian_witness_is_valid():
         assert sorted(cycle) == list(range(g.vertex_count))
         for i in range(len(cycle)):
             assert g.has_edge(cycle[i], cycle[(i + 1) % len(cycle)])
+
+
+# --- universal vertices --------------------------------------------------------
+
+
+def test_kappa_and_omega_with_universal_vertices_match_networkx():
+    import networkx as nx  # a test oracle only, never a runtime dependency
+
+    rng = random.Random(20261018)
+    rest_connected = []
+    for i in range(40):
+        count = rng.randint(1, 3)
+        size = rng.randint(2, 40 - count)
+        if i % 2:  # two parts with no edge between them: G - U is disconnected
+            p = rng.choice([0.1, 0.3, 0.5, 0.8])
+            first = rng.randint(1, size - 1)
+            base = disjoint_union(random_graph(rng, first, p), random_graph(rng, size - first, p))
+        else:  # G - U is connected unless the draw is sparse
+            base = random_graph(rng, size, rng.choice([0.3, 0.5, 0.8]))
+        g = plant_universal(rng, base, count)
+        reference = nx.Graph()
+        reference.add_nodes_from(range(g.vertex_count))
+        reference.add_edges_from(g.edges())
+        universal = universal_vertices(g)
+        assert len(universal) >= count
+        k, cut = inv.vertex_connectivity(g)
+        assert k == nx.node_connectivity(reference)
+        if not inv.is_complete(g):
+            rest = reference.subgraph(set(range(g.vertex_count)) - universal)
+            rest_connected.append(nx.is_connected(rest))
+            assert_cut_witness(g, k, cut)
+            assert universal <= set(cut)
+        omega, clique = inv.clique_number(g)
+        assert omega == nx.max_weight_clique(reference, weight=None)[1]
+        assert len(clique) == omega and universal <= set(clique)
+        assert all(g.has_edge(u, v) for u, v in itertools.combinations(clique, 2))
+    assert rest_connected.count(True) >= 5 and rest_connected.count(False) >= 5
+
+
+def test_chi_and_hamiltonicity_with_universal_vertices_match_brute_force(small_graphs):
+    rng = random.Random(20261018)
+    graphs, randoms = small_graphs
+    for g in graphs + randoms:
+        for h in (g, plant_universal(rng, g, rng.randint(1, 3))):
+            universal = universal_vertices(h)
+            k, coloring = inv.chromatic_number(h)
+            assert k == brute_chromatic_number(h)
+            assert len(set(coloring)) == k
+            assert all(coloring[u] != coloring[v] for u, v in h.edges())
+            # U takes the colours after those of G - U.
+            assert sorted(coloring[u] for u in universal) == list(range(k - len(universal), k))
+            cycle = inv.hamiltonian_cycle(h)
+            assert (cycle is not None) == brute_hamiltonian_exists(h)
+            if cycle is not None:
+                assert sorted(cycle) == list(range(h.vertex_count))
+                assert all(h.has_edge(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_complete_graphs_get_the_identity_cycle(n):
+    assert inv.hamiltonian_cycle(complete_graph(n)) == tuple(range(n))
+
+
+@pytest.mark.parametrize(
+    "solver, also",
+    [
+        ("vertex_connectivity", {}),
+        ("clique_number", {}),
+        ("chromatic_number", {"clique_number": 1}),  # its clique bound, one call as before
+    ],
+)
+def test_solvers_on_universal_vertices_call_no_public_solver_again(monkeypatch, solver, also):
+    # A tracer rebinds the public names, so the reduction to G - U must recurse
+    # through private bodies only: one public call per solve.
+    calls = collections.Counter()
+    for name in ("vertex_connectivity", "clique_number", "chromatic_number", "hamiltonian_cycle"):
+        public = getattr(inv, name)
+
+        def counting(*args, _name=name, _public=public, **kwargs):
+            calls[_name] += 1
+            return _public(*args, **kwargs)
+
+        monkeypatch.setattr(inv, name, counting)
+    rest_connected = plant_universal(random.Random(3), petersen(), 2)
+    rest_disconnected = nsb_graph("Z12", [6])
+    for g in (rest_connected, rest_disconnected):
+        assert universal_vertices(g)
+        calls.clear()
+        getattr(inv, solver)(g)
+        assert calls == collections.Counter({solver: 1, **also})
 
 
 # --- degree formula ------------------------------------------------------------

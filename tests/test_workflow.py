@@ -22,3 +22,9 @@ def test_default_report_runs_before_any_dependency_is_installed():
     )
     installs = [i for i, run in enumerate(runs) if run and "pip install" in run]
     assert installs and stdlib_only < min(installs)
+
+
+def test_benchmark_checks_its_outputs_before_the_clean_tree_check():
+    # One checked pass of every workload; it writes only under the ignored bench/out/.
+    runs = [step.get("run") for step in _job()["steps"]]
+    assert runs.index("python bench/run.py --seconds 0") == len(runs) - 2
