@@ -8,7 +8,7 @@ import math
 import operator
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 MAX_GROUP_ORDER = 256  # at most 256: validate_cayley_table holds each table entry in one byte
 MAX_SYMMETRIC_DEGREE = 5
@@ -128,14 +128,8 @@ def validate_cayley_table(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]
         raise ValueError("Cayley table must be square")
     if n > MAX_GROUP_ORDER:
         raise ValueError(f"group order {n} exceeds budget {MAX_GROUP_ORDER}")
-    try:
-        rows = tuple(map(bytes, table))
-    except (TypeError, ValueError):  # a non-integer entry, or one outside 0..255
-        raise ValueError(f"table entries must lie in [0, {n})") from None
+    rows, flat = _byte_rows(table)
     full = bytes(range(n))
-    flat = b"".join(rows)
-    if flat.translate(None, full):
-        raise ValueError(f"table entries must lie in [0, {n})")
     # Latin square: every row and column, of n entries, holds each of 0..n-1.
     for a, row in enumerate(rows):
         if full.translate(None, row):
@@ -158,6 +152,20 @@ def validate_cayley_table(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]
         if rows[row.index(0)][a] != 0:
             raise ValueError(f"element {a} has no two-sided inverse")
     return generators
+
+
+def _byte_rows(table) -> tuple[tuple[bytes, ...], bytes]:
+    """A square table's rows as bytes, and all of them joined; refuses any
+    entry outside 0..n-1. The one range check, for both entry points."""
+    n = len(table)
+    try:
+        rows = tuple(map(bytes, table))
+    except (TypeError, ValueError):  # a non-integer entry, or one outside 0..255
+        raise ValueError(f"table entries must lie in [0, {n})") from None
+    flat = b"".join(rows)
+    if flat.translate(None, bytes(range(n))):
+        raise ValueError(f"table entries must lie in [0, {n})")
+    return rows, flat
 
 
 def generate(rows, elements) -> tuple[tuple[int, ...], frozenset[int]]:
@@ -185,8 +193,7 @@ def generate(rows, elements) -> tuple[tuple[int, ...], frozenset[int]]:
     return tuple(generators), frozenset(reached)
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     """Constructive description of a test group, parseable from a compact string."""
 
     family: str
@@ -376,13 +383,9 @@ def from_cayley_table(table, name: str = "custom", labels=None) -> FiniteGroup:
     if n > MAX_GROUP_ORDER:  # before any entry is read
         raise ValueError(f"group order {n} exceeds budget {MAX_GROUP_ORDER}")
     rows = tuple(tuple(map(_table_entry, row)) for row in rows)
-    if any(not 0 <= v < n for r in rows for v in r):
-        raise ValueError(f"table entries must lie in [0, {n})")
-    ident = None
-    for e in range(n):
-        if all(rows[e][b] == b for b in range(n)) and all(rows[a][e] == a for a in range(n)):
-            ident = e
-            break
+    byte_rows, flat = _byte_rows(rows)  # every entry in range: the renumbering reads no other
+    full = bytes(range(n))
+    ident = next((e for e in range(n) if byte_rows[e] == full and flat[e::n] == full), None)
     if ident is None:
         raise ValueError("table has no two-sided identity")
     if labels is None:

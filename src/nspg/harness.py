@@ -7,7 +7,6 @@ import enum
 import io
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -54,8 +53,7 @@ FLAGGED = "FLAGGED"
 REPORT_ONLY = frozenset({TheoremId.KAPPA_6_7})
 
 
-@dataclass(frozen=True)
-class InstanceResult:
+class InstanceResult(NamedTuple):
     theorem: str
     group: str
     subgroup: str
@@ -66,20 +64,17 @@ class InstanceResult:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class Budgets:
+class Budgets(NamedTuple):
     exact_solver: int = inv.DEFAULT_SOLVER_BUDGET
     odd_hole: int = inv.DEFAULT_ODD_HOLE_BUDGET
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     group: str
     subgroups: object = "all-normal"  # "all-normal" or a tuple of generator-list strings
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(NamedTuple):
     entries: tuple[CatalogEntry, ...]
     theorems: tuple[TheoremId, ...] = tuple(TheoremId)
     budgets: Budgets = Budgets()
@@ -384,8 +379,7 @@ def check_theorem(
     return _run_check(tid, InstanceContext(G, H, budgets))
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     results: tuple[InstanceResult, ...]
     instance_count: int
 
@@ -421,7 +415,7 @@ class Report:
                 {k: getattr(r, k) for k in ("theorem", "group", "subgroup", "verdict")}
                 for r in self.non_pass()
             ],
-            "results": [dict(vars(r)) for r in self.results],
+            "results": [r._asdict() for r in self.results],
         }
 
     def to_json(self) -> str:

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields
 from functools import reduce
 from itertools import combinations, count
 from operator import or_
+from typing import NamedTuple
 
 from .groups import FiniteGroup, euler_phi
 from .power_graphs import SimpleGraph
@@ -624,8 +624,7 @@ def degree_in_power_graph_formula(G: FiniteGroup) -> tuple[int, ...]:
 # One-shot invariant bundle
 
 
-@dataclass
-class GraphInvariants:
+class GraphInvariants(NamedTuple):
     """Every invariant the toolkit knows how to compute for one graph."""
 
     vertex_count: int
@@ -674,26 +673,26 @@ def compute_invariants(
 ) -> GraphInvariants:
     """Everything at once; budget-exceeding solver fields stay None and are listed in skipped."""
     inv = basic_invariants(g)
+    solved: dict[str, object] = {}  # the solver fields answered; the rest stay None
     skipped: list[str] = []
     try:
-        inv.clique_number, inv.clique_witness = clique_number(g, solver_budget)
-        inv.chromatic_number, inv.coloring = chromatic_number(g, solver_budget)
+        solved["clique_number"], solved["clique_witness"] = clique_number(g, solver_budget)
+        solved["chromatic_number"], solved["coloring"] = chromatic_number(g, solver_budget)
     except BudgetExceeded:
         skipped.extend(["clique_number", "chromatic_number"])
-    inv.vertex_connectivity, inv.vertex_cut = vertex_connectivity(g)
-    inv.is_planar = is_planar(g)
+    solved["vertex_connectivity"], solved["vertex_cut"] = vertex_connectivity(g)
+    solved["is_planar"] = is_planar(g)
     try:
-        inv.is_perfect = is_perfect(g, odd_hole_budget)
+        solved["is_perfect"] = is_perfect(g, odd_hole_budget)
     except BudgetExceeded:
         skipped.append("is_perfect")
     try:
         cycle = hamiltonian_cycle(g, solver_budget)
-        inv.is_hamiltonian = cycle is not None
-        inv.hamiltonian_cycle = cycle
+        solved["is_hamiltonian"] = cycle is not None
+        solved["hamiltonian_cycle"] = cycle
     except BudgetExceeded:
         skipped.append("is_hamiltonian")
-    inv.skipped = tuple(skipped)
-    return inv
+    return inv._replace(**solved, skipped=tuple(skipped))
 
 
 # Witness fields and their keys in the "witnesses" sub-object.
@@ -708,13 +707,12 @@ _WITNESS_KEYS = {
 def invariants_to_json_obj(inv: GraphInvariants) -> dict:
     """Flat JSON object in field order; witnesses grouped under one sub-object."""
     obj, witnesses = {}, {}
-    for f in fields(inv):
-        value = getattr(inv, f.name)
-        if f.name in _WITNESS_KEYS:
+    for name, value in zip(inv._fields, inv):
+        if name in _WITNESS_KEYS:
             if value is not None:
-                witnesses[_WITNESS_KEYS[f.name]] = list(value)
-        elif f.name != "skipped":
-            obj[f.name] = list(value) if isinstance(value, tuple) else value
+                witnesses[_WITNESS_KEYS[name]] = list(value)
+        elif name != "skipped":
+            obj[name] = list(value) if isinstance(value, tuple) else value
     if witnesses:
         obj["witnesses"] = witnesses
     if inv.skipped:

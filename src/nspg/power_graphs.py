@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
+from typing import NamedTuple
 
 from .groups import FiniteGroup, euler_phi
 from .subgroups import QuotientGroup, SubgroupSet, _bits, _coset_partition
@@ -91,8 +91,7 @@ class SimpleGraph:
         return f"SimpleGraph(n={self.vertex_count}, m={self.edge_count})"
 
 
-@dataclass(frozen=True)
-class NSBPowerGraph:
+class NSBPowerGraph(NamedTuple):
     """A normal-subgroup-based power graph plus its group-side bookkeeping."""
 
     graph: SimpleGraph

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .groups import FiniteGroup, _prime_factors, generate
 
@@ -11,8 +11,7 @@ from .groups import FiniteGroup, _prime_factors, generate
 MAX_NORMAL_SUBGROUPS = 4096
 
 
-@dataclass(frozen=True)
-class SubgroupSet:
+class SubgroupSet(NamedTuple):
     """A validated subgroup of a parent group, stored as a sorted index tuple,
     with the generators generate() drew from it when its closure was checked."""
 
@@ -173,8 +172,7 @@ def _coset_partition(table, members) -> list[int]:
     return coset
 
 
-@dataclass(frozen=True)
-class QuotientGroup:
+class QuotientGroup(NamedTuple):
     """G/H with the element-to-coset projection; coset 0 is H itself."""
 
     parent: FiniteGroup
@@ -215,8 +213,7 @@ def quotient(G: FiniteGroup, H: SubgroupSet) -> QuotientGroup:
     return QuotientGroup(G, H, qgroup, tuple(projection), tuple(reps))
 
 
-@dataclass(frozen=True)
-class StructureFlags:
+class StructureFlags(NamedTuple):
     """Recognition flags used by the theorem checks."""
 
     is_cyclic: bool

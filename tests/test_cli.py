@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import os
@@ -278,6 +279,15 @@ def test_verify_json_summary(capsys):
     obj = json.loads(out)
     assert obj["summary"]["GIRTH_5_3"]["fail"] == 0
     assert obj["summary"]["EDGES_6_1"]["pass"] > 0
+
+
+def test_default_verify_json_is_pinned_by_its_digest(capsys):
+    # No golden file holds Report.to_json's 832,509 bytes; their digest pins them.
+    code, out, _ = run_cli(capsys, "verify", "--format", "json")
+    assert code == 0
+    data = out.encode("ascii")
+    assert len(data) == 832509
+    assert hashlib.sha256(data).hexdigest() == "e8d6b0bf80ccf22be10a1b067c50ba42d98e00de5436bdf6291fa12770c7cb0b"
 
 
 def test_verify_with_catalog_file(capsys, tmp_path):

@@ -428,6 +428,20 @@ def test_from_cayley_table_rejects_non_integer_entries(entry):
         from_cayley_table([[0, entry], [1, 0]])
 
 
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[5, 0], [0, 1]],  # the identity is 1, so the renumbering would look 5 up
+        [[1, 0], [0, -1]],
+        [[0, 1], [1, 256]],
+        [[1, 2], [2, 1]],  # no identity either: the range is checked first
+    ],
+)
+def test_from_cayley_table_checks_the_range_before_the_identity(table):
+    with pytest.raises(ValueError, match=r"^table entries must lie in \[0, 2\)$"):
+        from_cayley_table(table)
+
+
 @pytest.mark.parametrize("table", [[0, 1], [[0, 1], 5], None])
 def test_from_cayley_table_rejects_non_sequences(table):
     with pytest.raises(ValueError, match="^Cayley table must be a non-empty square array$"):

@@ -15,13 +15,23 @@ def test_tier1_job_is_bounded_and_leaves_no_file_behind():
     assert job["steps"][-1]["run"] == 'test -z "$(git status --porcelain)"'
 
 
-def test_default_report_runs_before_any_dependency_is_installed():
+def _runs_before_any_install(command):
     runs = [step.get("run") for step in _job()["steps"]]
-    stdlib_only = runs.index(
+    installs = [i for i, run in enumerate(runs) if run and "pip install" in run]
+    return bool(installs) and runs.index(command) < min(installs)
+
+
+def test_default_report_runs_before_any_dependency_is_installed():
+    assert _runs_before_any_install(
         "PYTHONPATH=src python -m nspg.cli verify --format csv | cmp - tests/golden/verify_default.csv"
     )
-    installs = [i for i, run in enumerate(runs) if run and "pip install" in run]
-    assert installs and stdlib_only < min(installs)
+
+
+def test_analyze_output_is_checked_before_any_dependency_is_installed():
+    # GraphInvariants' JSON form with the standard library alone, on every CI Python.
+    assert _runs_before_any_install(
+        "PYTHONPATH=src python -m nspg.cli analyze Z6 --subgroup 3 | cmp - tests/golden/analyze_z6_subgroup3.json"
+    )
 
 
 def test_benchmark_checks_its_outputs_before_the_clean_tree_check():
