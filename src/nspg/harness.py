@@ -133,9 +133,13 @@ def parse_catalog_json(text: str, budgets: Budgets = Budgets()) -> Catalog:
 def theorem_ids(names) -> tuple[TheoremId, ...]:
     """The theorems named, as --theorems and a catalog's "theorems" list give them."""
     valid = [t.value for t in TheoremId]
+    seen = set()
     for name in names:
         if name not in valid:
             raise ValueError(f"unknown theorem id {name!r}; valid ids: {','.join(valid)}")
+        if name in seen:
+            raise ValueError(f"duplicate theorem id {name!r}")
+        seen.add(name)
     return tuple(TheoremId(name) for name in names)
 
 
@@ -175,7 +179,12 @@ def select_subgroup(G: FiniteGroup, selector: str) -> SubgroupSet:
 
 class InstanceContext:
     """Caches the per-instance artifacts shared by several theorem checks; ``run_cache``
-    holds what every instance of one run shares: group power graphs and solver answers."""
+    holds what every instance of one run shares, each fact built once per key by
+    ``_shared``. A group's facts are keyed on ``G.name`` (a run builds its groups from
+    their specs, so the name fixes the table), a quotient's on its table as bytes, and
+    solver answers and graph invariants on adjacency rows. Nothing is keyed on
+    ``G.table``: a tuple does not cache its hash, so every lookup would hash all
+    65,536 entries of Z256's table again."""
 
     def __init__(self, G: FiniteGroup, H: SubgroupSet, budgets: Budgets, run_cache: dict | None = None):
         self.G = G
@@ -183,6 +192,30 @@ class InstanceContext:
         self.subgroup = H.describe()
         self.budgets = budgets
         self._run_cache = run_cache if run_cache is not None else {}
+
+    def _shared(self, key, build, *args):
+        """``build(*args)``, once per key in a run. Every key starts with ``build`` as
+        the caller names it at call time, so a wrapper bound in its place sees every
+        real build. A BudgetExceeded propagates uncached, so a later call refuses again."""
+        if key not in self._run_cache:
+            self._run_cache[key] = build(*args)
+        return self._run_cache[key]
+
+    def group_fact(self, build):
+        """``build(G)``, once per group name in a run."""
+        return self._shared((build, self.G.name), build, self.G)
+
+    def quotient_fact(self, build):
+        """``build(G/H)``, once per quotient table in a run: labels change no value the
+        checks read, so quotients with equal tables share their facts."""
+        return self._shared((build, self._quotient_key), build, self.quotient.group)
+
+    def solve(self, solver: str, g, *args):
+        """``inv.<solver>(g, *args)``, once per distinct graph and arguments in a run.
+
+        Keyed on the rows: labels change no value the checks read."""
+        build = getattr(inv, solver)
+        return self._shared((build, g.rows, *args), build, g, *args)
 
     @cached_property
     def nsb(self) -> NSBPowerGraph:
@@ -197,26 +230,17 @@ class InstanceContext:
         return quotient(self.G, self.H)
 
     @cached_property
-    def quotient_power_graph(self):
-        return power_graph(self.quotient.group)
+    def _quotient_key(self) -> bytes:
+        return b"".join(map(bytes, self.quotient.group.table))
 
     @property
-    def parent_power_graph(self):
-        key = ("pg", self.G.name)
-        if key not in self._run_cache:
-            self._run_cache[key] = power_graph(self.G)
-        return self._run_cache[key]
+    def parent_degrees(self) -> tuple[int, ...]:
+        """The degree of each element of G in its power graph, once per group name."""
+        return self._shared((_degrees, self.G.name), _degrees, self.group_fact(power_graph))
 
-    def solve(self, solver: str, g, *args):
-        """``inv.<solver>(g, *args)``, once per distinct graph and arguments in a run.
 
-        Keyed on the rows: labels change no value the checks read. Looked up at call
-        time, so a wrapper bound in its place sees every real solve. A BudgetExceeded
-        propagates uncached, so a later call refuses again."""
-        key = (solver, g.rows, *args)
-        if key not in self._run_cache:
-            self._run_cache[key] = getattr(inv, solver)(g, *args)
-        return self._run_cache[key]
+def _degrees(g) -> tuple[int, ...]:
+    return tuple(map(int.bit_count, g.rows))
 
 
 class Claim(NamedTuple):
@@ -229,27 +253,25 @@ class Claim(NamedTuple):
 
 
 def _check_complete(ctx: InstanceContext) -> Claim:
-    predicted = recognize(ctx.quotient.group).is_cyclic_p_group_or_trivial
-    actual = inv.is_complete(ctx.graph)
+    predicted = ctx.quotient_fact(recognize).is_cyclic_p_group_or_trivial
+    actual = ctx.solve("is_complete", ctx.graph)
     return Claim(predicted, actual, predicted == actual)
 
 
 def _check_cayley(ctx: InstanceContext) -> Claim:
     # Restated form: the graph is regular iff it is complete.
-    predicted = inv.is_complete(ctx.graph)
-    actual = inv.is_regular(ctx.graph)
+    predicted = ctx.solve("is_complete", ctx.graph)
+    actual = ctx.solve("is_regular", ctx.graph)
     return Claim(predicted, actual, predicted == actual)
 
 
 def _check_degree(ctx: InstanceContext) -> Claim:
-    G, H = ctx.G, ctx.H
-    pg = ctx.parent_power_graph
-    formula_pg = list(inv.degree_in_power_graph_formula(G))
-    actual_pg = [pg.degree(v) for v in range(pg.vertex_count)]
-    Q = ctx.quotient
-    h = H.order
-    formula_q = inv.degree_in_power_graph_formula(Q.group)
-    formula_nsb = [h * formula_q[Q.projection[a]] for a in ctx.nsb.vertex_element]
+    formula_pg = list(ctx.group_fact(inv.degree_in_power_graph_formula))
+    actual_pg = list(ctx.parent_degrees)
+    h = ctx.H.order
+    formula_q = ctx.quotient_fact(inv.degree_in_power_graph_formula)
+    projection = ctx.quotient.projection
+    formula_nsb = [h * formula_q[projection[a]] for a in ctx.nsb.vertex_element]
     g = ctx.graph
     actual_nsb = [g.degree(i) for i in range(g.vertex_count)]
     predicted = {"power_graph": formula_pg, "nsb": formula_nsb}
@@ -259,39 +281,37 @@ def _check_degree(ctx: InstanceContext) -> Claim:
 
 def _check_eulerian(ctx: InstanceContext) -> Claim:
     predicted = (ctx.G.order - ctx.H.order) % 2 == 0
-    actual = inv.is_eulerian(ctx.graph)
+    actual = ctx.solve("is_eulerian", ctx.graph)
     return Claim(predicted, actual, predicted == actual)
 
 
 def _check_hamiltonian(ctx: InstanceContext) -> Claim:
     budget = ctx.budgets.exact_solver
-    predicted = ctx.solve("hamiltonian_cycle", ctx.quotient_power_graph, budget) is not None
+    predicted = ctx.solve("hamiltonian_cycle", ctx.quotient_fact(power_graph), budget) is not None
     actual = ctx.solve("hamiltonian_cycle", ctx.graph, budget) is not None
     # One-directional: a Hamiltonian quotient power graph forces a Hamiltonian graph.
     return Claim(predicted, actual, (not predicted) or actual)
 
 
 def _check_girth(ctx: InstanceContext) -> Claim:
-    actual = inv.girth(ctx.graph)
+    actual = ctx.solve("girth", ctx.graph)
     return Claim(3, actual, actual == 3)
 
 
 def _check_bipartite_tree(ctx: InstanceContext) -> Claim:
-    actual = inv.is_bipartite(ctx.graph) or inv.is_tree(ctx.graph)
+    actual = ctx.solve("is_bipartite", ctx.graph) or ctx.solve("is_tree", ctx.graph)
     return Claim(False, actual, actual is False)
 
 
 def _check_planar(ctx: InstanceContext) -> Claim:
-    flags = recognize(ctx.quotient.group)
-    predicted = ctx.H.order in (2, 3) and flags.is_elementary_abelian_2
+    predicted = ctx.H.order in (2, 3) and ctx.quotient_fact(recognize).is_elementary_abelian_2
     actual = ctx.solve("is_planar", ctx.graph)
     return Claim(predicted, actual, predicted == actual)
 
 
 def _check_edges(ctx: InstanceContext) -> Claim:
-    Q = ctx.quotient.group
-    t = power_graph_edge_count_formula(Q)
-    n = Q.order
+    t = ctx.quotient_fact(power_graph_edge_count_formula)
+    n = ctx.quotient.group.order
     h = ctx.H.order
     predicted = (t - n + 1) * h * h + math.comb(h, 2) * (n - 1) + (ctx.G.order - h)
     actual = ctx.graph.edge_count
@@ -300,7 +320,7 @@ def _check_edges(ctx: InstanceContext) -> Claim:
 
 def _clique_prediction(ctx: InstanceContext) -> int:
     """|H|(m - 1) + 1, m the quotient power graph's clique number: both ω and χ."""
-    m = ctx.solve("clique_number", ctx.quotient_power_graph, ctx.budgets.exact_solver)[0]
+    m = ctx.solve("clique_number", ctx.quotient_fact(power_graph), ctx.budgets.exact_solver)[0]
     return ctx.H.order * (m - 1) + 1
 
 
@@ -322,10 +342,10 @@ def _check_chromatic(ctx: InstanceContext) -> Claim:
 
 
 def _check_kappa(ctx: InstanceContext) -> Claim:
-    k = ctx.solve("vertex_connectivity", ctx.quotient_power_graph)[0]
+    k = ctx.solve("vertex_connectivity", ctx.quotient_fact(power_graph))[0]
     predicted = ctx.H.order * (k - 1) + 1
     actual = ctx.solve("vertex_connectivity", ctx.graph)[0]
-    note = "complete" if inv.is_complete(ctx.graph) else "non-complete"
+    note = "complete" if ctx.solve("is_complete", ctx.graph) else "non-complete"
     return Claim(predicted, actual, predicted == actual, note)
 
 

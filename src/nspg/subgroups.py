@@ -24,6 +24,11 @@ class SubgroupSet(NamedTuple):
     def order(self) -> int:
         return len(self.elements)
 
+    def __contains__(self, a: object) -> bool:
+        """``a in H`` asks whether the element index a is in H, not whether a is a
+        field. ``len`` stays the tuple's: ``_make`` and ``_replace`` check it."""
+        return a in self.elements
+
     def describe(self) -> str:
         """Deterministic short form: {e} for the trivial subgroup, else <generators>."""
         if self.order == 1:

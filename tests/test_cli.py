@@ -273,6 +273,11 @@ def test_verify_names_the_unknown_theorem_id(capsys):
     )
 
 
+def test_verify_refuses_a_repeated_theorem_id(capsys):
+    code, out, err = run_cli(capsys, "verify", "--theorems", "EULERIAN_4_2,EULERIAN_4_2")
+    assert (code, out, err) == (2, "", "error: duplicate theorem id 'EULERIAN_4_2'\n")
+
+
 def test_verify_json_summary(capsys):
     code, out, _ = run_cli(capsys, "verify", "--theorems", "GIRTH_5_3,EDGES_6_1")
     assert code == 0
@@ -335,6 +340,10 @@ def test_verify_with_missing_catalog_exits_2(capsys, tmp_path):
             "error: cannot load catalog: unknown theorem id 'BOGUS'; valid ids: COMPLETE_3_1,"
             "CAYLEY_3_3,DEGREE_4_1,EULERIAN_4_2,HAMILTONIAN_4_4,GIRTH_5_3,BIPARTITE_TREE_5_2,"
             "PLANAR_5_4,EDGES_6_1,CLIQUE_6_4,PERFECT_6_5,CHROMATIC_6_6,KAPPA_6_7\n",
+        ),
+        (
+            {"instances": [{"group": "Z4"}], "theorems": ["EULERIAN_4_2", "EULERIAN_4_2"]},
+            "error: cannot load catalog: duplicate theorem id 'EULERIAN_4_2'\n",
         ),
     ],
 )

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import nspg.harness as harness
 import nspg.invariants as inv
 from nspg.groups import make_group, parse_group_spec
 from nspg.harness import (
@@ -214,14 +215,48 @@ def test_run_catalog_with_selected_theorems():
     assert all(r.theorem == "EULERIAN_4_2" and r.verdict == "PASS" for r in report.results)
 
 
-@pytest.mark.parametrize("budgets", [Budgets(), Budgets(exact_solver=6, odd_hole=6)])
-def test_run_rows_equal_checks_with_a_fresh_context(budgets):
-    cat = default_catalog(budgets)
+# Order 64 to 256: the large parent and quotient tables a run shares facts of.
+LARGE_CATALOG = Catalog(
+    entries=(
+        CatalogEntry("Z256", ("128",)),
+        CatalogEntry("E(2,8)", ("1,2,4,8,16,32,64",)),
+        CatalogEntry("Z2xZ64", ("64",)),
+        CatalogEntry("Q8xQ8", ("1",)),
+    )
+)
+# Z6/<2> and S3/<3> have one table, as have Q8/<1> and D4/<2>; their labels differ.
+SHARED_QUOTIENT_CATALOG = Catalog(
+    entries=(
+        CatalogEntry("Z6", ("2",)),
+        CatalogEntry("S3", ("3",)),
+        CatalogEntry("Q8", ("1",)),
+        CatalogEntry("D4", ("2",)),
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "cat, refuses",
+    [
+        pytest.param(default_catalog(), False, id="budgets0"),
+        pytest.param(default_catalog(Budgets(exact_solver=6, odd_hole=6)), True, id="budgets1"),
+        pytest.param(LARGE_CATALOG, True, id="large"),
+        pytest.param(SHARED_QUOTIENT_CATALOG, False, id="shared-quotient-tables"),
+    ],
+)
+def test_run_rows_equal_checks_with_a_fresh_context(cat, refuses):
     report = run_catalog(cat)
-    fresh = [check_theorem(tid, G, H, budgets) for G, H in resolve_catalog(cat) for tid in cat.theorems]
+    fresh = [check_theorem(tid, G, H, cat.budgets) for G, H in resolve_catalog(cat) for tid in cat.theorems]
     assert list(report.results) == fresh
     budget_notes = [r.note for r in fresh if r.note.startswith("budget exceeded: ")]
-    assert bool(budget_notes) == (budgets != Budgets())
+    assert bool(budget_notes) == refuses
+
+
+def test_shared_quotient_catalog_pairs_equal_tables_with_different_labels():
+    quotients = [quotient(G, H).group for G, H in resolve_catalog(SHARED_QUOTIENT_CATALOG)]
+    for first, second in (quotients[:2], quotients[2:]):
+        assert first.table == second.table
+        assert first.labels != second.labels
 
 
 def test_default_run_solves_kappa_once_per_distinct_graph(monkeypatch, catalog_pairs):
@@ -241,3 +276,36 @@ def test_default_run_solves_kappa_once_per_distinct_graph(monkeypatch, catalog_p
     assert len(solved) == len(set(solved)) == len(distinct)
     assert set(solved) == distinct
     assert len(distinct) < 2 * len(catalog_pairs)
+
+
+def test_default_run_builds_each_shared_fact_once_per_distinct_key(monkeypatch, catalog_pairs):
+    # A parent group's facts are keyed on its name, a quotient's on its table.
+    def key(group):
+        return group.table if "/" in group.name else group.name
+
+    calls = {}
+    for module, name in (
+        (harness, "power_graph"),
+        (harness, "recognize"),
+        (harness, "power_graph_edge_count_formula"),
+        (harness.inv, "degree_in_power_graph_formula"),
+    ):
+        def counting(group, build=getattr(module, name), seen=calls.setdefault(name, [])):
+            seen.append(key(group))
+            return build(group)
+
+        monkeypatch.setattr(module, name, counting)
+    run_catalog(default_catalog())
+    parents = {G.name for G, H in catalog_pairs}
+    quotients = {quotient(G, H).group.table for G, H in catalog_pairs}
+    nontrivial = {quotient(G, H).group.table for G, H in catalog_pairs if H.order > 1}
+    assert (len(catalog_pairs), len(parents), len(quotients)) == (223, 42, 43)
+    expected = {
+        "power_graph": parents | quotients,
+        "degree_in_power_graph_formula": parents | quotients,
+        "recognize": quotients,
+        "power_graph_edge_count_formula": nontrivial,  # EDGES_6_1 skips H = {e}
+    }
+    for name, keys in expected.items():
+        assert len(calls[name]) == len(set(calls[name])), name
+        assert set(calls[name]) == keys, name

@@ -327,6 +327,17 @@ def test_recognize_through_trivial_quotient_agrees():
         assert recognize(Q.group).is_cyclic == direct_cyclic
 
 
+def test_membership_asks_for_an_element_not_a_field():
+    trivial = generated_subgroup(S3, [])
+    rotations = generated_subgroup(S3, [3])
+    assert rotations.elements == (0, 3, 4)
+    assert 1 not in trivial and 0 in trivial  # is_normal is True, and True == 1
+    assert 3 in rotations and 4 in rotations and 1 not in rotations
+    assert [a for a in S3.elements() if a in rotations] == list(rotations.elements)
+    assert len(rotations) == 4  # still the field count, which _make and _replace rely on
+    assert rotations._replace(is_normal=True) == rotations
+
+
 def test_describe_forms():
     G = grp("Z6")
     assert generated_subgroup(G, []).describe() == "{e}"

@@ -34,6 +34,14 @@ def test_analyze_output_is_checked_before_any_dependency_is_installed():
     )
 
 
+def test_verify_json_digest_is_checked_before_any_dependency_is_installed():
+    # The digest test_default_verify_json_is_pinned_by_its_digest pins.
+    assert _runs_before_any_install(
+        "PYTHONPATH=src python -m nspg.cli verify --format json | sha256sum"
+        " | grep -x 'e8d6b0bf80ccf22be10a1b067c50ba42d98e00de5436bdf6291fa12770c7cb0b  -'"
+    )
+
+
 def test_benchmark_checks_its_outputs_before_the_clean_tree_check():
     # One checked pass of every workload; it writes only under the ignored bench/out/.
     runs = [step.get("run") for step in _job()["steps"]]
