@@ -1,98 +1,68 @@
-"""Normal-subgroup-based power graphs: exact construction, invariants, and verification."""
+"""Normal-subgroup-based power graphs: exact construction, invariants, and verification.
 
-from .groups import (
-    FiniteGroup,
-    GroupSpec,
-    euler_phi,
-    from_cayley_table,
-    make_group,
-    parse_group_spec,
-)
-from .harness import (
-    Budgets,
-    Catalog,
-    CatalogEntry,
-    InstanceResult,
-    Report,
-    TheoremId,
-    check_theorem,
-    default_catalog,
-    run_catalog,
-)
-from .invariants import (
-    BudgetExceeded,
-    GraphInvariants,
-    basic_invariants,
-    chromatic_number,
-    clique_number,
-    compute_invariants,
-    degree_in_power_graph_formula,
-    girth,
-    hamiltonian_cycle,
-    is_perfect,
-    is_planar,
-    vertex_connectivity,
-)
-from .power_graphs import (
-    NSBPowerGraph,
-    SimpleGraph,
-    expand_quotient_graph,
-    graph_to_dot,
-    graph_to_json,
-    nsb_power_graph,
-    power_graph,
-)
-from .subgroups import (
-    QuotientGroup,
-    SubgroupSet,
-    all_normal_subgroups,
-    generated_subgroup,
-    quotient,
-    recognize,
-)
+Each public name loads its defining module on first use, so ``import nspg`` loads
+no submodule. A name is read from its defining module on every access and never
+stored here, so a rebinding there is seen through ``nspg.<name>``.
+"""
+
+import importlib as _importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FiniteGroup",
-    "GroupSpec",
-    "euler_phi",
-    "from_cayley_table",
-    "make_group",
-    "parse_group_spec",
-    "SubgroupSet",
-    "QuotientGroup",
-    "all_normal_subgroups",
-    "generated_subgroup",
-    "quotient",
-    "recognize",
-    "SimpleGraph",
-    "NSBPowerGraph",
-    "power_graph",
-    "nsb_power_graph",
-    "expand_quotient_graph",
-    "graph_to_dot",
-    "graph_to_json",
-    "BudgetExceeded",
-    "GraphInvariants",
-    "basic_invariants",
-    "clique_number",
-    "chromatic_number",
-    "vertex_connectivity",
-    "is_planar",
-    "is_perfect",
-    "hamiltonian_cycle",
-    "girth",
-    "compute_invariants",
-    "degree_in_power_graph_formula",
-    "TheoremId",
-    "InstanceResult",
-    "Catalog",
-    "CatalogEntry",
-    "Budgets",
-    "Report",
-    "check_theorem",
-    "default_catalog",
-    "run_catalog",
-    "__version__",
-]
+# Each public name and the module that defines it.
+_SOURCES = {
+    "FiniteGroup": "groups",
+    "GroupSpec": "groups",
+    "euler_phi": "groups",
+    "from_cayley_table": "groups",
+    "make_group": "groups",
+    "parse_group_spec": "groups",
+    "SubgroupSet": "subgroups",
+    "QuotientGroup": "subgroups",
+    "all_normal_subgroups": "subgroups",
+    "generated_subgroup": "subgroups",
+    "quotient": "subgroups",
+    "recognize": "subgroups",
+    "SimpleGraph": "power_graphs",
+    "NSBPowerGraph": "power_graphs",
+    "power_graph": "power_graphs",
+    "nsb_power_graph": "power_graphs",
+    "expand_quotient_graph": "power_graphs",
+    "graph_to_dot": "power_graphs",
+    "graph_to_json": "power_graphs",
+    "BudgetExceeded": "invariants",
+    "GraphInvariants": "invariants",
+    "basic_invariants": "invariants",
+    "clique_number": "invariants",
+    "chromatic_number": "invariants",
+    "vertex_connectivity": "invariants",
+    "is_planar": "invariants",
+    "is_perfect": "invariants",
+    "hamiltonian_cycle": "invariants",
+    "girth": "invariants",
+    "compute_invariants": "invariants",
+    "degree_in_power_graph_formula": "invariants",
+    "TheoremId": "harness",
+    "InstanceResult": "harness",
+    "Catalog": "harness",
+    "CatalogEntry": "harness",
+    "Budgets": "harness",
+    "Report": "harness",
+    "check_theorem": "harness",
+    "default_catalog": "harness",
+    "run_catalog": "harness",
+}
+
+__all__ = [*_SOURCES, "__version__"]
+
+
+def __getattr__(name):
+    try:
+        module = _SOURCES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(_importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

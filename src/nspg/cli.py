@@ -22,24 +22,14 @@ budget of the clique, chromatic-number and Hamiltonicity solvers (default 64).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from . import invariants as inv
+# Each command imports the layers it runs when it runs, so a command loads
+# nothing it does not use: the harness only for verify and list-groups, the
+# power graphs for build, power-graph and analyze, the invariants for analyze.
 from .groups import FiniteGroup, make_group, parse_group_spec
-from .harness import (
-    Budgets,
-    Catalog,
-    DEFAULT_CATALOG_GROUPS,
-    default_catalog,
-    parse_catalog_json,
-    run_catalog,
-    select_subgroup,
-    theorem_ids,
-)
-from .power_graphs import graph_to_dot, graph_to_json, nsb_power_graph, power_graph
-from .subgroups import SubgroupSet, all_normal_subgroups
+from .subgroups import SubgroupSet, all_normal_subgroups, select_subgroup
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -47,17 +37,20 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _budgets_from_env() -> Budgets:
+def _solver_budget() -> int:
+    """The clique, chromatic and Hamiltonicity vertex budget: NSPG_BUDGET, else the default."""
     raw = os.environ.get("NSPG_BUDGET")
     if raw is None:
-        return Budgets()
+        from .invariants import DEFAULT_SOLVER_BUDGET
+
+        return DEFAULT_SOLVER_BUDGET
     try:
         value = int(raw)
         if value < 1:
             raise ValueError
     except ValueError:
         raise ValueError(f"NSPG_BUDGET must be a positive integer, got {raw!r}")
-    return Budgets(exact_solver=value)
+    return value
 
 
 def _group(spec_text: str) -> FiniteGroup:
@@ -119,6 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list_groups(_args: argparse.Namespace) -> int:
+    from .harness import DEFAULT_CATALOG_GROUPS
+
     for spec in DEFAULT_CATALOG_GROUPS:
         print(spec)
     return EXIT_OK
@@ -132,6 +127,8 @@ def _cmd_list_normal_subgroups(args: argparse.Namespace) -> int:
 
 
 def _emit_graph(graph, name: str, fmt: str) -> None:
+    from .power_graphs import graph_to_dot, graph_to_json
+
     if fmt == "dot":
         sys.stdout.write(graph_to_dot(graph, name))
     else:
@@ -139,6 +136,8 @@ def _emit_graph(graph, name: str, fmt: str) -> None:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    from .power_graphs import nsb_power_graph
+
     G = _group(args.group)
     H = _subgroup(G, args)
     _emit_graph(nsb_power_graph(G, H).graph, f"{G.name} mod {H.describe()}", args.format)
@@ -146,12 +145,16 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_power_graph(args: argparse.Namespace) -> int:
+    from .power_graphs import power_graph
+
     G = _group(args.group)
     _emit_graph(power_graph(G), G.name, args.format)
     return EXIT_OK
 
 
 def _table_value(value) -> str:
+    import json
+
     if value is None:
         return "null"
     if value is True:
@@ -164,15 +167,17 @@ def _table_value(value) -> str:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    import json
+
+    from .invariants import compute_invariants, invariants_to_json_obj
+    from .power_graphs import nsb_power_graph
+
     G = _group(args.group)
     H = _subgroup(G, args)
-    budgets = _budgets_from_env()
-    nsb = nsb_power_graph(G, H)
-    result = inv.compute_invariants(
-        nsb.graph, solver_budget=budgets.exact_solver, odd_hole_budget=budgets.odd_hole
-    )
+    solver_budget = _solver_budget()
+    result = compute_invariants(nsb_power_graph(G, H).graph, solver_budget=solver_budget)
     obj = {"group": G.name, "subgroup": H.describe()}
-    obj.update(inv.invariants_to_json_obj(result))
+    obj.update(invariants_to_json_obj(result))
     if args.format == "json":
         sys.stdout.write(json.dumps(obj, indent=2) + "\n")
     else:
@@ -185,7 +190,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    budgets = _budgets_from_env()
+    from .harness import Budgets, Catalog, default_catalog, parse_catalog_json, run_catalog, theorem_ids
+
+    budgets = Budgets(exact_solver=_solver_budget())
     if args.catalog is not None:
         try:
             with open(args.catalog, "r", encoding="utf-8") as fh:

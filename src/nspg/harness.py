@@ -22,9 +22,9 @@ from .subgroups import (
     QuotientGroup,
     SubgroupSet,
     all_normal_subgroups,
-    generated_subgroup,
     quotient,
     recognize,
+    select_subgroup,
 )
 
 
@@ -120,13 +120,19 @@ def parse_catalog_json(text: str, budgets: Budgets = Budgets()) -> Catalog:
         subs = item.get("subgroups", "all-normal")
         if subs != "all-normal":
             if not isinstance(subs, list):
-                raise ValueError(f"'subgroups' must be \"all-normal\" or a list, got {subs!r}")
+                raise ValueError(
+                    f"instance {i} ({group}): 'subgroups' must be \"all-normal\" or a list, got {subs!r}"
+                )
             subs = tuple(str(s) for s in subs)
         entries.append(CatalogEntry(group, subs))
-    names = data.get("theorems", [])
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise ValueError(f"'theorems' must be a list of strings, got {names!r}")
-    theorems = theorem_ids(names) if names else tuple(TheoremId)
+    theorems = tuple(TheoremId)  # an absent "theorems" runs all thirteen
+    if "theorems" in data:
+        names = data["theorems"]
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise ValueError(f"'theorems' must be a list of strings, got {names!r}")
+        if not names:
+            raise ValueError("'theorems' is empty; leave it out to run every theorem")
+        theorems = theorem_ids(names)
     return Catalog(entries=tuple(entries), theorems=theorems, budgets=budgets)
 
 
@@ -156,25 +162,6 @@ def resolve_catalog(cat: Catalog) -> list[tuple[FiniteGroup, SubgroupSet]]:
             for selector in entry.subgroups:
                 out.append((G, select_subgroup(G, selector)))
     return out
-
-
-def select_subgroup(G: FiniteGroup, selector: str) -> SubgroupSet:
-    """The proper normal subgroup of G generated by a selector such as "1,4" (the
-    comma-separated element indices of --subgroup and of catalog files; "" gives {e})."""
-    try:
-        gens = [int(tok) for tok in selector.split(",") if tok != ""]
-    except ValueError:
-        raise ValueError(
-            f"selector {selector!r} is not a comma-separated list of element indices"
-        ) from None
-    H = generated_subgroup(G, gens)
-    if not H.is_normal:
-        raise ValueError(
-            f"selector {selector!r} generates {H.describe()}, which is not normal in {G.name}"
-        )
-    if H.order == G.order:
-        raise ValueError(f"selector {selector!r} generates all of {G.name}")
-    return H
 
 
 class InstanceContext:

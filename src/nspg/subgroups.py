@@ -82,6 +82,25 @@ def generated_subgroup(G: FiniteGroup, gens) -> SubgroupSet:
     return subgroup_from_elements(G, generate(G.table, gen_set)[1])
 
 
+def select_subgroup(G: FiniteGroup, selector: str) -> SubgroupSet:
+    """The proper normal subgroup of G generated by a selector such as "1,4" (the
+    comma-separated element indices of --subgroup and of catalog files; "" gives {e})."""
+    try:
+        gens = [int(tok) for tok in selector.split(",") if tok != ""]
+    except ValueError:
+        raise ValueError(
+            f"selector {selector!r} is not a comma-separated list of element indices"
+        ) from None
+    H = generated_subgroup(G, gens)
+    if not H.is_normal:
+        raise ValueError(
+            f"selector {selector!r} generates {H.describe()}, which is not normal in {G.name}"
+        )
+    if H.order == G.order:
+        raise ValueError(f"selector {selector!r} generates all of {G.name}")
+    return H
+
+
 def all_normal_subgroups(G: FiniteGroup) -> list[SubgroupSet]:
     """All normal subgroups of G, sorted by order then element set; includes {e} and G.
 

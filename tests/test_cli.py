@@ -345,6 +345,15 @@ def test_verify_with_missing_catalog_exits_2(capsys, tmp_path):
             {"instances": [{"group": "Z4"}], "theorems": ["EULERIAN_4_2", "EULERIAN_4_2"]},
             "error: cannot load catalog: duplicate theorem id 'EULERIAN_4_2'\n",
         ),
+        (
+            {"instances": [{"group": "Z4"}], "theorems": []},
+            "error: cannot load catalog: 'theorems' is empty; leave it out to run every theorem\n",
+        ),
+        (
+            {"instances": [{"group": "Z4"}, {"group": "Z12", "subgroups": "3"}]},
+            "error: cannot load catalog: instance 1 (Z12): 'subgroups' must be \"all-normal\" or a list,"
+            " got '3'\n",
+        ),
     ],
 )
 def test_verify_with_malformed_catalog_exits_2(capsys, tmp_path, catalog, message):
@@ -368,7 +377,7 @@ def test_too_many_normal_subgroups_exits_2(capsys, argv):
 
 
 def test_verify_exits_1_when_a_check_fails(capsys, monkeypatch):
-    import nspg.cli
+    import nspg.harness
     from nspg.harness import InstanceResult, Report
 
     failing = Report(
@@ -385,7 +394,7 @@ def test_verify_exits_1_when_a_check_fails(capsys, monkeypatch):
         ),
         instance_count=1,
     )
-    monkeypatch.setattr(nspg.cli, "run_catalog", lambda catalog: failing)
+    monkeypatch.setattr(nspg.harness, "run_catalog", lambda catalog: failing)
     code, out, _ = run_cli(capsys, "verify", "--format", "csv")
     assert code == 1
     assert out.splitlines()[1].endswith(",FAIL")
@@ -424,10 +433,11 @@ def test_runs_without_numpy():
 
 
 def test_all_names_exactly_the_public_bindings():
+    # Read through dir and getattr: the package binds its public names lazily.
     public = {
         name
-        for name, value in vars(nspg).items()
-        if not name.startswith("_") and not inspect.ismodule(value)
+        for name in dir(nspg)
+        if not name.startswith("_") and not inspect.ismodule(getattr(nspg, name))
     }
     assert len(set(nspg.__all__)) == len(nspg.__all__)
     assert set(nspg.__all__) == public | {"__version__"}

@@ -42,6 +42,15 @@ def test_verify_json_digest_is_checked_before_any_dependency_is_installed():
     )
 
 
+def test_cli_import_graph_is_checked_before_any_dependency_is_installed():
+    # The modules tests/test_imports.py pins for import nspg.cli, on every CI Python.
+    assert _runs_before_any_install(
+        "PYTHONPATH=src python -c \"import sys, nspg.cli;"
+        " loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'nspg'); print(loaded);"
+        " assert loaded == ['nspg', 'nspg.cli', 'nspg.groups', 'nspg.subgroups']\""
+    )
+
+
 def test_benchmark_checks_its_outputs_before_the_clean_tree_check():
     # One checked pass of every workload; it writes only under the ignored bench/out/.
     runs = [step.get("run") for step in _job()["steps"]]
