@@ -103,11 +103,14 @@ def parse_catalog_json(text: str, budgets: Budgets = Budgets()) -> Catalog:
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("catalog must be a JSON object")
+    _check_keys(data, ("instances", "theorems"))
     if "instances" not in data:
         raise ValueError("missing 'instances'")
     items = data["instances"]
     if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
         raise ValueError("catalog 'instances' must be a list of objects")
+    if not items:
+        raise ValueError("'instances' is empty; a catalog needs at least one instance")
     entries = []
     for i, item in enumerate(items):
         if "group" not in item:
@@ -115,15 +118,18 @@ def parse_catalog_json(text: str, budgets: Budgets = Budgets()) -> Catalog:
         group = str(item["group"])
         try:
             parse_group_spec(group).group_order()
+            _check_keys(item, ("group", "subgroups"))
+            subs = item.get("subgroups", "all-normal")
+            if subs != "all-normal":
+                if not isinstance(subs, list):
+                    raise ValueError(f"'subgroups' must be \"all-normal\" or a list, got {subs!r}")
+                if not subs:
+                    raise ValueError(
+                        "'subgroups' is empty; leave it out to run every proper normal subgroup"
+                    )
+                subs = tuple(str(s) for s in subs)
         except ValueError as exc:
             raise ValueError(f"instance {i} ({group}): {exc}") from None
-        subs = item.get("subgroups", "all-normal")
-        if subs != "all-normal":
-            if not isinstance(subs, list):
-                raise ValueError(
-                    f"instance {i} ({group}): 'subgroups' must be \"all-normal\" or a list, got {subs!r}"
-                )
-            subs = tuple(str(s) for s in subs)
         entries.append(CatalogEntry(group, subs))
     theorems = tuple(TheoremId)  # an absent "theorems" runs all thirteen
     if "theorems" in data:
@@ -134,6 +140,13 @@ def parse_catalog_json(text: str, budgets: Budgets = Budgets()) -> Catalog:
             raise ValueError("'theorems' is empty; leave it out to run every theorem")
         theorems = theorem_ids(names)
     return Catalog(entries=tuple(entries), theorems=theorems, budgets=budgets)
+
+
+def _check_keys(obj: dict, valid: tuple[str, ...]) -> None:
+    """Refuse a key the schema does not know: a misspelt one would silently run the default."""
+    for key in obj:
+        if key not in valid:
+            raise ValueError(f"unknown key {key!r}; valid keys: {', '.join(map(repr, valid))}")
 
 
 def theorem_ids(names) -> tuple[TheoremId, ...]:

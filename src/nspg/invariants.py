@@ -542,17 +542,24 @@ def _has_odd_hole(g: SimpleGraph) -> bool:
 def is_perfect(g: SimpleGraph, budget: int = DEFAULT_ODD_HOLE_BUDGET) -> bool:
     """No induced odd cycle of length >= 5 in the graph or its complement.
 
-    The budget counts the input's vertices, but the search runs on the true-twin
-    quotient: one vertex per class of equal closed neighbourhoods. This is exact.
-    Two true twins are adjacent and have the same other neighbours, so no induced
-    cycle or co-cycle of length >= 5 holds both; and swapping each vertex of a
-    hole for its class representative keeps the hole induced.
+    The search runs once twins are deleted: a vertex goes while a kept vertex has
+    its closed (a true twin) or its open (a false twin) neighbourhood among the kept
+    ones. Exact, as G is perfect iff G - v is for a twin v (Lovasz's replication
+    lemma; false twins are true twins of the complement); a cograph leaves one
+    vertex. The budget counts the input's vertices, so no refusal depends on this.
     """
     _check_budget("is_perfect", g.vertex_count, budget)
-    first_of_class: dict[int, int] = {}
-    for v, row in enumerate(g.rows):
-        first_of_class.setdefault(row | 1 << v, v)
-    q = _induced(g, list(first_of_class.values()))
+    rows, keep, before = g.rows, (1 << g.vertex_count) - 1, 0
+    while keep != before:
+        before = keep
+        neighbourhoods = set()  # a closed one holds its vertex, an open one does not
+        for v in _bits(before):
+            open_ = rows[v] & keep
+            if open_ in neighbourhoods or open_ | 1 << v in neighbourhoods:
+                keep &= ~(1 << v)
+            else:
+                neighbourhoods.update((open_, open_ | 1 << v))
+    q = _induced(g, list(_bits(keep)))
     return not _has_odd_hole(q) and not _has_odd_hole(q.complement())
 
 

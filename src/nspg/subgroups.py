@@ -12,8 +12,9 @@ MAX_NORMAL_SUBGROUPS = 4096
 
 
 class SubgroupSet(NamedTuple):
-    """A validated subgroup of a parent group, stored as a sorted index tuple,
-    with the generators generate() drew from it when its closure was checked."""
+    """A subgroup of a parent group, stored as a sorted index tuple, with the
+    generators generate() draws from it. Only quotient and nsb_power_graph check
+    a hand-built one; generated_subgroup and all_normal_subgroups build them."""
 
     parent: FiniteGroup
     elements: tuple[int, ...]
@@ -36,42 +37,11 @@ class SubgroupSet(NamedTuple):
         return "<" + ",".join(str(g) for g in self.generators) + ">"
 
 
-def subgroup_from_elements(G: FiniteGroup, elements) -> SubgroupSet:
-    """Wrap an element set as a SubgroupSet after checking every subgroup axiom.
-
-    Closure is checked by span: generate() walks a set that always contains the
-    elements, and equals it exactly when they form a subgroup. The walk's first
-    step outside is a product a*s with a in the set and s one of its generators,
-    so a failure always names such a pair.
-    """
-    elems = sorted(set(int(a) for a in elements))
-    if any(not 0 <= a < G.order for a in elems):
-        raise ValueError("subgroup element index out of range")
-    if 0 not in elems:
-        raise ValueError("subgroup must contain the identity")
-    members = set(elems)
-    for a in elems:
-        if G.inv(a) not in members:
-            raise ValueError(f"subgroup not closed under inversion at element {a}")
-    gens, span = generate(G.table, elems)
-    if len(span) != len(elems):
-        a, s = next((a, s) for a in elems for s in gens if G.table[a][s] not in members)
-        raise ValueError(f"subgroup not closed under multiplication at ({a}, {s})")
-    if G.order % len(elems) != 0:
-        raise ValueError("subgroup order does not divide group order")
-    normal = _normal_by_conjugation(G, members)
-    return SubgroupSet(G, tuple(elems), normal, gens)
-
-
-def _normal_by_conjugation(G: FiniteGroup, members: set[int]) -> bool:
-    """gHg^-1 within H for each generator g; products of generators then follow,
-    and every element is a positive word in G.generators."""
-    for g in G.generators:
-        gi = G.inv(g)
-        for h in members:
-            if G.table[G.table[g][h]][gi] not in members:
-                return False
-    return True
+def _subgroup(G: FiniteGroup, elements, is_normal: bool) -> SubgroupSet:
+    """The record of a subgroup its caller built: elements sorted, generators drawn
+    from them by generate(). The one place a SubgroupSet is made from a subgroup."""
+    elems = sorted(elements)
+    return SubgroupSet(G, tuple(elems), is_normal, generate(G.table, elems)[0])
 
 
 def generated_subgroup(G: FiniteGroup, gens) -> SubgroupSet:
@@ -79,7 +49,11 @@ def generated_subgroup(G: FiniteGroup, gens) -> SubgroupSet:
     gen_set = set(int(g) for g in gens)
     if any(not 0 <= g < G.order for g in gen_set):
         raise ValueError("generator index out of range")
-    return subgroup_from_elements(G, generate(G.table, gen_set)[1])
+    table = G.table
+    span = generate(table, gen_set)[1]
+    # gHg^-1 within H for each generator g of G suffices: every element is a positive word in them.
+    normal = all(table[table[g][h]][G.inv(g)] in span for g in G.generators for h in span)
+    return _subgroup(G, span, normal)
 
 
 def select_subgroup(G: FiniteGroup, selector: str) -> SubgroupSet:
@@ -110,8 +84,8 @@ def all_normal_subgroups(G: FiniteGroup) -> list[SubgroupSet]:
     positive word in them. A breadth-first walk from {e}, joining each subgroup
     found with each closure it does not contain, reaches them all (Holt, Eick &
     O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 3). The join
-    NP of two normal subgroups is their set product, so it needs no closure.
-    Raises ValueError past MAX_NORMAL_SUBGROUPS.
+    NP of two normal subgroups is their set product, so it needs no closure and
+    no check. Raises ValueError past MAX_NORMAL_SUBGROUPS.
 
     Subgroups are int bitmasks over the element indices. One closure is spanned
     per cyclic class: every c^k with c in g's class and k prime to |g| generates
@@ -169,7 +143,7 @@ def all_normal_subgroups(G: FiniteGroup) -> list[SubgroupSet]:
                 seen.add(joined)
                 found.append(joined)
     subsets = sorted((list(_bits(m)) for m in found), key=lambda s: (len(s), s))
-    return [subgroup_from_elements(G, elems) for elems in subsets]
+    return [_subgroup(G, elems, True) for elems in subsets]
 
 
 def _bits(mask: int):

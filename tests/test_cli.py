@@ -295,6 +295,22 @@ def test_default_verify_json_is_pinned_by_its_digest(capsys):
     assert hashlib.sha256(data).hexdigest() == "e8d6b0bf80ccf22be10a1b067c50ba42d98e00de5436bdf6291fa12770c7cb0b"
 
 
+@pytest.mark.parametrize(
+    "spec, size, digest",
+    [
+        ("S5", 90, "c6c39614964baa2578fc91e37fd6a9f0869a7cdd9daf06aa7d0ab897001591f8"),
+        ("E(2,5)", 11589, "6c319e914f75c4210c7e5a8676166c01512affecc390150dfcaf8532cae00d4f"),
+    ],
+)
+def test_list_normal_subgroups_is_pinned_by_its_digest(capsys, spec, size, digest):
+    # Two enumerations bench/expected leaves out; CI checks the same digests.
+    code, out, _ = run_cli(capsys, "list-normal-subgroups", spec)
+    assert code == 0
+    data = out.encode("ascii")
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_verify_with_catalog_file(capsys, tmp_path):
     catalog = {
         "instances": [{"group": "Z4", "subgroups": ["2"]}],
@@ -353,6 +369,24 @@ def test_verify_with_missing_catalog_exits_2(capsys, tmp_path):
             {"instances": [{"group": "Z4"}, {"group": "Z12", "subgroups": "3"}]},
             "error: cannot load catalog: instance 1 (Z12): 'subgroups' must be \"all-normal\" or a list,"
             " got '3'\n",
+        ),
+        (
+            {"instances": []},
+            "error: cannot load catalog: 'instances' is empty; a catalog needs at least one instance\n",
+        ),
+        (
+            {"instances": [{"group": "Z4"}, {"group": "Z12", "subgroups": []}]},
+            "error: cannot load catalog: instance 1 (Z12): 'subgroups' is empty;"
+            " leave it out to run every proper normal subgroup\n",
+        ),
+        (
+            {"instances": [{"group": "Z4", "subgroups": ["2"]}], "theorem": ["EDGES_6_1"]},
+            "error: cannot load catalog: unknown key 'theorem'; valid keys: 'instances', 'theorems'\n",
+        ),
+        (
+            {"instances": [{"group": "Z4"}, {"group": "Z12", "subgroup": ["6"]}]},
+            "error: cannot load catalog: instance 1 (Z12): unknown key 'subgroup';"
+            " valid keys: 'group', 'subgroups'\n",
         ),
     ],
 )

@@ -473,6 +473,7 @@ def test_perfect_anchors():
     assert not inv.is_perfect(cycle_graph(5))
     assert not inv.is_perfect(cycle_graph(7))
     assert not inv.is_perfect(cycle_graph(7).complement())
+    assert not inv.is_perfect(petersen())
     assert inv.is_perfect(complete_graph(6))
     assert inv.is_perfect(cycle_graph(6))
     assert inv.is_perfect(path_graph(7))
@@ -486,11 +487,13 @@ def test_perfect_matches_oracle_on_random_graphs():
         assert inv.is_perfect(g) == brute_is_perfect(g)
 
 
-def plant_true_twins(rng, g, count):
-    """g with count more vertices, each with the closed neighbourhood of a vertex before it."""
+def plant_twins(rng, g, count):
+    """g with count more vertices, each a true or a false twin of a vertex before it:
+    with that vertex's closed or its open neighbourhood."""
     for _ in range(count):
         n, v = g.vertex_count, rng.randrange(g.vertex_count)
-        g = SimpleGraph(labels(n + 1), g.edges() + [(v, n)] + [(w, n) for w in g.neighbors(v)])
+        true_twin = [(v, n)] if rng.random() < 0.5 else []
+        g = SimpleGraph(labels(n + 1), g.edges() + true_twin + [(w, n) for w in g.neighbors(v)])
     return g
 
 
@@ -504,12 +507,53 @@ def test_twin_reduced_perfectness_matches_oracle():
     seen = set()
     for g, want in cases:
         for _ in range(3):
-            twinned = plant_true_twins(rng, g, rng.randint(1, 4))
-            # A true twin never makes or breaks an odd hole or antihole.
+            twinned = plant_twins(rng, g, rng.randint(1, 4))
+            # Neither kind of twin makes or breaks an odd hole or antihole.
             assert brute_is_perfect(twinned) == want
             assert inv.is_perfect(twinned) == want
             seen.add(want)
     assert seen == {True, False}
+
+
+def plant_near_twins(rng, g, count):
+    """g with count more vertices, each with a vertex's neighbourhood, open or closed,
+    with one vertex added or removed: not a twin, so the rule must keep it."""
+    for _ in range(count):
+        n, v = g.vertex_count, rng.randrange(g.vertex_count)
+        near = set(g.neighbors(v)) ^ {rng.randrange(n)}
+        if rng.random() < 0.5:
+            near.add(v)
+        g = SimpleGraph(labels(n + 1), g.edges() + [(w, n) for w in sorted(near)])
+    return g
+
+
+def test_twin_deletion_keeps_near_twins():
+    rng = random.Random(20261018)
+    bases = [cycle_graph(5), cycle_graph(7), cycle_graph(7).complement(), petersen()]
+    bases += [random_graph(rng, rng.randint(4, 7), rng.choice([0.3, 0.5, 0.7])) for _ in range(60)]
+    seen = set()
+    for g in bases:
+        for _ in range(3):
+            h = plant_near_twins(rng, g, rng.randint(1, 3))
+            want = brute_is_perfect(h)
+            assert inv.is_perfect(h) == want, h.edges()
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def test_perfectness_of_a_star_is_searched_on_one_vertex(monkeypatch):
+    # Gamma_{e}(E(2,8)): the identity joined to 255 pairwise false twins. One pass
+    # leaves the identity and one leaf, true twins of each other; the next leaves one.
+    G = grp("E(2,8)")
+    g = nsb_power_graph(G, generated_subgroup(G, [])).graph
+    assert g.vertex_count == 256 and g.edge_count == 255
+    searched = []
+    search = inv._has_odd_hole
+    monkeypatch.setattr(inv, "_has_odd_hole", lambda q: searched.append(q.vertex_count) or search(q))
+    assert inv.is_perfect(g, budget=10**6) is True
+    assert searched == [1, 1]
+    with pytest.raises(inv.BudgetExceeded, match="256 vertices exceeds budget 24"):
+        inv.is_perfect(g)  # the budget still counts the input's vertices
 
 
 def test_twin_reduced_perfectness_matches_unreduced_search_on_catalog(catalog_pairs):

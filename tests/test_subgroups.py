@@ -1,5 +1,4 @@
 import random
-import re
 
 import pytest
 
@@ -12,7 +11,6 @@ from nspg.subgroups import (
     generated_subgroup,
     quotient,
     recognize,
-    subgroup_from_elements,
 )
 from oracles import (
     all_normal_subgroups_by_sets,
@@ -109,11 +107,17 @@ def test_all_normal_subgroups_refuses_past_the_bound():
         all_normal_subgroups(grp("E(2,8)"))
 
 
+# The groups of the normal-subgroups benchmark workload.
+NORMAL_SUBGROUP_BENCH_GROUPS = (
+    "E(2,4)", "Z4xZ4xZ2", "S3xS3", "D32", "S4xZ2", "D12xZ2", "Q8xQ8", "Z8xZ8", "Z256"
+)
+
+
 @pytest.mark.parametrize(
     "text",
-    # the normal-subgroups benchmark groups, then larger and non-abelian ones
-    ["E(2,4)", "Z4xZ4xZ2", "S3xS3", "D32", "S4xZ2", "D12xZ2", "Q8xQ8", "Z8xZ8", "Z256"]
-    + ["S5", "E(2,5)", "D64", "D128", "Q8xS3", "S4xZ3", "S4xD4", "Z4xZ4xZ4", "Z2xZ64", "Q8xZ32"],
+    # the benchmark groups, then larger and non-abelian ones
+    NORMAL_SUBGROUP_BENCH_GROUPS
+    + ("S5", "E(2,5)", "D64", "D128", "Q8xS3", "S4xZ3", "S4xD4", "Z4xZ4xZ4", "Z2xZ64", "Q8xZ32"),
 )
 def test_bitmask_enumeration_equals_the_set_walk(text):
     G = grp(text)
@@ -166,28 +170,19 @@ def _candidate_sets(G, subs, rng, count):
 
 @pytest.mark.parametrize("text", ["Z12", "S4", "D6", "Z2xQ8", "S3xS3"])
 def test_span_check_accepts_exactly_the_subgroups(text):
+    # The span of S is S itself exactly when S is a subgroup; otherwise it is larger.
     G = grp(text)
     subs = all_subgroups(G)
     rng = random.Random(9)
     rejected = 0
     for S in [set(H) for H in subs] + list(_candidate_sets(G, subs, rng, 600)):
+        H = generated_subgroup(G, S)
         if frozenset(S) in subs:
-            H = subgroup_from_elements(G, S)
             assert H.elements == tuple(sorted(S))
             assert H.is_normal == is_normal_brute(G, S)
             continue
-        with pytest.raises(ValueError) as err:
-            subgroup_from_elements(G, S)
         rejected += 1
-        message = str(err.value)
-        if m := re.fullmatch(r"subgroup not closed under inversion at element (\d+)", message):
-            a = int(m.group(1))
-            assert a in S and G.inv(a) not in S
-        else:
-            m = re.fullmatch(r"subgroup not closed under multiplication at \((\d+), (\d+)\)", message)
-            assert m, message
-            a, b = int(m.group(1)), int(m.group(2))
-            assert a in S and b in S and G.table[a][b] not in S
+        assert S < set(H.elements) and frozenset(H.elements) == closure(G, S)
     assert rejected > 300
 
 
@@ -197,14 +192,30 @@ def test_span_check_accepts_exactly_the_subgroups(text):
 def test_normality_from_generators_matches_conjugation_by_every_element(text):
     G = grp(text)
     for elems in all_subgroups(G):
-        assert subgroup_from_elements(G, elems).is_normal == is_normal_brute(G, elems)
+        H = generated_subgroup(G, elems)  # the span of a subgroup's elements is that subgroup
+        assert H.elements == tuple(sorted(elems))
+        assert H.is_normal == is_normal_brute(G, elems)
 
 
-def test_subgroup_validation_rejects_unclosed_set():
-    with pytest.raises(ValueError):
-        subgroup_from_elements(grp("Z6"), [0, 2])  # 2+2=4 missing
-    with pytest.raises(ValueError):
-        subgroup_from_elements(grp("Z6"), [1, 2, 3])  # no identity... and unclosed
+@pytest.mark.parametrize(
+    "text", list(dict.fromkeys(DEFAULT_CATALOG_GROUPS + NORMAL_SUBGROUP_BENCH_GROUPS + ("S5", "E(2,5)")))
+)
+def test_every_enumerated_subgroup_is_a_normal_subgroup(text):
+    # all_normal_subgroups marks its results normal without checking them again;
+    # this is that check, by brute force: the identity, closure under the table,
+    # conjugation by every element, and generators that span exactly the subgroup.
+    G = grp(text)
+    subs = all_normal_subgroups(G)
+    keys = [(H.order, H.elements) for H in subs]
+    assert keys == sorted(set(keys))  # sorted by (order, elements), no repeats
+    for H in subs:
+        members = set(H.elements)
+        assert H.parent is G and H.is_normal
+        assert H.elements == tuple(sorted(members))
+        assert 0 in members
+        assert all(G.table[a][b] in members for a in H.elements for b in H.elements), H.elements
+        assert is_normal_brute(G, members), H.elements
+        assert closure(G, set(H.generators)) == frozenset(members), (H.generators, H.elements)
 
 
 def test_quotient_by_trivial_is_bijective():
@@ -291,7 +302,7 @@ def test_quotient_rejects_non_normal_marked_normal(text):
     # projection does not respect; both must be caught.
     G = grp(text)
     for elems in all_subgroups(G):
-        H = subgroup_from_elements(G, elems)
+        H = generated_subgroup(G, elems)
         if H.is_normal:
             continue
         with pytest.raises(ValueError, match="not well-defined"):

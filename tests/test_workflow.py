@@ -51,6 +51,17 @@ def test_cli_import_graph_is_checked_before_any_dependency_is_installed():
     )
 
 
+def test_normal_subgroup_digests_are_checked_before_any_dependency_is_installed():
+    # The digests test_list_normal_subgroups_is_pinned_by_its_digest pins; bench/expected
+    # leaves these two enumerations out.
+    assert _runs_before_any_install(
+        "PYTHONPATH=src python -m nspg.cli list-normal-subgroups S5 | sha256sum"
+        " | grep -x 'c6c39614964baa2578fc91e37fd6a9f0869a7cdd9daf06aa7d0ab897001591f8  -'\n"
+        "PYTHONPATH=src python -m nspg.cli list-normal-subgroups \"E(2,5)\" | sha256sum"
+        " | grep -x '6c319e914f75c4210c7e5a8676166c01512affecc390150dfcaf8532cae00d4f  -'\n"
+    )
+
+
 def test_benchmark_checks_its_outputs_before_the_clean_tree_check():
     # One checked pass of every workload; it writes only under the ignored bench/out/.
     runs = [step.get("run") for step in _job()["steps"]]
