@@ -12,8 +12,9 @@ Group spec grammar (bit-exact):
 
 "x" builds direct products, e.g. Z2xZ4 or Z2xZ2xZ3. Any spec whose total
 order exceeds 256 is rejected. Subgroups are addressed either by a
-comma-separated generator list (--subgroup 1,4 means the subgroup those
-elements generate) or by position in list-normal-subgroups output
+comma-separated generator list of [0-9]+ indices (--subgroup 1,4 means the
+subgroup those elements generate; "" gives {e}) or by position in
+list-normal-subgroups output
 (--subgroup-index 2); a group with more than 4096 normal subgroups is
 refused. The environment variable NSPG_BUDGET overrides the vertex
 budget of the clique, chromatic-number and Hamiltonicity solvers (default 64).

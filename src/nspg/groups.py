@@ -1,4 +1,4 @@
-"""Concrete finite groups as fully validated Cayley tables over 0-based element indices."""
+"""Concrete finite groups as Cayley tables over 0-based indices; foreign tables are validated."""
 
 from __future__ import annotations
 
@@ -44,17 +44,27 @@ def _prime_factors(n: int) -> list[int]:
 class FiniteGroup:
     """A finite group given by its Cayley table; element 0 is always the identity.
 
-    Instances are immutable after construction and every structural invariant
-    (Latin square, identity at index 0, associativity, two-sided inverses) is
-    checked exactly when the table is validated. ``generators`` is the
-    generating set the validation found: every element is a product of them,
+    Instances are immutable after construction. ``FiniteGroup(...)`` validates its
+    table (Latin square, identity at index 0, associativity, two-sided inverses);
+    make_group and quotient build groups and skip that. ``generators`` is what
+    ``generate`` draws from the whole group: every element is a product of them,
     multiplied on the right starting from the identity.
     """
 
     __slots__ = ("name", "table", "labels", "generators", "_inverse")
 
     def __init__(self, name: str, table: tuple[tuple[int, ...], ...], labels: tuple[str, ...]):
-        generators = validate_cayley_table(table)
+        self._set_table(name, table, labels, validate_cayley_table(table))
+
+    @classmethod
+    def _from_group_table(cls, name: str, table, labels) -> "FiniteGroup":
+        """A group from a table the caller built as a group; only the labels are checked."""
+        G = cls.__new__(cls)
+        G._set_table(name, table, labels, generate(table, range(len(table)))[0])
+        return G
+
+    def _set_table(self, name: str, table, labels, generators: tuple[int, ...]) -> None:
+        """Both constructors end here: distinct labels, one per element; inverses read off."""
         if len(labels) != len(table):
             raise ValueError("label count does not match group order")
         if len(set(labels)) != len(labels):
@@ -207,7 +217,7 @@ class GroupSpec(NamedTuple):
         return _describe(self)[1]
 
 
-_ATOM_RE = re.compile(r"^(?:(Z|D|S)([0-9]+)|Q8|E\(([0-9]+),([0-9]+)\))$")
+_ATOM_RE = re.compile(r"(?:(Z|D|S)([0-9]+)|Q8|E\(([0-9]+),([0-9]+)\))")
 
 
 def parse_group_spec(text: str) -> GroupSpec:
@@ -221,7 +231,7 @@ def parse_group_spec(text: str) -> GroupSpec:
 
 
 def _parse_atom(text: str) -> GroupSpec:
-    m = _ATOM_RE.match(text)
+    m = _ATOM_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"unrecognized group spec {text!r}")
     if m.group(1) is not None:
@@ -233,9 +243,9 @@ def _parse_atom(text: str) -> GroupSpec:
 
 
 def make_group(spec: GroupSpec) -> FiniteGroup:
-    """Build the validated group an explicit spec describes; deterministic per spec."""
+    """Build the group an explicit spec describes; deterministic per spec."""
     name, _, build = _describe(spec)
-    return FiniteGroup(name, *build())
+    return FiniteGroup._from_group_table(name, *build())
 
 
 def _describe(spec: GroupSpec) -> tuple[str, int, Callable[[], _Built]]:
@@ -332,8 +342,10 @@ def _build_quaternion() -> _Built:
 
 def _build_elementary_abelian(p: int, k: int) -> _Built:
     # Index x has the base-p digits of x, most significant first, as coordinates.
+    # Past p = 10 a digit can take two characters, so a comma separates them.
     table = functools.reduce(_product_table, [_cyclic_table(p)] * k)
-    labels = tuple("".join(d) for d in itertools.product([str(v) for v in range(p)], repeat=k))
+    sep = "," if p > 10 else ""
+    labels = tuple(sep.join(d) for d in itertools.product([str(v) for v in range(p)], repeat=k))
     return table, labels
 
 

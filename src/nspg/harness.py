@@ -127,7 +127,12 @@ def parse_catalog_json(text: str, budgets: Budgets = Budgets()) -> Catalog:
                     raise ValueError(
                         "'subgroups' is empty; leave it out to run every proper normal subgroup"
                     )
-                subs = tuple(str(s) for s in subs)
+                bad = next((s for s in subs if not isinstance(s, str)), None)
+                if bad is not None:
+                    raise ValueError(
+                        f"'subgroups' must list selector strings such as \"1,4\", got {json.dumps(bad)}"
+                    )
+                subs = tuple(subs)
         except ValueError as exc:
             raise ValueError(f"instance {i} ({group}): {exc}") from None
         entries.append(CatalogEntry(group, subs))

@@ -8,7 +8,7 @@ from operator import or_
 from typing import NamedTuple
 
 from .groups import FiniteGroup, euler_phi
-from .subgroups import QuotientGroup, SubgroupSet, _bits, _coset_partition
+from .subgroups import QuotientGroup, SubgroupSet, _bits, _check_normal_subgroup, _coset_partition
 
 
 class SimpleGraph:
@@ -136,10 +136,7 @@ def power_graph_edge_count_formula(G: FiniteGroup) -> int:
 
 
 def _check_nsb_inputs(G: FiniteGroup, H: SubgroupSet) -> None:
-    if H.parent.table != G.table:
-        raise ValueError("H is not a subgroup of this group")
-    if not H.is_normal:
-        raise ValueError("H must be normal in G")
+    _check_normal_subgroup(G, H, "H must be normal in G")
     if H.order == G.order:
         raise ValueError("H = G is rejected: the graph would degenerate to a single vertex")
 

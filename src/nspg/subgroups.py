@@ -13,8 +13,8 @@ MAX_NORMAL_SUBGROUPS = 4096
 
 class SubgroupSet(NamedTuple):
     """A subgroup of a parent group, stored as a sorted index tuple, with the
-    generators generate() draws from it. Only quotient and nsb_power_graph check
-    a hand-built one; generated_subgroup and all_normal_subgroups build them."""
+    generators generate() draws from it. generated_subgroup and all_normal_subgroups
+    build them; quotient and the graph constructions check a hand-built one."""
 
     parent: FiniteGroup
     elements: tuple[int, ...]
@@ -49,18 +49,38 @@ def generated_subgroup(G: FiniteGroup, gens) -> SubgroupSet:
     gen_set = set(int(g) for g in gens)
     if any(not 0 <= g < G.order for g in gen_set):
         raise ValueError("generator index out of range")
+    span = generate(G.table, gen_set)[1]
+    return _subgroup(G, span, _conjugation_closed(G, span))
+
+
+def _conjugation_closed(G: FiniteGroup, members) -> bool:
+    """Whether gHg^-1 is within members (H) for each generator g of G, hence for every g."""
     table = G.table
-    span = generate(table, gen_set)[1]
-    # gHg^-1 within H for each generator g of G suffices: every element is a positive word in them.
-    normal = all(table[table[g][h]][G.inv(g)] in span for g in G.generators for h in span)
-    return _subgroup(G, span, normal)
+    return all(table[table[g][h]][G.inv(g)] in members for g in G.generators for h in members)
+
+
+def _check_normal_subgroup(G: FiniteGroup, H: SubgroupSet, unmarked: str) -> None:
+    """Refuse H unless it is a normal subgroup of G; unmarked: the message for H not marked normal."""
+    if H.parent.table != G.table:
+        raise ValueError("H is not a subgroup of this group")
+    if not H.is_normal:
+        raise ValueError(unmarked)
+    members = set(H.elements)
+    distinct = len(members) == len(H.elements) and members.issubset(G.elements())
+    if not distinct or generate(G.table, members)[1] != members:
+        raise ValueError("H is not a subgroup of this group")
+    if not _conjugation_closed(G, members):
+        raise ValueError("H is not normal in G: coset multiplication is not well-defined")
 
 
 def select_subgroup(G: FiniteGroup, selector: str) -> SubgroupSet:
     """The proper normal subgroup of G generated by a selector such as "1,4" (the
     comma-separated element indices of --subgroup and of catalog files; "" gives {e})."""
-    try:
-        gens = [int(tok) for tok in selector.split(",") if tok != ""]
+    tokens = selector.split(",") if selector else []
+    try:  # each token -?[0-9]+; generated_subgroup refuses a negative index as out of range
+        if not all(t.isascii() and t.removeprefix("-").isdigit() for t in tokens):
+            raise ValueError
+        gens = [int(tok) for tok in tokens]
     except ValueError:
         raise ValueError(
             f"selector {selector!r} is not a comma-separated list of element indices"
@@ -171,7 +191,8 @@ def _coset_partition(table, members) -> list[int]:
 
 
 class QuotientGroup(NamedTuple):
-    """G/H with the element-to-coset projection; coset 0 is H itself."""
+    """G/H with the element-to-coset projection; coset 0 is H itself. ``group``'s
+    table is a group because H is normal, so it is not validated."""
 
     parent: FiniteGroup
     subgroup: SubgroupSet
@@ -181,11 +202,8 @@ class QuotientGroup(NamedTuple):
 
 
 def quotient(G: FiniteGroup, H: SubgroupSet) -> QuotientGroup:
-    """Quotient of G by a normal subgroup H, validated as a group in its own right."""
-    if H.parent.table != G.table:
-        raise ValueError("H is not a subgroup of this group")
-    if not H.is_normal:
-        raise ValueError("cannot form the quotient by a non-normal subgroup")
+    """Quotient of G by H, checked to be normal; G/H's table is then a group and is not validated."""
+    _check_normal_subgroup(G, H, "cannot form the quotient by a non-normal subgroup")
     projection = _coset_partition(G.table, H.elements)
     reps: list[int] = []  # the first element to reach each index: its coset's smallest member
     for a, c in enumerate(projection):
@@ -196,18 +214,7 @@ def quotient(G: FiniteGroup, H: SubgroupSet) -> QuotientGroup:
         tuple(projection[G.table[reps[i]][reps[j]]] for j in range(m)) for i in range(m)
     )
     labels = tuple(f"{G.labels[r]}H" for r in reps)
-    try:
-        qgroup = FiniteGroup(f"{G.name}/{H.describe()}", qtable, labels)
-    except ValueError as exc:
-        raise ValueError("coset multiplication is not well-defined") from exc
-    # Well-definedness: the projection must be a homomorphism on all of G. Every b
-    # is a right-multiplied word in G.generators and both tables are associative,
-    # so checking b over the generators covers every pair.
-    for b in G.generators:
-        pb = projection[b]
-        for a in G.elements():
-            if projection[G.table[a][b]] != qtable[projection[a]][pb]:
-                raise ValueError("coset multiplication is not well-defined")
+    qgroup = FiniteGroup._from_group_table(f"{G.name}/{H.describe()}", qtable, labels)
     return QuotientGroup(G, H, qgroup, tuple(projection), tuple(reps))
 
 

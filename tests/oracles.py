@@ -463,7 +463,7 @@ def build_elementary_abelian_brute(p: int, k: int):
         return undigits(tuple((u + v) % p for u, v in zip(digits(a), digits(b))))
 
     table = tuple(tuple(mul(a, b) for b in range(size)) for a in range(size))
-    labels = tuple("".join(str(v) for v in digits(x)) for x in range(size))
+    labels = tuple(("," if p > 10 else "").join(str(v) for v in digits(x)) for x in range(size))
     return table, labels
 
 

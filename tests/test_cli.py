@@ -122,6 +122,14 @@ def test_whole_group_selector_exits_2(capsys):
             "HAMILTONIAN_4_4,GIRTH_5_3,BIPARTITE_TREE_5_2,PLANAR_5_4,EDGES_6_1,CLIQUE_6_4,"
             "PERFECT_6_5,CHROMATIC_6_6,KAPPA_6_7",
         ),
+        # Selector tokens are [0-9]+ (a negative one is out of range, above); int()
+        # used to read each of these as an index, and "," as {e}.
+        *(
+            (("build", "Z6", "--subgroup", selector),
+             f"selector {selector!r} is not a comma-separated list of element indices")
+            for selector in ("+3", " 3", "3 ", "3\n", "1_0", "\u0663", ",", "3,", ",3", "3-")
+        ),
+        (("list-normal-subgroups", "Z4\n"), "unrecognized group spec 'Z4\\n'"),
     ],
 )
 def test_library_errors_exit_2_with_their_message(capsys, argv, message):
@@ -154,7 +162,9 @@ def test_verify_checks_every_catalog_spec_before_building_a_group(capsys, tmp_pa
     )
 
 
-@pytest.mark.parametrize("group, selector", [("Z4", "x"), ("S3", "1"), ("Z4", "1"), ("Z4", "-1")])
+@pytest.mark.parametrize(
+    "group, selector", [("Z4", "x"), ("S3", "1"), ("Z4", "1"), ("Z4", "-1"), ("Z6", "+3"), ("Z6", ",")]
+)
 def test_catalog_selectors_fail_as_build_does(capsys, tmp_path, group, selector):
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps({"instances": [{"group": group, "subgroups": [selector]}]}), encoding="utf-8")
@@ -311,6 +321,18 @@ def test_list_normal_subgroups_is_pinned_by_its_digest(capsys, spec, size, diges
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+def test_power_graph_of_e13_2_is_pinned_by_its_digest(capsys):
+    # E(p,k) labels separate their base-p digits past p = 10: concatenated, (1,12)
+    # and (11,2) were both "112". CI checks the same digest.
+    code, out, _ = run_cli(capsys, "power-graph", "E(13,2)")
+    assert code == 0
+    labels = json.loads(out)["vertices"]
+    assert labels[1 * 13 + 12] == "1,12" and labels[11 * 13 + 2] == "11,2"
+    data = out.encode("ascii")
+    assert len(data) == 37473
+    assert hashlib.sha256(data).hexdigest() == "43bc919ea627ba5de803cd38a3ecf9dc960fed1a3d15d71a6b8954200d45c5f4"
+
+
 def test_verify_with_catalog_file(capsys, tmp_path):
     catalog = {
         "instances": [{"group": "Z4", "subgroups": ["2"]}],
@@ -387,6 +409,16 @@ def test_verify_with_missing_catalog_exits_2(capsys, tmp_path):
             {"instances": [{"group": "Z4"}, {"group": "Z12", "subgroup": ["6"]}]},
             "error: cannot load catalog: instance 1 (Z12): unknown key 'subgroup';"
             " valid keys: 'group', 'subgroups'\n",
+        ),
+        (
+            {"instances": [{"group": "Z4"}, {"group": "Z12", "subgroups": ["4", 6]}]},
+            "error: cannot load catalog: instance 1 (Z12): 'subgroups' must list selector strings"
+            " such as \"1,4\", got 6\n",
+        ),
+        (
+            {"instances": [{"group": "Z12", "subgroups": [True]}]},
+            "error: cannot load catalog: instance 0 (Z12): 'subgroups' must list selector strings"
+            " such as \"1,4\", got true\n",
         ),
     ],
 )

@@ -1,5 +1,6 @@
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +85,18 @@ def test_elementary_abelian():
     G9 = grp("E(3,2)")
     assert G9.order == 9
     assert all(G9.element_order(a) == 3 for a in range(1, 9))
+
+
+def test_elementary_abelian_labels_separate_digits_only_past_ten():
+    # Base-p digits, most significant first; a comma between them once a digit can
+    # take two characters, so that E(13,2) has distinct labels.
+    assert grp("E(3,2)").labels == ("00", "01", "02", "10", "11", "12", "20", "21", "22")
+    assert grp("E(7,2)").labels[-1] == "66"
+    E11 = grp("E(11,2)").labels
+    assert E11[:3] + E11[-1:] == ("0,0", "0,1", "0,2", "10,10")
+    assert grp("E(13,1)").labels == tuple(map(str, range(13)))
+    E13 = grp("E(13,2)")
+    assert len(set(E13.labels)) == 169 and E13.labels[25] == "1,12" and E13.labels[145] == "11,2"
 
 
 def _build_brute(spec):
@@ -199,7 +212,9 @@ def test_parse_grammar():
     assert parse_group_spec("Z2xZ2xZ3").group_order() == 12
 
 
-@pytest.mark.parametrize("text", ["", "Zx", "xZ2", "Z2x", "W5", "E(2)", "Q16", "z4"])
+@pytest.mark.parametrize(
+    "text", ["", "Zx", "xZ2", "Z2x", "W5", "E(2)", "Q16", "z4", "Z4\n", "Q8\n", "E(2,3)\n", "Z2xZ4\n"]
+)
 def test_parse_rejects_garbage(text):
     with pytest.raises(ValueError):
         parse_group_spec(text)
@@ -500,3 +515,84 @@ def test_inverse_roundtrip(text):
     for a in G.elements():
         assert G.mul(a, G.inv(a)) == 0
         assert G.mul(G.inv(a), a) == 0
+
+
+# --- family and quotient tables are groups by construction ---------------------
+# make_group and quotient build their tables without validate_cayley_table; these
+# tests prove, for every table the grammar can name, what that check would.
+
+ROOT = Path(__file__).resolve().parents[1]
+_ATOM = r"(?:[ZDS][0-9]+|Q8|E\([0-9]+,[0-9]+\))"
+
+
+def _grammar_atoms():
+    """Every atom of the spec grammar within the order budget."""
+    atoms = [f"Z{n}" for n in range(1, 257)] + [f"D{n}" for n in range(1, 129)]
+    atoms += [f"S{n}" for n in range(1, 6)] + ["Q8"]
+    for p in range(2, 257):
+        if divisor_count(p) == 2:
+            atoms += [f"E({p},{k})" for k in range(1, 9) if p**k <= 256]
+    return atoms
+
+
+GRAMMAR_ATOMS = _grammar_atoms()
+
+
+def _used_products():
+    """Every product the default catalog names, and every one written in the README,
+    the CLI grammar, the benchmark's workloads or its expected records."""
+    found = {text for text in DEFAULT_CATALOG_GROUPS if "x" in text}
+    paths = [ROOT / "README.md", ROOT / "src" / "nspg" / "cli.py", ROOT / "bench" / "workloads.py"]
+    for path in paths + sorted((ROOT / "bench" / "expected").glob("*.json")):
+        found.update(re.findall(rf"{_ATOM}(?:x{_ATOM})+", path.read_text(encoding="utf-8")))
+    return sorted(found)
+
+
+def _sampled_products(factors, count, seed):
+    """count seeded products of atoms of order at most 32, each within the order budget."""
+    rng = random.Random(seed)
+    pool = [text for text in GRAMMAR_ATOMS if parse_group_spec(text).group_order() <= 32]
+    sample = []
+    while len(sample) < count:
+        text = "x".join(rng.choice(pool) for _ in range(factors))
+        try:
+            parse_group_spec(text).group_order()
+        except ValueError:  # past the order budget
+            continue
+        sample.append(text)
+    return sample
+
+
+def _assert_built_as_a_group(G):
+    # validate_cayley_table is what FiniteGroup(...) runs on a foreign table; it
+    # returns the generators make_group and quotient take from generate() alone.
+    assert validate_cayley_table(G.table) == G.generators
+    if G.order <= 24:
+        assert is_associative_brute(G.table)
+
+
+def test_the_grammar_names_460_atoms():
+    # 256 cyclic, 128 dihedral, 5 symmetric, Q8 and 70 elementary abelian groups.
+    assert len(GRAMMAR_ATOMS) == len(set(GRAMMAR_ATOMS)) == 460
+    assert sum(text.startswith("E(") for text in GRAMMAR_ATOMS) == 70
+    assert {"E(2,8)", "E(3,5)", "E(13,2)", "E(251,1)"} <= set(GRAMMAR_ATOMS)
+
+
+@pytest.mark.parametrize("family", ["Z", "D", "S", "Q", "E"])
+def test_every_grammar_atom_builds_a_group(family):
+    for text in GRAMMAR_ATOMS:
+        if text[0] == family:
+            _assert_built_as_a_group(grp(text))
+
+
+def test_every_used_product_builds_a_group():
+    used = _used_products()
+    assert {"Z2xZ4", "Z2xZ2xZ3", "Q8xQ8", "Z4xZ4xZ2", "S4xZ2", "Z2xZ64"} <= set(used)
+    for text in used:
+        _assert_built_as_a_group(grp(text))
+
+
+@pytest.mark.parametrize("factors, seed", [(2, 2101), (3, 2102)])
+def test_sampled_products_build_groups(factors, seed):
+    for text in _sampled_products(factors, 60, seed):
+        _assert_built_as_a_group(grp(text))

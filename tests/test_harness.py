@@ -4,7 +4,8 @@ import pytest
 
 import nspg.harness as harness
 import nspg.invariants as inv
-from nspg.groups import make_group, parse_group_spec
+import nspg.groups as groups
+from nspg.groups import FiniteGroup, from_cayley_table, make_group, parse_group_spec
 from nspg.harness import (
     Budgets,
     Catalog,
@@ -17,7 +18,7 @@ from nspg.harness import (
     run_catalog,
 )
 from nspg.power_graphs import nsb_power_graph, power_graph
-from nspg.subgroups import generated_subgroup, quotient
+from nspg.subgroups import all_normal_subgroups, generated_subgroup, quotient
 
 
 def grp(text):
@@ -309,3 +310,28 @@ def test_default_run_builds_each_shared_fact_once_per_distinct_key(monkeypatch, 
     for name, keys in expected.items():
         assert len(calls[name]) == len(set(calls[name])), name
         assert set(calls[name]) == keys, name
+
+
+def test_cayley_tables_are_validated_only_where_they_come_from_outside(monkeypatch):
+    # Family and quotient tables are groups by construction (tests/test_groups.py
+    # and tests/test_subgroups.py prove it for each one); only a foreign table is checked.
+    validated = []
+    validate = groups.validate_cayley_table
+
+    def counting(table):
+        validated.append(len(table))
+        return validate(table)
+
+    monkeypatch.setattr(groups, "validate_cayley_table", counting)
+    quotients = 0
+    for text in harness.DEFAULT_CATALOG_GROUPS:
+        G = grp(text)
+        for H in all_normal_subgroups(G):
+            quotient(G, H)
+            quotients += 1
+    assert quotients == 223 + len(harness.DEFAULT_CATALOG_GROUPS) and validated == []
+    assert run_catalog(default_catalog()).results and validated == []
+    for text in ("Z1", "S3", "Q8xQ8"):
+        from_cayley_table(grp(text).table)
+    FiniteGroup("Z2", ((0, 1), (1, 0)), ("e", "a"))
+    assert validated == [1, 6, 64, 2]

@@ -1,9 +1,13 @@
+import csv
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from nspg.groups import make_group, parse_group_spec
+from nspg.groups import make_group, parse_group_spec, validate_cayley_table
 from nspg.harness import DEFAULT_CATALOG_GROUPS
+from nspg.power_graphs import nsb_power_graph
 from nspg.subgroups import (
     SubgroupSet,
     _coset_partition,
@@ -11,6 +15,7 @@ from nspg.subgroups import (
     generated_subgroup,
     quotient,
     recognize,
+    select_subgroup,
 )
 from oracles import (
     all_normal_subgroups_by_sets,
@@ -18,6 +23,7 @@ from oracles import (
     closure,
     coset_partition_by_sets,
     divisor_count,
+    is_associative_brute,
     is_normal_brute,
 )
 
@@ -299,14 +305,86 @@ def test_quotient_rejects_non_normal():
 @pytest.mark.parametrize("text", ["S4", "D4", "Z2xS3"])
 def test_quotient_rejects_non_normal_marked_normal(text):
     # Some of these coset tables are not group tables, others are groups that the
-    # projection does not respect; both must be caught.
+    # projection does not respect; both must be caught, and Γ_H(G) is undefined too.
     G = grp(text)
     for elems in all_subgroups(G):
         H = generated_subgroup(G, elems)
         if H.is_normal:
             continue
-        with pytest.raises(ValueError, match="not well-defined"):
-            quotient(G, SubgroupSet(G, H.elements, True, H.generators))
+        marked = SubgroupSet(G, H.elements, True, H.generators)
+        for build in (quotient, nsb_power_graph):
+            with pytest.raises(ValueError, match="not well-defined"):
+                build(G, marked)
+
+
+@pytest.mark.parametrize(
+    "elements, message",
+    [
+        ((0, TRANSPOSITION), "^H is not normal in G: coset multiplication is not well-defined$"),
+        ((0, 999), "^H is not a subgroup of this group$"),
+        ((0, -1), "^H is not a subgroup of this group$"),
+        ((1, 2), "^H is not a subgroup of this group$"),  # no identity
+        ((0, THREE_CYCLE), "^H is not a subgroup of this group$"),  # not closed
+        ((0, THREE_CYCLE, THREE_CYCLE, S3.inv(THREE_CYCLE)), "^H is not a subgroup of this group$"),
+        ((), "^H is not a subgroup of this group$"),
+    ],
+)
+def test_hand_built_records_must_hold_a_normal_subgroup(elements, message):
+    # A SubgroupSet marked normal is checked, not trusted: before, these gave an
+    # undefined graph, an IndexError, or a message about vertex labels.
+    H = SubgroupSet(S3, elements, True, elements[1:2])
+    for build in (quotient, nsb_power_graph):
+        with pytest.raises(ValueError, match=message):
+            build(S3, H)
+    A3 = SubgroupSet(S3, tuple(sorted((0, THREE_CYCLE, S3.inv(THREE_CYCLE)))), True, (THREE_CYCLE,))
+    assert quotient(S3, A3).group.order == 2
+    assert nsb_power_graph(S3, A3).graph.vertex_count == 4
+
+
+@pytest.mark.parametrize("selector", ["--3", "-+3", "- 3", "3-", "1,,2", "\uff13"])
+def test_select_subgroup_reads_ascii_digit_tokens_only(selector):
+    with pytest.raises(ValueError, match="is not a comma-separated list of element indices$"):
+        select_subgroup(grp("Z6"), selector)
+
+
+@pytest.mark.parametrize("selector, elements", [("", (0,)), ("0", (0,)), ("03", (0, 3)), ("2,4", (0, 2, 4))])
+def test_select_subgroup_accepts_the_documented_forms(selector, elements):
+    assert select_subgroup(grp("Z6"), selector).elements == elements
+
+
+def _bench_pairs():
+    """The (group, selector) pairs the benchmark's analyze ladder and verify-large run."""
+    expected = Path(__file__).resolve().parents[1] / "bench" / "expected"
+    pairs = [
+        tuple(key.split(" --subgroup "))
+        for key in json.loads((expected / "analyze_ladder.json").read_text(encoding="utf-8"))
+    ]
+    truth = json.loads((expected / "verify_large.json").read_text(encoding="utf-8"))["truth"]
+    for row in csv.DictReader(truth):
+        pair = (row["group"], row["subgroup"].strip("<>"))
+        if pair not in pairs:
+            pairs.append(pair)
+    return pairs
+
+
+def test_every_catalog_and_bench_quotient_table_is_a_group(catalog_pairs):
+    # quotient builds G/H without validate_cayley_table and without checking that
+    # the projection multiplies as G does: for every instance the catalog and the
+    # benchmark form, this proves both.
+    bench = _bench_pairs()
+    assert len(bench) == 9  # six ladder pairs, four verify-large ones, E(2,8)'s in both
+    pairs = list(catalog_pairs)
+    for text, selector in bench:
+        G = grp(text)
+        pairs.append((G, select_subgroup(G, selector)))
+    for G, H in pairs:
+        Q = quotient(G, H)
+        table, proj = Q.group.table, Q.projection
+        assert validate_cayley_table(table) == Q.group.generators
+        if Q.group.order <= 24:
+            assert is_associative_brute(table)
+        for a, row in enumerate(G.table):
+            assert all(proj[ab] == table[proj[a]][proj[b]] for b, ab in enumerate(row))
 
 
 def test_recognize_flags():

@@ -62,6 +62,15 @@ def test_normal_subgroup_digests_are_checked_before_any_dependency_is_installed(
     )
 
 
+def test_e13_2_power_graph_digest_is_checked_before_any_dependency_is_installed():
+    # The digest test_power_graph_of_e13_2_is_pinned_by_its_digest pins; its labels
+    # pin the separator between E(p,k) digits past p = 10.
+    assert _runs_before_any_install(
+        "PYTHONPATH=src python -m nspg.cli power-graph \"E(13,2)\" | sha256sum"
+        " | grep -x '43bc919ea627ba5de803cd38a3ecf9dc960fed1a3d15d71a6b8954200d45c5f4  -'"
+    )
+
+
 def test_benchmark_checks_its_outputs_before_the_clean_tree_check():
     # One checked pass of every workload; it writes only under the ignored bench/out/.
     runs = [step.get("run") for step in _job()["steps"]]
