@@ -127,10 +127,10 @@ def parse_catalog_json(text: str, budgets: Budgets = Budgets()) -> Catalog:
                     raise ValueError(
                         "'subgroups' is empty; leave it out to run every proper normal subgroup"
                     )
-                bad = next((s for s in subs if not isinstance(s, str)), None)
-                if bad is not None:
+                bad = [s for s in subs if not isinstance(s, str)]
+                if bad:
                     raise ValueError(
-                        f"'subgroups' must list selector strings such as \"1,4\", got {json.dumps(bad)}"
+                        f"'subgroups' must list selector strings such as \"1,4\", got {json.dumps(bad[0])}"
                     )
                 subs = tuple(subs)
         except ValueError as exc:

@@ -77,15 +77,11 @@ def select_subgroup(G: FiniteGroup, selector: str) -> SubgroupSet:
     """The proper normal subgroup of G generated by a selector such as "1,4" (the
     comma-separated element indices of --subgroup and of catalog files; "" gives {e})."""
     tokens = selector.split(",") if selector else []
-    try:  # each token -?[0-9]+; generated_subgroup refuses a negative index as out of range
-        if not all(t.isascii() and t.removeprefix("-").isdigit() for t in tokens):
-            raise ValueError
-        gens = [int(tok) for tok in tokens]
-    except ValueError:
-        raise ValueError(
-            f"selector {selector!r} is not a comma-separated list of element indices"
-        ) from None
-    H = generated_subgroup(G, gens)
+    if not all(t.isascii() and t.removeprefix("-").isdigit() for t in tokens):
+        raise ValueError(f"selector {selector!r} is not a comma-separated list of element indices")
+    if any(t.startswith("-") for t in tokens):  # "-0" too: a signed token is no index
+        raise ValueError("generator index out of range")
+    H = generated_subgroup(G, [int(t) for t in tokens])
     if not H.is_normal:
         raise ValueError(
             f"selector {selector!r} generates {H.describe()}, which is not normal in {G.name}"

@@ -122,14 +122,16 @@ def test_whole_group_selector_exits_2(capsys):
             "HAMILTONIAN_4_4,GIRTH_5_3,BIPARTITE_TREE_5_2,PLANAR_5_4,EDGES_6_1,CLIQUE_6_4,"
             "PERFECT_6_5,CHROMATIC_6_6,KAPPA_6_7",
         ),
-        # Selector tokens are [0-9]+ (a negative one is out of range, above); int()
-        # used to read each of these as an index, and "," as {e}.
+        # Selector tokens are [0-9]+ (a signed one is out of range); anything
+        # else, an empty token included, is refused.
         *(
             (("build", "Z6", "--subgroup", selector),
              f"selector {selector!r} is not a comma-separated list of element indices")
             for selector in ("+3", " 3", "3 ", "3\n", "1_0", "\u0663", ",", "3,", ",3", "3-")
         ),
         (("list-normal-subgroups", "Z4\n"), "unrecognized group spec 'Z4\\n'"),
+        (("analyze", "Z4", "--subgroup", "-0"), "generator index out of range"),
+        (("analyze", "Z4", "--subgroup", "2,-00"), "generator index out of range"),
     ],
 )
 def test_library_errors_exit_2_with_their_message(capsys, argv, message):
@@ -163,7 +165,8 @@ def test_verify_checks_every_catalog_spec_before_building_a_group(capsys, tmp_pa
 
 
 @pytest.mark.parametrize(
-    "group, selector", [("Z4", "x"), ("S3", "1"), ("Z4", "1"), ("Z4", "-1"), ("Z6", "+3"), ("Z6", ",")]
+    "group, selector",
+    [("Z4", "x"), ("S3", "1"), ("Z4", "1"), ("Z4", "-1"), ("Z4", "-0"), ("Z6", "+3"), ("Z6", ",")],
 )
 def test_catalog_selectors_fail_as_build_does(capsys, tmp_path, group, selector):
     path = tmp_path / "catalog.json"
@@ -419,6 +422,16 @@ def test_verify_with_missing_catalog_exits_2(capsys, tmp_path):
             {"instances": [{"group": "Z12", "subgroups": [True]}]},
             "error: cannot load catalog: instance 0 (Z12): 'subgroups' must list selector strings"
             " such as \"1,4\", got true\n",
+        ),
+        (
+            {"instances": [{"group": "Z12", "subgroups": [None]}]},
+            "error: cannot load catalog: instance 0 (Z12): 'subgroups' must list selector strings"
+            " such as \"1,4\", got null\n",
+        ),
+        (
+            {"instances": [{"group": "Z12", "subgroups": ["6", None, 4]}]},
+            "error: cannot load catalog: instance 0 (Z12): 'subgroups' must list selector strings"
+            " such as \"1,4\", got null\n",
         ),
     ],
 )

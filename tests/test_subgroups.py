@@ -304,8 +304,8 @@ def test_quotient_rejects_non_normal():
 
 @pytest.mark.parametrize("text", ["S4", "D4", "Z2xS3"])
 def test_quotient_rejects_non_normal_marked_normal(text):
-    # Some of these coset tables are not group tables, others are groups that the
-    # projection does not respect; both must be caught, and Γ_H(G) is undefined too.
+    # A record marked normal must hold a normal subgroup, or quotient and
+    # nsb_power_graph refuse it: G/H and Γ_H(G) are defined only for H ⊴ G.
     G = grp(text)
     for elems in all_subgroups(G):
         H = generated_subgroup(G, elems)
@@ -330,8 +330,8 @@ def test_quotient_rejects_non_normal_marked_normal(text):
     ],
 )
 def test_hand_built_records_must_hold_a_normal_subgroup(elements, message):
-    # A SubgroupSet marked normal is checked, not trusted: before, these gave an
-    # undefined graph, an IndexError, or a message about vertex labels.
+    # A record marked normal must hold a normal subgroup of G (distinct elements
+    # in range, closed, conjugation-closed), or quotient and nsb_power_graph refuse it.
     H = SubgroupSet(S3, elements, True, elements[1:2])
     for build in (quotient, nsb_power_graph):
         with pytest.raises(ValueError, match=message):
