@@ -48,10 +48,12 @@ class FiniteGroup:
     table (Latin square, identity at index 0, associativity, two-sided inverses);
     make_group and quotient build groups and skip that. ``generators`` is what
     ``generate`` draws from the whole group: every element is a product of them,
-    multiplied on the right starting from the identity.
+    multiplied on the right starting from the identity. ``_powers[a]`` holds
+    a's walk once ``powers(a)`` has made it, and None before: each element is
+    walked at most once per group, and the walk lives and dies with the group.
     """
 
-    __slots__ = ("name", "table", "labels", "generators", "_inverse")
+    __slots__ = ("name", "table", "labels", "generators", "_inverse", "_powers")
 
     def __init__(self, name: str, table: tuple[tuple[int, ...], ...], labels: tuple[str, ...]):
         self._set_table(name, table, labels, validate_cayley_table(table))
@@ -74,6 +76,7 @@ class FiniteGroup:
         self.labels = labels
         self.generators = generators
         self._inverse = tuple(row.index(0) for row in table)
+        self._powers = [None] * len(table)
 
     @property
     def order(self) -> int:
@@ -85,15 +88,22 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self._inverse[a]
 
-    def powers(self, a: int) -> list[int]:
-        """a, a**2, ... up to the first power equal to the identity: as many as a's order."""
+    def powers(self, a: int) -> tuple[int, ...]:
+        """a, a**2, ... up to the first power equal to the identity: as many as a's order.
+
+        The first call walks a's row, since a * a**k is a**(k+1), and keeps the
+        tuple; later calls return it.
+        """
         if not 0 <= a < self.order:
             raise ValueError(f"element index {a} out of range for group of order {self.order}")
-        table, out, x = self.table, [a], a
-        while x:
-            x = table[x][a]
-            out.append(x)
-        return out
+        walk = self._powers[a]
+        if walk is None:
+            row, out, x = self.table[a], [a], a
+            while x:
+                x = row[x]
+                out.append(x)
+            walk = self._powers[a] = tuple(out)
+        return walk
 
     def element_order(self, a: int) -> int:
         """Least k >= 1 with a**k equal to the identity."""

@@ -115,7 +115,11 @@ def parse_catalog_json(text: str, budgets: Budgets = Budgets()) -> Catalog:
     for i, item in enumerate(items):
         if "group" not in item:
             raise ValueError(f"instance {i} has no 'group'")
-        group = str(item["group"])
+        group = item["group"]
+        if not isinstance(group, str):
+            raise ValueError(
+                f"instance {i}: 'group' must be a spec string such as \"Z2xZ4\", got {json.dumps(group)}"
+            )
         try:
             parse_group_spec(group).group_order()
             _check_keys(item, ("group", "subgroups"))

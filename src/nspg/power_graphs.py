@@ -129,7 +129,7 @@ def _power_rows(class_of, powers, classes: int) -> list[int]:
 
 def power_graph_edge_count_formula(G: FiniteGroup) -> int:
     """Edge count of the power graph via (1/2) * sum over a of (2*o(a) - phi(o(a)) - 1)."""
-    total = sum(2 * G.element_order(a) - euler_phi(G.element_order(a)) - 1 for a in G.elements())
+    total = sum(2 * o - euler_phi(o) - 1 for o in map(G.element_order, G.elements()))
     if total % 2 != 0:
         raise AssertionError("edge-count sum formula produced an odd total")
     return total // 2

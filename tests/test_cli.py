@@ -336,6 +336,23 @@ def test_power_graph_of_e13_2_is_pinned_by_its_digest(capsys):
     assert hashlib.sha256(data).hexdigest() == "43bc919ea627ba5de803cd38a3ecf9dc960fed1a3d15d71a6b8954200d45c5f4"
 
 
+@pytest.mark.parametrize(
+    "spec, size, digest",
+    [
+        ("Z256", 1084456, "7988f677d2ed0d565238a6041c146e8a682d5df797c54f1ed7a1dcf2e5a3b6b4"),
+        ("Z2xZ64", 131182, "002bd25a5ca2a382a63c8a7a0c7414de86d56f328a730ec219bd7c679d468c26"),
+    ],
+)
+def test_power_graph_is_pinned_by_its_digest(capsys, spec, size, digest):
+    # The two largest power graphs of verify-large, whose every walk is long. CI
+    # checks the same digests.
+    code, out, _ = run_cli(capsys, "power-graph", spec)
+    assert code == 0
+    data = out.encode("ascii")
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_verify_with_catalog_file(capsys, tmp_path):
     catalog = {
         "instances": [{"group": "Z4", "subgroups": ["2"]}],
@@ -432,6 +449,26 @@ def test_verify_with_missing_catalog_exits_2(capsys, tmp_path):
             {"instances": [{"group": "Z12", "subgroups": ["6", None, 4]}]},
             "error: cannot load catalog: instance 0 (Z12): 'subgroups' must list selector strings"
             " such as \"1,4\", got null\n",
+        ),
+        (
+            {"instances": [{"group": "Z4"}, {"group": True}]},
+            "error: cannot load catalog: instance 1: 'group' must be a spec string such as \"Z2xZ4\","
+            " got true\n",
+        ),
+        (
+            {"instances": [{"group": "Z4"}, {"group": 8}]},
+            "error: cannot load catalog: instance 1: 'group' must be a spec string such as \"Z2xZ4\","
+            " got 8\n",
+        ),
+        (
+            {"instances": [{"group": "Z4"}, {"group": None}]},
+            "error: cannot load catalog: instance 1: 'group' must be a spec string such as \"Z2xZ4\","
+            " got null\n",
+        ),
+        (
+            {"instances": [{"group": "Z4"}, {"group": ["S3"]}]},
+            "error: cannot load catalog: instance 1: 'group' must be a spec string such as \"Z2xZ4\","
+            " got [\"S3\"]\n",
         ),
     ],
 )

@@ -479,8 +479,39 @@ def test_powers_walk_to_the_first_identity(text):
     for a in G.elements():
         walk = G.powers(a)
         assert len(walk) == order_by_iteration(G.table, a)
-        assert walk == [element_power(G, a, k) for k in range(1, len(walk) + 1)]
+        assert walk == tuple(element_power(G, a, k) for k in range(1, len(walk) + 1))
         assert walk[-1] == 0 and 0 not in walk[:-1]
+
+
+def test_a_walk_is_a_tuple_made_once():
+    G = grp("Z2xQ8")
+    for a in G.elements():
+        walk = G.powers(a)
+        assert type(walk) is tuple
+        assert G.element_order(a) == len(walk) and G.cyclic_subgroup(a) == frozenset(walk)
+        assert G.powers(a) is walk
+
+
+def _walk_by_table(G, a):
+    out, x = [a], a
+    while x:
+        x = G.table[x][a]
+        out.append(x)
+    return tuple(out)
+
+
+def test_groups_of_one_order_keep_their_own_walks():
+    # Three groups of order 8, built in one process, whose walks differ: a walk
+    # kept anywhere but on its own group would hand one group another's.
+    groups = [grp(text) for text in ("Z8", "D4", "E(2,3)")]
+    for _ in range(2):
+        for G in groups:
+            for a in G.elements():
+                assert G.powers(a) == _walk_by_table(G, a)
+    z8, d4, e23 = groups
+    assert [z8.element_order(a) for a in z8.elements()] == [1, 8, 4, 8, 2, 8, 4, 8]
+    assert [d4.element_order(a) for a in d4.elements()] == [1, 4, 2, 4, 2, 2, 2, 2]
+    assert [e23.element_order(a) for a in e23.elements()] == [1] + [2] * 7
 
 
 def test_order_budgets_keep_their_messages():

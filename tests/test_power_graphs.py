@@ -1,6 +1,7 @@
 import pytest
 
-from nspg.groups import euler_phi, make_group, parse_group_spec
+from nspg.groups import FiniteGroup, euler_phi, make_group, parse_group_spec
+from nspg.invariants import degree_in_power_graph_formula
 from nspg.power_graphs import (
     SimpleGraph,
     expand_quotient_graph,
@@ -10,7 +11,7 @@ from nspg.power_graphs import (
     power_graph,
     power_graph_edge_count_formula,
 )
-from nspg.subgroups import all_normal_subgroups, generated_subgroup, quotient
+from nspg.subgroups import all_normal_subgroups, generated_subgroup, quotient, recognize
 from oracles import nsb_adjacent_literal, nsb_power_graph_brute, power_graph_brute
 
 
@@ -291,3 +292,29 @@ def test_exports_are_deterministic_and_exact():
 def test_edges_listing_is_sorted():
     g = SimpleGraph(["a", "b", "c", "d"], [(2, 3), (0, 3), (0, 1)])
     assert g.edges() == [(0, 1), (0, 3), (2, 3)]
+
+
+@pytest.mark.parametrize("text, central", [("Z256", 128), ("Z2xZ64", 64), ("Q8xQ8", 1), ("E(2,8)", 1)])
+def test_the_graph_layers_walk_each_element_at_most_once(monkeypatch, text, central):
+    # Every object powers hands back for an element is kept, so a walk made
+    # twice shows up as two objects, whatever the ids of freed tuples.
+    G, H = instance(text, [central])
+    assert H.is_normal and 1 < H.order < G.order
+    returned = {a: [] for a in G.elements()}
+    walk = FiniteGroup.powers
+
+    def counted(self, a):
+        out = walk(self, a)
+        if self is G:
+            returned[a].append(out)
+        return out
+
+    monkeypatch.setattr(FiniteGroup, "powers", counted)
+    power_graph(G)
+    nsb_power_graph(G, H)
+    degree_in_power_graph_formula(G)
+    power_graph_edge_count_formula(G)
+    recognize(G)
+    walks = sum(len({id(out) for out in outs}) for outs in returned.values())
+    assert walks == G.order
+    assert sum(map(len, returned.values())) > 4 * G.order  # the five layers share them

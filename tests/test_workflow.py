@@ -71,6 +71,16 @@ def test_e13_2_power_graph_digest_is_checked_before_any_dependency_is_installed(
     )
 
 
+def test_long_walk_power_graph_digests_are_checked_before_any_dependency_is_installed():
+    # The digests test_power_graph_is_pinned_by_its_digest pins.
+    assert _runs_before_any_install(
+        "PYTHONPATH=src python -m nspg.cli power-graph Z256 | sha256sum"
+        " | grep -x '7988f677d2ed0d565238a6041c146e8a682d5df797c54f1ed7a1dcf2e5a3b6b4  -'\n"
+        "PYTHONPATH=src python -m nspg.cli power-graph Z2xZ64 | sha256sum"
+        " | grep -x '002bd25a5ca2a382a63c8a7a0c7414de86d56f328a730ec219bd7c679d468c26  -'\n"
+    )
+
+
 def test_benchmark_checks_its_outputs_before_the_clean_tree_check():
     # One checked pass of every workload; it writes only under the ignored bench/out/.
     runs = [step.get("run") for step in _job()["steps"]]
