@@ -15,8 +15,8 @@ order exceeds 256 is rejected. Subgroups are addressed either by a
 comma-separated generator list of [0-9]+ indices (--subgroup 1,4 means the
 subgroup those elements generate; "" gives {e}) or by position in
 list-normal-subgroups output
-(--subgroup-index 2); a group with more than 4096 normal subgroups is
-refused. The environment variable NSPG_BUDGET overrides the vertex
+(--subgroup-index 2, also [0-9]+); a group with more than 4096 normal subgroups is
+refused. The environment variable NSPG_BUDGET, [0-9]+ and at least 1, overrides the vertex
 budget of the clique, chromatic-number and Hamiltonicity solvers (default 64).
 """
 
@@ -45,13 +45,10 @@ def _solver_budget() -> int:
         from .invariants import DEFAULT_SOLVER_BUDGET
 
         return DEFAULT_SOLVER_BUDGET
-    try:
-        value = int(raw)
-        if value < 1:
-            raise ValueError
-    except ValueError:
+    # [0-9]+ alone: int() also takes signs, spaces, underscores and other scripts' digits.
+    if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
         raise ValueError(f"NSPG_BUDGET must be a positive integer, got {raw!r}")
-    return value
+    return int(raw)
 
 
 def _group(spec_text: str) -> FiniteGroup:
@@ -61,17 +58,19 @@ def _group(spec_text: str) -> FiniteGroup:
 def _subgroup(G: FiniteGroup, args: argparse.Namespace) -> SubgroupSet:
     if args.subgroup is not None:
         return select_subgroup(G, args.subgroup)
+    raw = args.subgroup_index
+    if not (raw.isascii() and raw.removeprefix("-").isdigit()):  # a selector token's rule
+        raise ValueError(f"--subgroup-index {raw!r} is not an index such as 2")
     subs = all_normal_subgroups(G)
-    idx = args.subgroup_index
-    if not 0 <= idx < len(subs):
-        raise ValueError(f"subgroup index {idx} out of range; {G.name} has {len(subs)} normal subgroups")
-    return subs[idx]
+    if raw.startswith("-") or int(raw) >= len(subs):  # "-0" too: a signed index is no index
+        raise ValueError(f"subgroup index {raw} out of range; {G.name} has {len(subs)} normal subgroups")
+    return subs[int(raw)]
 
 
 def _add_subgroup_flags(p: argparse.ArgumentParser) -> None:
     sel = p.add_mutually_exclusive_group(required=True)
     sel.add_argument("--subgroup", help="comma-separated generator element indices, e.g. 2 or 1,4")
-    sel.add_argument("--subgroup-index", type=int, help="index into list-normal-subgroups output")
+    sel.add_argument("--subgroup-index", help="index into list-normal-subgroups output")
 
 
 def build_parser() -> argparse.ArgumentParser:

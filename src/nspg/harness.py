@@ -12,12 +12,7 @@ from typing import NamedTuple
 
 from . import invariants as inv
 from .groups import FiniteGroup, make_group, parse_group_spec
-from .power_graphs import (
-    NSBPowerGraph,
-    nsb_power_graph,
-    power_graph,
-    power_graph_edge_count_formula,
-)
+from .power_graphs import NSBPowerGraph, nsb_power_graph, power_graph
 from .subgroups import (
     QuotientGroup,
     SubgroupSet,
@@ -172,17 +167,21 @@ def theorem_ids(names) -> tuple[TheoremId, ...]:
 
 
 def resolve_catalog(cat: Catalog) -> list[tuple[FiniteGroup, SubgroupSet]]:
-    """Concrete (group, normal subgroup) pairs, in deterministic catalog order."""
+    """Concrete (group, normal subgroup) pairs, in deterministic catalog order. An
+    entry's ValueError names the entry, as the loader's do."""
     out: list[tuple[FiniteGroup, SubgroupSet]] = []
-    for entry in cat.entries:
-        G = make_group(parse_group_spec(entry.group))
-        if entry.subgroups == "all-normal":
-            for H in all_normal_subgroups(G):
-                if H.order < G.order:
-                    out.append((G, H))
-        else:
-            for selector in entry.subgroups:
-                out.append((G, select_subgroup(G, selector)))
+    for i, entry in enumerate(cat.entries):
+        try:
+            G = make_group(parse_group_spec(entry.group))
+            if entry.subgroups == "all-normal":
+                for H in all_normal_subgroups(G):
+                    if H.order < G.order:
+                        out.append((G, H))
+            else:
+                for selector in entry.subgroups:
+                    out.append((G, select_subgroup(G, selector)))
+        except ValueError as exc:
+            raise ValueError(f"instance {i} ({entry.group}): {exc}") from None
     return out
 
 
@@ -219,12 +218,11 @@ class InstanceContext:
         checks read, so quotients with equal tables share their facts."""
         return self._shared((build, self._quotient_key), build, self.quotient.group)
 
-    def solve(self, solver: str, g, *args):
-        """``inv.<solver>(g, *args)``, once per distinct graph and arguments in a run.
+    def solve(self, solver, g, *args):
+        """``solver(g, *args)``, once per distinct graph and arguments in a run.
 
         Keyed on the rows: labels change no value the checks read."""
-        build = getattr(inv, solver)
-        return self._shared((build, g.rows, *args), build, g, *args)
+        return self._shared((solver, g.rows, *args), solver, g, *args)
 
     @cached_property
     def nsb(self) -> NSBPowerGraph:
@@ -242,15 +240,6 @@ class InstanceContext:
     def _quotient_key(self) -> bytes:
         return b"".join(map(bytes, self.quotient.group.table))
 
-    @property
-    def parent_degrees(self) -> tuple[int, ...]:
-        """The degree of each element of G in its power graph, once per group name."""
-        return self._shared((_degrees, self.G.name), _degrees, self.group_fact(power_graph))
-
-
-def _degrees(g) -> tuple[int, ...]:
-    return tuple(map(int.bit_count, g.rows))
-
 
 class Claim(NamedTuple):
     """What one check states about one instance; only KAPPA fills ``note``."""
@@ -263,20 +252,20 @@ class Claim(NamedTuple):
 
 def _check_complete(ctx: InstanceContext) -> Claim:
     predicted = ctx.quotient_fact(recognize).is_cyclic_p_group_or_trivial
-    actual = ctx.solve("is_complete", ctx.graph)
+    actual = ctx.solve(inv.is_complete, ctx.graph)
     return Claim(predicted, actual, predicted == actual)
 
 
 def _check_cayley(ctx: InstanceContext) -> Claim:
     # Restated form: the graph is regular iff it is complete.
-    predicted = ctx.solve("is_complete", ctx.graph)
-    actual = ctx.solve("is_regular", ctx.graph)
+    predicted = ctx.solve(inv.is_complete, ctx.graph)
+    actual = ctx.solve(inv.is_regular, ctx.graph)
     return Claim(predicted, actual, predicted == actual)
 
 
 def _check_degree(ctx: InstanceContext) -> Claim:
     formula_pg = list(ctx.group_fact(inv.degree_in_power_graph_formula))
-    actual_pg = list(ctx.parent_degrees)
+    actual_pg = list(map(int.bit_count, ctx.group_fact(power_graph).rows))
     h = ctx.H.order
     formula_q = ctx.quotient_fact(inv.degree_in_power_graph_formula)
     projection = ctx.quotient.projection
@@ -290,36 +279,37 @@ def _check_degree(ctx: InstanceContext) -> Claim:
 
 def _check_eulerian(ctx: InstanceContext) -> Claim:
     predicted = (ctx.G.order - ctx.H.order) % 2 == 0
-    actual = ctx.solve("is_eulerian", ctx.graph)
+    actual = ctx.solve(inv.is_eulerian, ctx.graph)
     return Claim(predicted, actual, predicted == actual)
 
 
 def _check_hamiltonian(ctx: InstanceContext) -> Claim:
     budget = ctx.budgets.exact_solver
-    predicted = ctx.solve("hamiltonian_cycle", ctx.quotient_fact(power_graph), budget) is not None
-    actual = ctx.solve("hamiltonian_cycle", ctx.graph, budget) is not None
+    predicted = ctx.solve(inv.hamiltonian_cycle, ctx.quotient_fact(power_graph), budget) is not None
+    actual = ctx.solve(inv.hamiltonian_cycle, ctx.graph, budget) is not None
     # One-directional: a Hamiltonian quotient power graph forces a Hamiltonian graph.
     return Claim(predicted, actual, (not predicted) or actual)
 
 
 def _check_girth(ctx: InstanceContext) -> Claim:
-    actual = ctx.solve("girth", ctx.graph)
+    actual = ctx.solve(inv.girth, ctx.graph)
     return Claim(3, actual, actual == 3)
 
 
 def _check_bipartite_tree(ctx: InstanceContext) -> Claim:
-    actual = ctx.solve("is_bipartite", ctx.graph) or ctx.solve("is_tree", ctx.graph)
+    actual = ctx.solve(inv.is_bipartite, ctx.graph) or ctx.solve(inv.is_tree, ctx.graph)
     return Claim(False, actual, actual is False)
 
 
 def _check_planar(ctx: InstanceContext) -> Claim:
     predicted = ctx.H.order in (2, 3) and ctx.quotient_fact(recognize).is_elementary_abelian_2
-    actual = ctx.solve("is_planar", ctx.graph)
+    actual = ctx.solve(inv.is_planar, ctx.graph)
     return Claim(predicted, actual, predicted == actual)
 
 
 def _check_edges(ctx: InstanceContext) -> Claim:
-    t = ctx.quotient_fact(power_graph_edge_count_formula)
+    # t = |E(Γ(G/H))|, half the degree sum of the quotient's power graph.
+    t = sum(ctx.quotient_fact(inv.degree_in_power_graph_formula)) // 2
     n = ctx.quotient.group.order
     h = ctx.H.order
     predicted = (t - n + 1) * h * h + math.comb(h, 2) * (n - 1) + (ctx.G.order - h)
@@ -329,32 +319,32 @@ def _check_edges(ctx: InstanceContext) -> Claim:
 
 def _clique_prediction(ctx: InstanceContext) -> int:
     """|H|(m - 1) + 1, m the quotient power graph's clique number: both ω and χ."""
-    m = ctx.solve("clique_number", ctx.quotient_fact(power_graph), ctx.budgets.exact_solver)[0]
+    m = ctx.solve(inv.clique_number, ctx.quotient_fact(power_graph), ctx.budgets.exact_solver)[0]
     return ctx.H.order * (m - 1) + 1
 
 
 def _check_clique(ctx: InstanceContext) -> Claim:
     predicted = _clique_prediction(ctx)
-    actual = ctx.solve("clique_number", ctx.graph, ctx.budgets.exact_solver)[0]
+    actual = ctx.solve(inv.clique_number, ctx.graph, ctx.budgets.exact_solver)[0]
     return Claim(predicted, actual, predicted == actual)
 
 
 def _check_perfect(ctx: InstanceContext) -> Claim:
-    actual = ctx.solve("is_perfect", ctx.graph, ctx.budgets.odd_hole)
+    actual = ctx.solve(inv.is_perfect, ctx.graph, ctx.budgets.odd_hole)
     return Claim(True, actual, actual is True)
 
 
 def _check_chromatic(ctx: InstanceContext) -> Claim:
     predicted = _clique_prediction(ctx)
-    actual = ctx.solve("chromatic_number", ctx.graph, ctx.budgets.exact_solver)[0]
+    actual = ctx.solve(inv.chromatic_number, ctx.graph, ctx.budgets.exact_solver)[0]
     return Claim(predicted, actual, predicted == actual)
 
 
 def _check_kappa(ctx: InstanceContext) -> Claim:
-    k = ctx.solve("vertex_connectivity", ctx.quotient_fact(power_graph))[0]
+    k = ctx.solve(inv.vertex_connectivity, ctx.quotient_fact(power_graph))[0]
     predicted = ctx.H.order * (k - 1) + 1
-    actual = ctx.solve("vertex_connectivity", ctx.graph)[0]
-    note = "complete" if ctx.solve("is_complete", ctx.graph) else "non-complete"
+    actual = ctx.solve(inv.vertex_connectivity, ctx.graph)[0]
+    note = "complete" if ctx.solve(inv.is_complete, ctx.graph) else "non-complete"
     return Claim(predicted, actual, predicted == actual, note)
 
 

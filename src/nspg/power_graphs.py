@@ -7,7 +7,7 @@ from functools import reduce
 from operator import or_
 from typing import NamedTuple
 
-from .groups import FiniteGroup, euler_phi
+from .groups import FiniteGroup
 from .subgroups import QuotientGroup, SubgroupSet, _bits, _check_normal_subgroup, _coset_partition
 
 
@@ -125,14 +125,6 @@ def _power_rows(class_of, powers, classes: int) -> list[int]:
             row |= in_class[d]
         rows.append(row & ~(1 << i))
     return rows
-
-
-def power_graph_edge_count_formula(G: FiniteGroup) -> int:
-    """Edge count of the power graph via (1/2) * sum over a of (2*o(a) - phi(o(a)) - 1)."""
-    total = sum(2 * o - euler_phi(o) - 1 for o in map(G.element_order, G.elements()))
-    if total % 2 != 0:
-        raise AssertionError("edge-count sum formula produced an odd total")
-    return total // 2
 
 
 def _check_nsb_inputs(G: FiniteGroup, H: SubgroupSet) -> None:

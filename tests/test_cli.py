@@ -132,9 +132,26 @@ def test_whole_group_selector_exits_2(capsys):
         (("list-normal-subgroups", "Z4\n"), "unrecognized group spec 'Z4\\n'"),
         (("analyze", "Z4", "--subgroup", "-0"), "generator index out of range"),
         (("analyze", "Z4", "--subgroup", "2,-00"), "generator index out of range"),
+        # --subgroup-index and NSPG_BUDGET follow the selector tokens' rule: [0-9]+.
+        *(
+            (("build", "Z4", "--subgroup-index", index), f"--subgroup-index {index!r} is not an index such as 2")
+            for index in ("+1", " 1", "1 ", "1\n", "1_0", "\u0663", "", "x")
+        ),
+        (("build", "Z4", "--subgroup-index", "-0"), "subgroup index -0 out of range; Z4 has 3 normal subgroups"),
+        (("build", "Z4", "--subgroup-index", "-1"), "subgroup index -1 out of range; Z4 has 3 normal subgroups"),
+        *(
+            ((f"NSPG_BUDGET={budget}", "analyze", "Z6", "--subgroup", "3"),
+             f"NSPG_BUDGET must be a positive integer, got {budget!r}")
+            for budget in (" 64", "+64", "6_4", "\u0666\u0664", "64\n", "", "0", "-64")
+        ),
     ],
 )
-def test_library_errors_exit_2_with_their_message(capsys, argv, message):
+def test_library_errors_exit_2_with_their_message(capsys, monkeypatch, argv, message):
+    # A leading NAME=value item sets that variable, as on a shell command line.
+    while "=" in argv[0]:
+        name, value = argv[0].split("=", 1)
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -166,15 +183,40 @@ def test_verify_checks_every_catalog_spec_before_building_a_group(capsys, tmp_pa
 
 @pytest.mark.parametrize(
     "group, selector",
-    [("Z4", "x"), ("S3", "1"), ("Z4", "1"), ("Z4", "-1"), ("Z4", "-0"), ("Z6", "+3"), ("Z6", ",")],
+    [
+        ("Z4", "x"), ("S3", "1"), ("Z4", "1"), ("Z4", "-1"), ("Z4", "-0"), ("Z6", "+3"), ("Z6", ","),
+        ("S3", "99"), ("Z4", "2,-00"), ("D4", "1_0"),
+    ],
 )
 def test_catalog_selectors_fail_as_build_does(capsys, tmp_path, group, selector):
+    # The same message, after the name of the catalog entry.
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps({"instances": [{"group": group, "subgroups": [selector]}]}), encoding="utf-8")
     by_catalog = run_cli(capsys, "verify", "--catalog", str(path))
-    by_build = run_cli(capsys, "build", group, "--subgroup", selector)
-    assert by_catalog == by_build
-    assert by_build[0] == 2 and by_build[1] == "" and by_build[2].startswith("error: ")
+    code, out, err = run_cli(capsys, "build", group, "--subgroup", selector)
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert by_catalog == (2, "", err.replace("error: ", f"error: instance 0 ({group}): ", 1))
+
+
+@pytest.mark.parametrize(
+    "instances, message",
+    [
+        (
+            [{"group": "S3", "subgroups": ["3"]}, {"group": "S3", "subgroups": ["1"]}],
+            "instance 1 (S3): selector '1' generates <1>, which is not normal in S3",
+        ),
+        ([{"group": "S3", "subgroups": ["99"]}], "instance 0 (S3): generator index out of range"),
+        (
+            [{"group": "Z4"}, {"group": "E(2,8)"}],
+            "instance 1 (E(2,8)): E(2,8) has more than 4096 normal subgroups; enumeration refused",
+        ),
+    ],
+)
+def test_catalog_errors_found_while_resolving_name_their_entry(capsys, tmp_path, instances, message):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"instances": instances}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--catalog", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_analyze_json_anchor_values(capsys):
@@ -351,6 +393,28 @@ def test_power_graph_is_pinned_by_its_digest(capsys, spec, size, digest):
     data = out.encode("ascii")
     assert len(data) == size
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_verify_large_json_is_pinned_by_its_digest(capsys, tmp_path):
+    # The bench's verify-large catalog: DEGREE_4_1 and EDGES_6_1 at order 64-256,
+    # with no golden file. CI checks the same digest.
+    catalog = {
+        "instances": [
+            {"group": "Z256", "subgroups": ["128"]},
+            {"group": "E(2,8)", "subgroups": ["1,2,4,8,16,32,64"]},
+            {"group": "Z2xZ64", "subgroups": ["64"]},
+            {"group": "Q8xQ8", "subgroups": ["1"]},
+        ]
+    }
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(catalog), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "verify", "--catalog", str(path), "--format", "json")
+    assert code == 0
+    notes = [r["note"] for r in json.loads(out)["results"] if r["note"].startswith("budget exceeded: ")]
+    assert len(notes) == 13
+    data = out.encode("ascii")
+    assert len(data) == 52893
+    assert hashlib.sha256(data).hexdigest() == "0a439b8aa7ee01544f3fad0023be054717cf51b2086e5e0bf0464602ecec84c1"
 
 
 def test_verify_with_catalog_file(capsys, tmp_path):

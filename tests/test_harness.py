@@ -288,7 +288,6 @@ def test_default_run_builds_each_shared_fact_once_per_distinct_key(monkeypatch, 
     for module, name in (
         (harness, "power_graph"),
         (harness, "recognize"),
-        (harness, "power_graph_edge_count_formula"),
         (harness.inv, "degree_in_power_graph_formula"),
     ):
         def counting(group, build=getattr(module, name), seen=calls.setdefault(name, [])):
@@ -299,13 +298,11 @@ def test_default_run_builds_each_shared_fact_once_per_distinct_key(monkeypatch, 
     run_catalog(default_catalog())
     parents = {G.name for G, H in catalog_pairs}
     quotients = {quotient(G, H).group.table for G, H in catalog_pairs}
-    nontrivial = {quotient(G, H).group.table for G, H in catalog_pairs if H.order > 1}
     assert (len(catalog_pairs), len(parents), len(quotients)) == (223, 42, 43)
     expected = {
         "power_graph": parents | quotients,
         "degree_in_power_graph_formula": parents | quotients,
         "recognize": quotients,
-        "power_graph_edge_count_formula": nontrivial,  # EDGES_6_1 skips H = {e}
     }
     for name, keys in expected.items():
         assert len(calls[name]) == len(set(calls[name])), name

@@ -81,6 +81,19 @@ def test_long_walk_power_graph_digests_are_checked_before_any_dependency_is_inst
     )
 
 
+def test_verify_large_json_digest_is_checked_before_any_dependency_is_installed():
+    # The digest test_verify_large_json_is_pinned_by_its_digest pins, on the bench's
+    # verify-large catalog written outside the checkout.
+    assert _runs_before_any_install(
+        "echo '{\"instances\": [{\"group\": \"Z256\", \"subgroups\": [\"128\"]},"
+        " {\"group\": \"E(2,8)\", \"subgroups\": [\"1,2,4,8,16,32,64\"]},"
+        " {\"group\": \"Z2xZ64\", \"subgroups\": [\"64\"]},"
+        " {\"group\": \"Q8xQ8\", \"subgroups\": [\"1\"]}]}' > \"$RUNNER_TEMP/verify_large.json\"\n"
+        "PYTHONPATH=src python -m nspg.cli verify --catalog \"$RUNNER_TEMP/verify_large.json\" --format json"
+        " | sha256sum | grep -x '0a439b8aa7ee01544f3fad0023be054717cf51b2086e5e0bf0464602ecec84c1  -'\n"
+    )
+
+
 def test_benchmark_checks_its_outputs_before_the_clean_tree_check():
     # One checked pass of every workload; it writes only under the ignored bench/out/.
     runs = [step.get("run") for step in _job()["steps"]]
