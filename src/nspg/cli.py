@@ -8,7 +8,7 @@ Group spec grammar (bit-exact):
              | "S" nat          symmetric group on n letters (degree capped at 5)
              | "Q8"             the quaternion group of order 8
              | "E(" p "," k ")" elementary abelian group of order p^k (p prime)
-    nat     := [0-9]+ with the family's positivity constraints
+    nat     := [0-9]+, at most 18 digits past leading zeros, with the family's positivity constraints
 
 "x" builds direct products, e.g. Z2xZ4 or Z2xZ2xZ3. Any spec whose total
 order exceeds 256 is rejected. Subgroups are addressed either by a
@@ -29,7 +29,7 @@ import sys
 # Each command imports the layers it runs when it runs, so a command loads
 # nothing it does not use: the harness only for verify and list-groups, the
 # power graphs for build, power-graph and analyze, the invariants for analyze.
-from .groups import FiniteGroup, make_group, parse_group_spec
+from .groups import FiniteGroup, make_group, parse_group_spec, parse_nat
 from .subgroups import SubgroupSet, all_normal_subgroups, select_subgroup
 
 EXIT_OK = 0
@@ -46,9 +46,10 @@ def _solver_budget() -> int:
 
         return DEFAULT_SOLVER_BUDGET
     # [0-9]+ alone: int() also takes signs, spaces, underscores and other scripts' digits.
-    if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
+    budget = parse_nat(raw, "NSPG_BUDGET") if raw.isascii() and raw.isdigit() else 0
+    if budget < 1:
         raise ValueError(f"NSPG_BUDGET must be a positive integer, got {raw!r}")
-    return int(raw)
+    return budget
 
 
 def _group(spec_text: str) -> FiniteGroup:
@@ -61,10 +62,11 @@ def _subgroup(G: FiniteGroup, args: argparse.Namespace) -> SubgroupSet:
     raw = args.subgroup_index
     if not (raw.isascii() and raw.removeprefix("-").isdigit()):  # a selector token's rule
         raise ValueError(f"--subgroup-index {raw!r} is not an index such as 2")
+    index = parse_nat(raw.removeprefix("-"), "--subgroup-index")
     subs = all_normal_subgroups(G)
-    if raw.startswith("-") or int(raw) >= len(subs):  # "-0" too: a signed index is no index
+    if raw.startswith("-") or index >= len(subs):  # "-0" too: a signed index is no index
         raise ValueError(f"subgroup index {raw} out of range; {G.name} has {len(subs)} normal subgroups")
-    return subs[int(raw)]
+    return subs[index]
 
 
 def _add_subgroup_flags(p: argparse.ArgumentParser) -> None:

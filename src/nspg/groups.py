@@ -12,6 +12,10 @@ from typing import NamedTuple
 
 MAX_GROUP_ORDER = 256  # at most 256: validate_cayley_table holds each table entry in one byte
 MAX_SYMMETRIC_DEGREE = 5
+# A [0-9]+ input (spec number, selector token, --subgroup-index, NSPG_BUDGET) with
+# more significant digits is refused before int() reads it: every bound such a
+# number meets is far smaller, and int()'s own digit limit varies with the Python.
+MAX_DIGITS = 18
 
 _Built = tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]  # a table and its element labels
 
@@ -246,10 +250,19 @@ def _parse_atom(text: str) -> GroupSpec:
         raise ValueError(f"unrecognized group spec {text!r}")
     if m.group(1) is not None:
         family = {"Z": "cyclic", "D": "dihedral", "S": "symmetric"}[m.group(1)]
-        return GroupSpec(family, n=int(m.group(2)))
+        return GroupSpec(family, n=parse_nat(m.group(2), "group spec number"))
     if m.group(3) is not None:
-        return GroupSpec("elementary_abelian", p=int(m.group(3)), k=int(m.group(4)))
+        p, k = (parse_nat(m.group(i), "group spec number") for i in (3, 4))
+        return GroupSpec("elementary_abelian", p=p, k=k)
     return GroupSpec("quaternion8")
+
+
+def parse_nat(digits: str, what: str) -> int:
+    """The value of an ASCII [0-9]+ string, refused past MAX_DIGITS significant digits."""
+    significant = digits.lstrip("0")
+    if len(significant) > MAX_DIGITS:
+        raise ValueError(f"{what} has {len(significant)} digits; at most {MAX_DIGITS} are allowed")
+    return int(significant or "0")
 
 
 def make_group(spec: GroupSpec) -> FiniteGroup:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .groups import FiniteGroup, _prime_factors, generate
+from .groups import FiniteGroup, _prime_factors, generate, parse_nat
 
 # all_normal_subgroups refuses a group with more normal subgroups than this.
 MAX_NORMAL_SUBGROUPS = 4096
@@ -79,9 +79,10 @@ def select_subgroup(G: FiniteGroup, selector: str) -> SubgroupSet:
     tokens = selector.split(",") if selector else []
     if not all(t.isascii() and t.removeprefix("-").isdigit() for t in tokens):
         raise ValueError(f"selector {selector!r} is not a comma-separated list of element indices")
+    indices = [parse_nat(t.removeprefix("-"), "selector token") for t in tokens]
     if any(t.startswith("-") for t in tokens):  # "-0" too: a signed token is no index
         raise ValueError("generator index out of range")
-    H = generated_subgroup(G, [int(t) for t in tokens])
+    H = generated_subgroup(G, indices)
     if not H.is_normal:
         raise ValueError(
             f"selector {selector!r} generates {H.describe()}, which is not normal in {G.name}"

@@ -11,6 +11,7 @@ import pytest
 
 import nspg
 import nspg.invariants as inv
+import pinned_outputs
 from nspg.cli import main
 from nspg.power_graphs import SimpleGraph
 
@@ -105,6 +106,25 @@ def test_whole_group_selector_exits_2(capsys):
     assert "error:" in err
 
 
+# A number past 18 significant digits is refused before int() reads it; past
+# 4300 digits int() would raise its own error, on Pythons that have the limit.
+_LONG = "9" * 5000
+
+
+def _too_long(what, digits=5000):
+    return f"{what} has {digits} digits; at most 18 are allowed"
+
+
+LONG_NUMBER_ERRORS = [
+    *((("list-normal-subgroups", spec), _too_long("group spec number"))
+      for spec in (f"Z{_LONG}", f"D{_LONG}", f"S{_LONG}", f"E({_LONG},2)", f"E(2,{_LONG})")),
+    *((("build", "Z4", "--subgroup", s), _too_long("selector token")) for s in (_LONG, f"2,-{_LONG}")),
+    *((("build", "Z4", "--subgroup-index", i), _too_long("--subgroup-index")) for i in (_LONG, f"-{_LONG}")),
+    ((f"NSPG_BUDGET={_LONG}", "analyze", "Z6", "--subgroup", "3"), _too_long("NSPG_BUDGET")),
+    (("list-normal-subgroups", "Z1" + "0" * 18), _too_long("group spec number", 19)),
+]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -144,6 +164,7 @@ def test_whole_group_selector_exits_2(capsys):
              f"NSPG_BUDGET must be a positive integer, got {budget!r}")
             for budget in (" 64", "+64", "6_4", "\u0666\u0664", "64\n", "", "0", "-64")
         ),
+        *LONG_NUMBER_ERRORS,
     ],
 )
 def test_library_errors_exit_2_with_their_message(capsys, monkeypatch, argv, message):
@@ -154,6 +175,22 @@ def test_library_errors_exit_2_with_their_message(capsys, monkeypatch, argv, mes
         argv = argv[1:]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int digit limit")
+@pytest.mark.parametrize("argv, message", LONG_NUMBER_ERRORS)
+def test_long_number_errors_do_not_depend_on_the_int_digit_limit(capsys, monkeypatch, argv, message):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        test_library_errors_exit_2_with_their_message(capsys, monkeypatch, argv, message)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_leading_zeros_do_not_count_against_the_digit_limit(capsys):
+    padded = run_cli(capsys, "build", "Z" + "0" * 5000 + "4", "--subgroup", "0" * 5000 + "2")
+    assert padded == run_cli(capsys, "build", "Z4", "--subgroup", "2")
 
 
 def test_verify_reports_a_catalog_group_past_the_budget(capsys, tmp_path):
@@ -341,80 +378,50 @@ def test_verify_json_summary(capsys):
     assert obj["summary"]["EDGES_6_1"]["pass"] > 0
 
 
-def test_default_verify_json_is_pinned_by_its_digest(capsys):
-    # No golden file holds Report.to_json's 832,509 bytes; their digest pins them.
-    code, out, _ = run_cli(capsys, "verify", "--format", "json")
-    assert code == 0
-    data = out.encode("ascii")
-    assert len(data) == 832509
-    assert hashlib.sha256(data).hexdigest() == "e8d6b0bf80ccf22be10a1b067c50ba42d98e00de5436bdf6291fa12770c7cb0b"
+@pytest.mark.parametrize("command, expected", pinned_outputs.PINS, ids=[c for c, _ in pinned_outputs.PINS])
+def test_pinned_output(command, expected):
+    assert pinned_outputs.check(command, expected) is None
 
 
-@pytest.mark.parametrize(
-    "spec, size, digest",
-    [
-        ("S5", 90, "c6c39614964baa2578fc91e37fd6a9f0869a7cdd9daf06aa7d0ab897001591f8"),
-        ("E(2,5)", 11589, "6c319e914f75c4210c7e5a8676166c01512affecc390150dfcaf8532cae00d4f"),
-    ],
-)
-def test_list_normal_subgroups_is_pinned_by_its_digest(capsys, spec, size, digest):
-    # Two enumerations bench/expected leaves out; CI checks the same digests.
-    code, out, _ = run_cli(capsys, "list-normal-subgroups", spec)
-    assert code == 0
-    data = out.encode("ascii")
-    assert len(data) == size
-    assert hashlib.sha256(data).hexdigest() == digest
+def test_a_changed_pin_fails_and_names_its_command(tmp_path, monkeypatch, capsys):
+    pins = dict(pinned_outputs.PINS)
+    size, digest = pins["list-normal-subgroups S5"]
+    wrong_digest = ("list-normal-subgroups S5", (size, digest[::-1]))
+    digest_failure = (
+        f"list-normal-subgroups S5: expected exit 0, {size} bytes, sha256 {digest[::-1]};"
+        f" got exit 0, {size} bytes, sha256 {digest}"
+    )
+    assert pinned_outputs.check(*wrong_digest) == digest_failure
+    golden = pins["analyze Z6 --subgroup 3"]
+    right = (pinned_outputs.GOLDEN / golden).read_bytes()
+    wrong = bytes([right[0] ^ 1]) + right[1:]
+    (tmp_path / golden).write_bytes(wrong)
+    monkeypatch.setattr(pinned_outputs, "GOLDEN", tmp_path)
+    golden_failure = (
+        f"analyze Z6 --subgroup 3: expected exit 0, {len(wrong)} bytes,"
+        f" sha256 {hashlib.sha256(wrong).hexdigest()};"
+        f" got exit 0, {len(right)} bytes, sha256 {hashlib.sha256(right).hexdigest()}"
+    )
+    assert pinned_outputs.check("analyze Z6 --subgroup 3", golden) == golden_failure
+    monkeypatch.setattr(pinned_outputs, "PINS", (wrong_digest, ("analyze Z6 --subgroup 3", golden)))
+    assert pinned_outputs.main() == 1
+    assert capsys.readouterr().out == f"FAIL {digest_failure}\nFAIL {golden_failure}\n"
 
 
-def test_power_graph_of_e13_2_is_pinned_by_its_digest(capsys):
-    # E(p,k) labels separate their base-p digits past p = 10: concatenated, (1,12)
-    # and (11,2) were both "112". CI checks the same digest.
+def test_power_graph_of_e13_2_separates_digits_past_ten(capsys):
+    # Concatenated, the E(13,2) labels (1,12) and (11,2) were both "112".
     code, out, _ = run_cli(capsys, "power-graph", "E(13,2)")
     assert code == 0
     labels = json.loads(out)["vertices"]
     assert labels[1 * 13 + 12] == "1,12" and labels[11 * 13 + 2] == "11,2"
-    data = out.encode("ascii")
-    assert len(data) == 37473
-    assert hashlib.sha256(data).hexdigest() == "43bc919ea627ba5de803cd38a3ecf9dc960fed1a3d15d71a6b8954200d45c5f4"
 
 
-@pytest.mark.parametrize(
-    "spec, size, digest",
-    [
-        ("Z256", 1084456, "7988f677d2ed0d565238a6041c146e8a682d5df797c54f1ed7a1dcf2e5a3b6b4"),
-        ("Z2xZ64", 131182, "002bd25a5ca2a382a63c8a7a0c7414de86d56f328a730ec219bd7c679d468c26"),
-    ],
-)
-def test_power_graph_is_pinned_by_its_digest(capsys, spec, size, digest):
-    # The two largest power graphs of verify-large, whose every walk is long. CI
-    # checks the same digests.
-    code, out, _ = run_cli(capsys, "power-graph", spec)
-    assert code == 0
-    data = out.encode("ascii")
-    assert len(data) == size
-    assert hashlib.sha256(data).hexdigest() == digest
-
-
-def test_verify_large_json_is_pinned_by_its_digest(capsys, tmp_path):
-    # The bench's verify-large catalog: DEGREE_4_1 and EDGES_6_1 at order 64-256,
-    # with no golden file. CI checks the same digest.
-    catalog = {
-        "instances": [
-            {"group": "Z256", "subgroups": ["128"]},
-            {"group": "E(2,8)", "subgroups": ["1,2,4,8,16,32,64"]},
-            {"group": "Z2xZ64", "subgroups": ["64"]},
-            {"group": "Q8xQ8", "subgroups": ["1"]},
-        ]
-    }
-    path = tmp_path / "catalog.json"
-    path.write_text(json.dumps(catalog), encoding="utf-8")
-    code, out, _ = run_cli(capsys, "verify", "--catalog", str(path), "--format", "json")
+def test_verify_large_notes_thirteen_budget_refusals():
+    # The bench's verify-large catalog: DEGREE_4_1 and EDGES_6_1 at order 64-256.
+    code, out = pinned_outputs.output("verify --catalog verify_large.json --format json")
     assert code == 0
     notes = [r["note"] for r in json.loads(out)["results"] if r["note"].startswith("budget exceeded: ")]
     assert len(notes) == 13
-    data = out.encode("ascii")
-    assert len(data) == 52893
-    assert hashlib.sha256(data).hexdigest() == "0a439b8aa7ee01544f3fad0023be054717cf51b2086e5e0bf0464602ecec84c1"
 
 
 def test_verify_with_catalog_file(capsys, tmp_path):
@@ -543,6 +550,15 @@ def test_verify_with_malformed_catalog_exits_2(capsys, tmp_path, catalog, messag
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot load catalog") and message in err
+
+
+@pytest.mark.parametrize("template", ["{}", '{{"instances": {}}}'], ids=["bare", "under-instances"])
+def test_verify_refuses_a_deeply_nested_catalog(capsys, tmp_path, template):
+    # Written raw: json.dumps cannot encode this depth.
+    path = tmp_path / "catalog.json"
+    path.write_text(template.format("[" * 100000 + "]" * 100000), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--catalog", str(path))
+    assert (code, out, err) == (2, "", "error: cannot load catalog: catalog JSON is nested too deeply\n")
 
 
 @pytest.mark.parametrize(
