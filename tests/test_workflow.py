@@ -2,6 +2,8 @@ from pathlib import Path
 
 import yaml
 
+import pinned_outputs
+
 WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
 
 
@@ -24,6 +26,65 @@ def _runs_before_any_install(command):
 def test_pinned_outputs_are_checked_before_any_dependency_is_installed():
     # Every row of tests/pinned_outputs.py, with the standard library alone, on every CI Python.
     assert _runs_before_any_install("PYTHONPATH=src python tests/pinned_outputs.py")
+
+
+def _pinned_before_any_install(*rows):
+    """Whether PINS holds each (command, expected) row and CI checks PINS before any install."""
+    return all(row in pinned_outputs.PINS for row in rows) and _runs_before_any_install(
+        "PYTHONPATH=src python tests/pinned_outputs.py"
+    )
+
+
+def test_default_report_runs_before_any_dependency_is_installed():
+    assert _pinned_before_any_install(("verify --format csv", "verify_default.csv"))
+
+
+def test_analyze_output_is_checked_before_any_dependency_is_installed():
+    # GraphInvariants' JSON form with the standard library alone, on every CI Python.
+    assert _pinned_before_any_install(("analyze Z6 --subgroup 3", "analyze_z6_subgroup3.json"))
+
+
+def test_verify_json_digest_is_checked_before_any_dependency_is_installed():
+    assert _pinned_before_any_install(
+        ("verify --format json", (832509, "e8d6b0bf80ccf22be10a1b067c50ba42d98e00de5436bdf6291fa12770c7cb0b"))
+    )
+
+
+def test_normal_subgroup_digests_are_checked_before_any_dependency_is_installed():
+    # bench/expected leaves these two enumerations out.
+    assert _pinned_before_any_install(
+        ("list-normal-subgroups S5", (90, "c6c39614964baa2578fc91e37fd6a9f0869a7cdd9daf06aa7d0ab897001591f8")),
+        ("list-normal-subgroups E(2,5)",
+         (11589, "6c319e914f75c4210c7e5a8676166c01512affecc390150dfcaf8532cae00d4f")),
+    )
+
+
+def test_e13_2_power_graph_digest_is_checked_before_any_dependency_is_installed():
+    # Its labels pin the separator between E(p,k) digits past p = 10.
+    assert _pinned_before_any_install(
+        ("power-graph E(13,2)", (37473, "43bc919ea627ba5de803cd38a3ecf9dc960fed1a3d15d71a6b8954200d45c5f4"))
+    )
+
+
+def test_long_walk_power_graph_digests_are_checked_before_any_dependency_is_installed():
+    assert _pinned_before_any_install(
+        ("power-graph Z256", (1084456, "7988f677d2ed0d565238a6041c146e8a682d5df797c54f1ed7a1dcf2e5a3b6b4")),
+        ("power-graph Z2xZ64", (131182, "002bd25a5ca2a382a63c8a7a0c7414de86d56f328a730ec219bd7c679d468c26")),
+    )
+
+
+def test_verify_large_json_digest_is_checked_before_any_dependency_is_installed():
+    # On the bench's verify-large catalog, which pinned_outputs writes outside the checkout.
+    assert pinned_outputs.VERIFY_LARGE == {"instances": [
+        {"group": "Z256", "subgroups": ["128"]},
+        {"group": "E(2,8)", "subgroups": ["1,2,4,8,16,32,64"]},
+        {"group": "Z2xZ64", "subgroups": ["64"]},
+        {"group": "Q8xQ8", "subgroups": ["1"]},
+    ]}
+    assert _pinned_before_any_install(
+        ("verify --catalog verify_large.json --format json",
+         (52893, "0a439b8aa7ee01544f3fad0023be054717cf51b2086e5e0bf0464602ecec84c1"))
+    )
 
 
 def test_cli_import_graph_is_checked_before_any_dependency_is_installed():
