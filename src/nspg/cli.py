@@ -29,7 +29,7 @@ import sys
 # Each command imports the layers it runs when it runs, so a command loads
 # nothing it does not use: the harness only for verify and list-groups, the
 # power graphs for build, power-graph and analyze, the invariants for analyze.
-from .groups import FiniteGroup, make_group, parse_group_spec, parse_nat
+from .groups import FiniteGroup, make_group, parse_group_spec, parse_nat, shown
 from .subgroups import SubgroupSet, all_normal_subgroups, select_subgroup
 
 EXIT_OK = 0
@@ -48,7 +48,7 @@ def _solver_budget() -> int:
     # [0-9]+ alone: int() also takes signs, spaces, underscores and other scripts' digits.
     budget = parse_nat(raw, "NSPG_BUDGET") if raw.isascii() and raw.isdigit() else 0
     if budget < 1:
-        raise ValueError(f"NSPG_BUDGET must be a positive integer, got {raw!r}")
+        raise ValueError(f"NSPG_BUDGET must be a positive integer, got {shown(raw)}")
     return budget
 
 
@@ -61,11 +61,14 @@ def _subgroup(G: FiniteGroup, args: argparse.Namespace) -> SubgroupSet:
         return select_subgroup(G, args.subgroup)
     raw = args.subgroup_index
     if not (raw.isascii() and raw.removeprefix("-").isdigit()):  # a selector token's rule
-        raise ValueError(f"--subgroup-index {raw!r} is not an index such as 2")
+        raise ValueError(f"--subgroup-index {shown(raw)} is not an index such as 2")
     index = parse_nat(raw.removeprefix("-"), "--subgroup-index")
     subs = all_normal_subgroups(G)
     if raw.startswith("-") or index >= len(subs):  # "-0" too: a signed index is no index
-        raise ValueError(f"subgroup index {raw} out of range; {G.name} has {len(subs)} normal subgroups")
+        raise ValueError(
+            f"subgroup index {shown(raw, str)} out of range;"
+            f" {shown(G.name, str)} has {len(subs)} normal subgroups"
+        )
     return subs[index]
 
 

@@ -16,6 +16,8 @@ MAX_SYMMETRIC_DEGREE = 5
 # more significant digits is refused before int() reads it: every bound such a
 # number meets is far smaller, and int()'s own digit limit varies with the Python.
 MAX_DIGITS = 18
+# An error message repeats at most this many characters of an input, and then its length.
+MAX_SHOWN = 64
 
 _Built = tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]  # a table and its element labels
 
@@ -53,11 +55,13 @@ class FiniteGroup:
     make_group and quotient build groups and skip that. ``generators`` is what
     ``generate`` draws from the whole group: every element is a product of them,
     multiplied on the right starting from the identity. ``_powers[a]`` holds
-    a's walk once ``powers(a)`` has made it, and None before: each element is
-    walked at most once per group, and the walk lives and dies with the group.
+    a's walk once ``powers(a)`` has made it, and None before; ``_classes`` holds
+    ``cyclic_classes()`` once made. Each element is walked at most once per
+    group, each cyclic subgroup once by the graph layers, and both live and die
+    with the group.
     """
 
-    __slots__ = ("name", "table", "labels", "generators", "_inverse", "_powers")
+    __slots__ = ("name", "table", "labels", "generators", "_inverse", "_powers", "_classes")
 
     def __init__(self, name: str, table: tuple[tuple[int, ...], ...], labels: tuple[str, ...]):
         self._set_table(name, table, labels, validate_cayley_table(table))
@@ -81,6 +85,7 @@ class FiniteGroup:
         self.generators = generators
         self._inverse = tuple(row.index(0) for row in table)
         self._powers = [None] * len(table)
+        self._classes = None
 
     @property
     def order(self) -> int:
@@ -96,7 +101,8 @@ class FiniteGroup:
         """a, a**2, ... up to the first power equal to the identity: as many as a's order.
 
         The first call walks a's row, since a * a**k is a**(k+1), and keeps the
-        tuple; later calls return it.
+        tuple; later calls return it. Code that needs every element's cyclic
+        subgroup reads ``cyclic_classes()``, which walks one element per class.
         """
         if not 0 <= a < self.order:
             raise ValueError(f"element index {a} out of range for group of order {self.order}")
@@ -108,6 +114,31 @@ class FiniteGroup:
                 out.append(x)
             walk = self._powers[a] = tuple(out)
         return walk
+
+    def cyclic_classes(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """``(class_of, walks)``: the elements split by the cyclic subgroup they generate.
+
+        ``class_of[a]`` is the index of a's class, and ``walks[c]`` is the
+        ``powers`` of class c's smallest member; every member's powers run over
+        the same cyclic subgroup, in another order. Elements are taken in
+        ascending order, and the first one not yet in a class is walked: a**k
+        joins a's class, without a walk of its own, when gcd(k, o(a)) = 1, since
+        then it generates <a>. So classes are numbered by their smallest member
+        ({e} is class 0), each is walked once, and the pair is made once per group.
+        """
+        if self._classes is None:
+            class_of = [-1] * self.order
+            walks = []
+            for a in self.elements():
+                if class_of[a] < 0:
+                    walk = self.powers(a)
+                    order = len(walk)
+                    for k, x in enumerate(walk, 1):
+                        if math.gcd(k, order) == 1:
+                            class_of[x] = len(walks)
+                    walks.append(walk)
+            self._classes = (tuple(class_of), tuple(walks))
+        return self._classes
 
     def element_order(self, a: int) -> int:
         """Least k >= 1 with a**k equal to the identity."""
@@ -239,7 +270,7 @@ def parse_group_spec(text: str) -> GroupSpec:
     parts = text.split("x")
     if len(parts) > 1:
         if any(not p for p in parts):
-            raise ValueError(f"malformed group spec {text!r}")
+            raise ValueError(f"malformed group spec {shown(text)}")
         return GroupSpec("direct_product", factors=tuple(_parse_atom(p) for p in parts))
     return _parse_atom(text)
 
@@ -247,7 +278,7 @@ def parse_group_spec(text: str) -> GroupSpec:
 def _parse_atom(text: str) -> GroupSpec:
     m = _ATOM_RE.fullmatch(text)
     if m is None:
-        raise ValueError(f"unrecognized group spec {text!r}")
+        raise ValueError(f"unrecognized group spec {shown(text)}")
     if m.group(1) is not None:
         family = {"Z": "cyclic", "D": "dihedral", "S": "symmetric"}[m.group(1)]
         return GroupSpec(family, n=parse_nat(m.group(2), "group spec number"))
@@ -255,6 +286,14 @@ def _parse_atom(text: str) -> GroupSpec:
         p, k = (parse_nat(m.group(i), "group spec number") for i in (3, 4))
         return GroupSpec("elementary_abelian", p=p, k=k)
     return GroupSpec("quaternion8")
+
+
+def shown(text: str, quote: Callable[[str], str] = repr) -> str:
+    """An input as an error message repeats it: quote(text), or past MAX_SHOWN
+    characters, quote(its first MAX_SHOWN) then "... (<n> characters)"."""
+    if len(text) <= MAX_SHOWN:
+        return quote(text)
+    return f"{quote(text[:MAX_SHOWN])}... ({len(text)} characters)"
 
 
 def parse_nat(digits: str, what: str) -> int:

@@ -11,7 +11,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import invariants as inv
-from .groups import FiniteGroup, make_group, parse_group_spec
+from .groups import FiniteGroup, make_group, parse_group_spec, shown
 from .power_graphs import NSBPowerGraph, nsb_power_graph, power_graph
 from .subgroups import (
     QuotientGroup,
@@ -116,7 +116,8 @@ def parse_catalog_json(text: str, budgets: Budgets = Budgets()) -> Catalog:
         group = item["group"]
         if not isinstance(group, str):
             raise ValueError(
-                f"instance {i}: 'group' must be a spec string such as \"Z2xZ4\", got {json.dumps(group)}"
+                f"instance {i}: 'group' must be a spec string such as \"Z2xZ4\","
+                f" got {shown(json.dumps(group), str)}"
             )
         try:
             parse_group_spec(group).group_order()
@@ -124,7 +125,9 @@ def parse_catalog_json(text: str, budgets: Budgets = Budgets()) -> Catalog:
             subs = item.get("subgroups", "all-normal")
             if subs != "all-normal":
                 if not isinstance(subs, list):
-                    raise ValueError(f"'subgroups' must be \"all-normal\" or a list, got {subs!r}")
+                    raise ValueError(
+                        f"'subgroups' must be \"all-normal\" or a list, got {shown(repr(subs), str)}"
+                    )
                 if not subs:
                     raise ValueError(
                         "'subgroups' is empty; leave it out to run every proper normal subgroup"
@@ -132,17 +135,18 @@ def parse_catalog_json(text: str, budgets: Budgets = Budgets()) -> Catalog:
                 bad = [s for s in subs if not isinstance(s, str)]
                 if bad:
                     raise ValueError(
-                        f"'subgroups' must list selector strings such as \"1,4\", got {json.dumps(bad[0])}"
+                        "'subgroups' must list selector strings such as \"1,4\","
+                        f" got {shown(json.dumps(bad[0]), str)}"
                     )
                 subs = tuple(subs)
         except ValueError as exc:
-            raise ValueError(f"instance {i} ({group}): {exc}") from None
+            raise ValueError(f"instance {i} ({shown(group, str)}): {exc}") from None
         entries.append(CatalogEntry(group, subs))
     theorems = tuple(TheoremId)  # an absent "theorems" runs all thirteen
     if "theorems" in data:
         names = data["theorems"]
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-            raise ValueError(f"'theorems' must be a list of strings, got {names!r}")
+            raise ValueError(f"'theorems' must be a list of strings, got {shown(repr(names), str)}")
         if not names:
             raise ValueError("'theorems' is empty; leave it out to run every theorem")
         theorems = theorem_ids(names)
@@ -153,7 +157,7 @@ def _check_keys(obj: dict, valid: tuple[str, ...]) -> None:
     """Refuse a key the schema does not know: a misspelt one would silently run the default."""
     for key in obj:
         if key not in valid:
-            raise ValueError(f"unknown key {key!r}; valid keys: {', '.join(map(repr, valid))}")
+            raise ValueError(f"unknown key {shown(key)}; valid keys: {', '.join(map(repr, valid))}")
 
 
 def theorem_ids(names) -> tuple[TheoremId, ...]:
@@ -162,9 +166,9 @@ def theorem_ids(names) -> tuple[TheoremId, ...]:
     seen = set()
     for name in names:
         if name not in valid:
-            raise ValueError(f"unknown theorem id {name!r}; valid ids: {','.join(valid)}")
+            raise ValueError(f"unknown theorem id {shown(name)}; valid ids: {','.join(valid)}")
         if name in seen:
-            raise ValueError(f"duplicate theorem id {name!r}")
+            raise ValueError(f"duplicate theorem id {shown(name)}")
         seen.add(name)
     return tuple(TheoremId(name) for name in names)
 
@@ -184,7 +188,7 @@ def resolve_catalog(cat: Catalog) -> list[tuple[FiniteGroup, SubgroupSet]]:
                 for selector in entry.subgroups:
                     out.append((G, select_subgroup(G, selector)))
         except ValueError as exc:
-            raise ValueError(f"instance {i} ({entry.group}): {exc}") from None
+            raise ValueError(f"instance {i} ({shown(entry.group, str)}): {exc}") from None
     return out
 
 

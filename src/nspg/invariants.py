@@ -621,10 +621,18 @@ def hamiltonian_cycle(
 
 def degree_in_power_graph_formula(G: FiniteGroup) -> tuple[int, ...]:
     """Closed-form degree of every element in the power graph: sum of phi over the
-    cyclic subgroups properly containing <v>, plus order(v) - 1."""
-    spans = [G.cyclic_subgroup(a) for a in G.elements()]
-    weighted = [(c, euler_phi(len(c))) for c in set(spans)]
-    return tuple(sum(w for c, w in weighted if span < c) + len(span) - 1 for span in spans)
+    cyclic subgroups properly containing <v>, plus order(v) - 1.
+
+    The sum is made once per cyclic class: each class d's walk names the
+    classes inside <d>, and phi(|<d>|) is added to each of them but d.
+    """
+    class_of, walks = G.cyclic_classes()
+    degrees = [len(walk) - 1 for walk in walks]
+    for d, walk in enumerate(walks):
+        weight = euler_phi(len(walk))
+        for c in set(map(class_of.__getitem__, walk)) - {d}:
+            degrees[c] += weight
+    return tuple(map(degrees.__getitem__, class_of))
 
 
 # ---------------------------------------------------------------------------

@@ -100,29 +100,47 @@ class NSBPowerGraph(NamedTuple):
 
 
 def power_graph(G: FiniteGroup) -> SimpleGraph:
-    """Undirected power graph of G: distinct u, v adjacent iff one is a power of the other."""
-    powers = [G.powers(a) for a in G.elements()]
-    return SimpleGraph._from_rows(G.labels, _power_rows(range(G.order), powers, G.order))
+    """Undirected power graph of G: distinct u, v adjacent iff one is a power of the other.
 
-
-def _power_rows(class_of, powers, classes: int) -> list[int]:
-    """Rows joining i != j iff class_of[i] is in powers[j] or class_of[j] in powers[i].
-
-    in_class[c] holds the vertices of class c and into[c] those with a power in
-    c; row i is into[class_of[i]] or'd with in_class[c] for c in powers[i].
+    u is a power of v iff <u> lies in <v>, so adjacency reads only the cyclic
+    classes of u and v: each class's walk gives the classes inside it, and
+    each row is made once per class.
     """
-    in_class = [0] * classes
-    into = [0] * classes
-    for i, (c, reach) in enumerate(zip(class_of, powers)):
+    class_of, walks = G.cyclic_classes()
+    inside = [set(map(class_of.__getitem__, walk)) for walk in walks]
+    return SimpleGraph._from_rows(G.labels, _power_rows(class_of, class_of, inside, len(walks)))
+
+
+def _power_rows(coset_of, class_of, reached, cosets: int) -> list[int]:
+    """Rows joining vertices i != j iff coset_of[i] is in reached[class_of[j]] or
+    coset_of[j] in reached[class_of[i]].
+
+    reached[c] holds the cosets that the powers of class c's elements fall in.
+    in_coset[d] holds the vertices in coset d, and into[d] those of a class
+    reaching d; down[c] ORs in_coset[d] for d in reached[c]. A row then reads
+    only its vertex's coset and class: into[coset] | down[class] is made once
+    per pair, and masked per vertex.
+    """
+    in_coset = [0] * cosets
+    members: dict[int, int] = {}  # class -> its vertices
+    for i, (d, c) in enumerate(zip(coset_of, class_of)):
         bit = 1 << i
-        in_class[c] |= bit
-        for d in reach:
-            into[d] |= bit
+        in_coset[d] |= bit
+        members[c] = members.get(c, 0) | bit
+    into = [0] * cosets
+    down = {}
+    for c, bits in members.items():
+        row = 0
+        for d in reached[c]:
+            into[d] |= bits
+            row |= in_coset[d]
+        down[c] = row
+    made: dict[tuple[int, int], int] = {}
     rows = []
-    for i, (c, reach) in enumerate(zip(class_of, powers)):
-        row = into[c]
-        for d in reach:
-            row |= in_class[d]
+    for i, key in enumerate(zip(coset_of, class_of)):
+        row = made.get(key)
+        if row is None:
+            row = made[key] = into[key[0]] | down[key[1]]
         rows.append(row & ~(1 << i))
     return rows
 
@@ -139,16 +157,20 @@ def nsb_power_graph(G: FiniteGroup, H: SubgroupSet) -> NSBPowerGraph:
     Vertices are e followed by G \\ H in ascending element order; distinct x, y
     are joined iff xH = y^m H or yH = x^n H for some positive exponent. So row x
     is every vertex in one of xH, x^2 H, ... (walked up to e) together with
-    every vertex that has a power in xH.
+    every vertex that has a power in xH. The cosets x's powers reach depend
+    only on <x>, so they are gathered once per cyclic class of G, from its
+    walk; no quotient is built.
     """
     _check_nsb_inputs(G, H)
     coset = _coset_partition(G.table, H.elements)
     members = set(H.elements)
     vertex_element = (0,) + tuple(a for a in G.elements() if a not in members)
-    powers = [{coset[x] for x in G.powers(a)} for a in vertex_element]
+    element_class, walks = G.cyclic_classes()
+    class_of = tuple(element_class[a] for a in vertex_element)
+    reached = {c: set(map(coset.__getitem__, walks[c])) for c in set(class_of)}
     coset_of = tuple(coset[a] for a in vertex_element)
     labels = tuple(G.labels[a] for a in vertex_element)
-    rows = _power_rows(coset_of, powers, G.order // H.order)
+    rows = _power_rows(coset_of, class_of, reached, G.order // H.order)
     return NSBPowerGraph(SimpleGraph._from_rows(labels, rows), vertex_element, coset_of)
 
 

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from math import gcd
 from typing import NamedTuple
 
-from .groups import FiniteGroup, _prime_factors, generate, parse_nat
+from .groups import FiniteGroup, _prime_factors, generate, parse_nat, shown
 
 # all_normal_subgroups refuses a group with more normal subgroups than this.
 MAX_NORMAL_SUBGROUPS = 4096
@@ -78,17 +77,18 @@ def select_subgroup(G: FiniteGroup, selector: str) -> SubgroupSet:
     comma-separated element indices of --subgroup and of catalog files; "" gives {e})."""
     tokens = selector.split(",") if selector else []
     if not all(t.isascii() and t.removeprefix("-").isdigit() for t in tokens):
-        raise ValueError(f"selector {selector!r} is not a comma-separated list of element indices")
+        raise ValueError(f"selector {shown(selector)} is not a comma-separated list of element indices")
     indices = [parse_nat(t.removeprefix("-"), "selector token") for t in tokens]
     if any(t.startswith("-") for t in tokens):  # "-0" too: a signed token is no index
         raise ValueError("generator index out of range")
     H = generated_subgroup(G, indices)
     if not H.is_normal:
         raise ValueError(
-            f"selector {selector!r} generates {H.describe()}, which is not normal in {G.name}"
+            f"selector {shown(selector)} generates {H.describe()},"
+            f" which is not normal in {shown(G.name, str)}"
         )
     if H.order == G.order:
-        raise ValueError(f"selector {selector!r} generates all of {G.name}")
+        raise ValueError(f"selector {shown(selector)} generates all of {shown(G.name, str)}")
     return H
 
 
@@ -105,8 +105,9 @@ def all_normal_subgroups(G: FiniteGroup) -> list[SubgroupSet]:
     no check. Raises ValueError past MAX_NORMAL_SUBGROUPS.
 
     Subgroups are int bitmasks over the element indices. One closure is spanned
-    per cyclic class: every c^k with c in g's class and k prime to |g| generates
-    a conjugate of <g>, so it has g's normal closure and is skipped. A subgroup
+    per conjugacy class of cyclic subgroups: every generator of <c>, for c
+    conjugate to g, has g's normal closure, so its cyclic class (read from
+    G.cyclic_classes()) is marked and skipped. A subgroup
     N the walk reaches is split into its cosets xN = Nx once, by the partition
     the quotient uses, and NP is N with the coset Np of each p in P it does not
     yet hold.
@@ -115,26 +116,22 @@ def all_normal_subgroups(G: FiniteGroup) -> list[SubgroupSet]:
     bit = [1 << x for x in G.elements()]
     conjugators = [(s, G.inv(s)) for s in G.generators]
     closures: dict[int, int] = {}  # normal closure -> the first element it is the closure of
-    # Elements whose normal closure is already a key. A union of whole classes
-    # ((tct^-1)^k is the conjugate of c^k), so none of g's class is marked yet.
-    done = bytearray(G.order)
+    class_of, walks = G.cyclic_classes()
+    done = bytearray(len(walks))  # cyclic classes whose normal closure is already a key
     for g in G.elements():
-        if done[g]:
+        if done[class_of[g]]:
             continue
         conj = [g]
-        done[g] = 1
+        orbit = {g}
         for x in conj:  # the list grows while it is walked
             for s, si in conjugators:
                 y = table[table[s][x]][si]
-                if not done[y]:
-                    done[y] = 1
+                if y not in orbit:
+                    orbit.add(y)
                     conj.append(y)
         closures.setdefault(sum(map(bit.__getitem__, generate(table, conj)[1])), g)
-        order = G.element_order(g)
         for c in conj:
-            for k, x in enumerate(G.powers(c), 1):
-                if gcd(k, order) == 1:
-                    done[x] = 1
+            done[class_of[c]] = 1
     found = [1]  # {e}: bit 0 is the identity
     seen = set(found)
     for N in found:  # the list grows while it is walked: breadth-first
@@ -154,7 +151,7 @@ def all_normal_subgroups(G: FiniteGroup) -> list[SubgroupSet]:
             if joined not in seen:
                 if len(found) == MAX_NORMAL_SUBGROUPS:
                     raise ValueError(
-                        f"{G.name} has more than {MAX_NORMAL_SUBGROUPS} normal subgroups; "
+                        f"{shown(G.name, str)} has more than {MAX_NORMAL_SUBGROUPS} normal subgroups; "
                         "enumeration refused"
                     )
                 seen.add(joined)
@@ -228,7 +225,8 @@ class StructureFlags(NamedTuple):
 def recognize(Q: FiniteGroup) -> StructureFlags:
     """Detect cyclicity, prime-power order, and elementary-abelian-2 structure."""
     n = Q.order
-    orders = [Q.element_order(a) for a in Q.elements()]
+    _, walks = Q.cyclic_classes()
+    orders = [len(walk) for walk in walks]  # one per cyclic class; {e} first
     cyclic = any(o == n for o in orders)
     primes = _prime_factors(n)
     p_group = len(primes) == 1

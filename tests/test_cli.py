@@ -193,6 +193,66 @@ def test_leading_zeros_do_not_count_against_the_digit_limit(capsys):
     assert padded == run_cli(capsys, "build", "Z4", "--subgroup", "2")
 
 
+# A long input is repeated as its first 64 characters and its length.
+_TOKENS = ",".join(["1"] * 20000)
+_Z1S = "x".join(["Z1"] * 10000)  # a group of order 1 with a 29,999-character name
+
+
+def _head(text, quote=repr):
+    return f"{quote(text[:64])}... ({len(text)} characters)"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("build", "Z4", "--subgroup", _TOKENS), f"selector {_head(_TOKENS)} generates all of Z4"),
+        (("power-graph", "Q" * 30000), f"unrecognized group spec {_head('Q' * 30000)}"),
+        (("power-graph", "Z2" + "x" * 30000), f"malformed group spec {_head('Z2' + 'x' * 30000)}"),
+        (("build", _Z1S, "--subgroup", ""), f"selector '' generates all of {_head(_Z1S, str)}"),
+        (("build", "Z4", "--subgroup-index", "+" * 30000),
+         f"--subgroup-index {_head('+' * 30000)} is not an index such as 2"),
+        (("build", "Z4", "--subgroup-index", "-" + "0" * 30000),
+         f"subgroup index {_head('-' + '0' * 30000, str)} out of range; Z4 has 3 normal subgroups"),
+        ((f"NSPG_BUDGET={'x' * 30000}", "analyze", "Z6", "--subgroup", "3"),
+         f"NSPG_BUDGET must be a positive integer, got {_head('x' * 30000)}"),
+        (("verify", "--theorems", "X" * 30000), f"unknown theorem id {_head('X' * 30000)}; valid ids: "),
+    ],
+    ids=["selector", "spec", "malformed-spec", "group-name", "subgroup-index", "signed-index", "budget", "theorem"],
+)
+def test_long_inputs_are_repeated_as_a_bounded_prefix_and_their_length(capsys, monkeypatch, argv, message):
+    if argv[0].startswith("NSPG_BUDGET="):
+        monkeypatch.setenv("NSPG_BUDGET", argv[0].split("=", 1)[1])
+        argv = argv[1:]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and len(err.encode()) < 400, err
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"group": "Q" * 30000},
+         f"cannot load catalog: instance 1 ({_head('Q' * 30000, str)}):"
+         f" unrecognized group spec {_head('Q' * 30000)}"),
+        ({"group": "Z4", "k" * 30000: 1},
+         f"cannot load catalog: instance 1 (Z4): unknown key {_head('k' * 30000)}; valid keys: "),
+        ({"group": list(range(30000))},
+         "cannot load catalog: instance 1: 'group' must be a spec string such as \"Z2xZ4\","
+         f" got {_head(json.dumps(list(range(30000))), str)}"),
+        # Found while resolving, after the file loaded.
+        ({"group": "Z4", "subgroups": ["x" * 30000]},
+         f"instance 1 (Z4): selector {_head('x' * 30000)} is not a comma-separated list of element indices"),
+    ],
+    ids=["spec", "key", "non-string-group", "selector"],
+)
+def test_long_catalog_inputs_are_repeated_as_a_bounded_prefix(capsys, tmp_path, entry, message):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"instances": [{"group": "Z4"}, entry]}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--catalog", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and len(err.encode()) < 400, err
+
+
 def test_verify_reports_a_catalog_group_past_the_budget(capsys, tmp_path):
     # The loader checks every entry's spec, so the refusal names the entry and is a load error.
     path = tmp_path / "catalog.json"

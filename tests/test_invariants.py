@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import nspg.invariants as inv
 from nspg.groups import make_group, parse_group_spec
 from nspg.power_graphs import SimpleGraph, nsb_power_graph, power_graph
-from nspg.subgroups import generated_subgroup
+from nspg.subgroups import generated_subgroup, quotient
 from oracles import (
     brute_chromatic_number,
     brute_clique_number,
@@ -20,9 +20,11 @@ from oracles import (
     brute_is_planar,
     brute_vertex_connectivity,
     plant_universal,
+    power_graph_brute,
     random_graph,
     universal_vertices,
 )
+from test_power_graphs import LARGE_PAIRS
 
 
 def grp(text):
@@ -712,12 +714,22 @@ def test_degree_formula_anchors():
         assert inv.degree_in_power_graph_formula(G)[0] == n - 1
 
 
+def assert_degree_formula_matches_pair_scan(G):
+    # The pair-scanning build, since power_graph shares the formula's cyclic classes.
+    brute = power_graph_brute(G)
+    assert inv.degree_in_power_graph_formula(G) == tuple(map(brute.degree, G.elements())), G.name
+
+
 @pytest.mark.parametrize("text", ["Z6", "Z12", "Z24", "D4", "D6", "Q8", "S3", "S4", "E(2,3)"])
 def test_degree_formula_matches_actual_degrees(text):
+    assert_degree_formula_matches_pair_scan(grp(text))
+
+
+@pytest.mark.parametrize("text,gens", LARGE_PAIRS)
+def test_degree_formula_matches_actual_degrees_at_scale(text, gens):
     G = grp(text)
-    pg = power_graph(G)
-    for v in G.elements():
-        assert inv.degree_in_power_graph_formula(G)[v] == pg.degree(v)
+    assert_degree_formula_matches_pair_scan(G)
+    assert_degree_formula_matches_pair_scan(quotient(G, generated_subgroup(G, gens)).group)
 
 
 # --- budgets -------------------------------------------------------------------

@@ -13,7 +13,7 @@ from nspg.power_graphs import (
     power_graph,
 )
 from nspg.subgroups import all_normal_subgroups, generated_subgroup, quotient, recognize
-from oracles import nsb_adjacent_literal, nsb_power_graph_brute, power_graph_brute
+from oracles import closure, nsb_adjacent_literal, nsb_power_graph_brute, power_graph_brute
 
 
 def grp(text):
@@ -318,10 +318,33 @@ def test_the_graph_layers_walk_each_element_at_most_once(monkeypatch, text, cent
     nsb_power_graph(G, H)
     degree_in_power_graph_formula(G)
     recognize(G)
-    # E(2,8)'s enumeration walks every element before it refuses.
+    # E(2,8)'s enumeration reads every cyclic class before it refuses.
     refused = pytest.raises(ValueError, match="more than 4096") if text == "E(2,8)" else contextlib.nullcontext()
     with refused:
         all_normal_subgroups(G)
-    walks = sum(len({id(out) for out in outs}) for outs in returned.values())
-    assert walks == G.order
-    assert sum(map(len, returned.values())) > 4 * G.order  # the five layers share them
+    walked = {a: len({id(out) for out in outs}) for a, outs in returned.items() if outs}
+    assert set(walked.values()) == {1}
+    # One walk per cyclic subgroup, from the smallest element generating it.
+    spans = [closure(G, {a}) for a in G.elements()]
+    assert len(walked) == len(set(spans))
+    assert all(a == spans.index(spans[a]) for a in walked)
+
+
+def _blocks(keys) -> dict:
+    """The indices of keys grouped by value, in order of each value's first index."""
+    blocks: dict = {}
+    for a, key in enumerate(keys):
+        blocks.setdefault(key, []).append(a)
+    return blocks
+
+
+def test_cyclic_classes_split_the_elements_by_the_subgroup_they_generate(catalog_pairs):
+    groups = {G.name: G for G, _ in catalog_pairs} | {text: grp(text) for text, _ in LARGE_PAIRS}
+    for G in groups.values():
+        class_of, walks = G.cyclic_classes()
+        by_class = _blocks(class_of)
+        # class_of[a] == class_of[b] iff <a> == <b>
+        assert list(by_class.values()) == list(_blocks(map(G.cyclic_subgroup, G.elements())).values())
+        assert list(by_class) == list(range(len(walks)))  # numbered by smallest member
+        assert all(walks[c] is G.powers(members[0]) for c, members in by_class.items()), G.name
+        assert G.cyclic_classes() is G.cyclic_classes()

@@ -73,6 +73,13 @@ def test_long_walk_power_graph_digests_are_checked_before_any_dependency_is_inst
     )
 
 
+def test_non_abelian_graph_digests_are_checked_before_any_dependency_is_installed():
+    assert _pinned_before_any_install(
+        ("power-graph S5", (10488, "5f346b2324fe6550396b2f31a0134f8984150f842bdcf34c5058943b84bd853e")),
+        ("build D64 --subgroup 2", (51395, "c6e130d6219f0990c42e6ca0772dbb297a54c5ffd1d8cfc0f5e075ddb7221fbd")),
+    )
+
+
 def test_verify_large_json_digest_is_checked_before_any_dependency_is_installed():
     # On the bench's verify-large catalog, which pinned_outputs writes outside the checkout.
     assert pinned_outputs.VERIFY_LARGE == {"instances": [
