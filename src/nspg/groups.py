@@ -51,20 +51,19 @@ class FiniteGroup:
     """A finite group given by its Cayley table; element 0 is always the identity.
 
     Instances are immutable after construction. ``FiniteGroup(...)`` validates its
-    table (Latin square, identity at index 0, associativity, two-sided inverses);
-    make_group and quotient build groups and skip that. ``generators`` is what
+    table (Latin square, identity at index 0, associativity, two-sided inverses)
+    and keeps it, and the labels, as tuples; make_group and quotient build
+    groups as tuples and skip that. ``generators`` is what
     ``generate`` draws from the whole group: every element is a product of them,
-    multiplied on the right starting from the identity. ``_powers[a]`` holds
-    a's walk once ``powers(a)`` has made it, and None before; ``_classes`` holds
-    ``cyclic_classes()`` once made. Each element is walked at most once per
-    group, each cyclic subgroup once by the graph layers, and both live and die
-    with the group.
+    multiplied on the right starting from the identity. ``_classes`` holds
+    ``cyclic_classes()`` once made, and lives and dies with the group.
     """
 
-    __slots__ = ("name", "table", "labels", "generators", "_inverse", "_powers", "_classes")
+    __slots__ = ("name", "table", "labels", "generators", "_inverse", "_classes")
 
-    def __init__(self, name: str, table: tuple[tuple[int, ...], ...], labels: tuple[str, ...]):
-        self._set_table(name, table, labels, validate_cayley_table(table))
+    def __init__(self, name: str, table, labels):
+        generators = validate_cayley_table(table)
+        self._set_table(name, tuple(map(tuple, table)), tuple(labels), generators)
 
     @classmethod
     def _from_group_table(cls, name: str, table, labels) -> "FiniteGroup":
@@ -84,72 +83,47 @@ class FiniteGroup:
         self.labels = labels
         self.generators = generators
         self._inverse = tuple(row.index(0) for row in table)
-        self._powers = [None] * len(table)
         self._classes = None
 
     @property
     def order(self) -> int:
         return len(self.table)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def inv(self, a: int) -> int:
         return self._inverse[a]
-
-    def powers(self, a: int) -> tuple[int, ...]:
-        """a, a**2, ... up to the first power equal to the identity: as many as a's order.
-
-        The first call walks a's row, since a * a**k is a**(k+1), and keeps the
-        tuple; later calls return it. Code that needs every element's cyclic
-        subgroup reads ``cyclic_classes()``, which walks one element per class.
-        """
-        if not 0 <= a < self.order:
-            raise ValueError(f"element index {a} out of range for group of order {self.order}")
-        walk = self._powers[a]
-        if walk is None:
-            row, out, x = self.table[a], [a], a
-            while x:
-                x = row[x]
-                out.append(x)
-            walk = self._powers[a] = tuple(out)
-        return walk
 
     def cyclic_classes(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """``(class_of, walks)``: the elements split by the cyclic subgroup they generate.
 
-        ``class_of[a]`` is the index of a's class, and ``walks[c]`` is the
-        ``powers`` of class c's smallest member; every member's powers run over
-        the same cyclic subgroup, in another order. Elements are taken in
-        ascending order, and the first one not yet in a class is walked: a**k
-        joins a's class, without a walk of its own, when gcd(k, o(a)) = 1, since
-        then it generates <a>. So classes are numbered by their smallest member
-        ({e} is class 0), each is walked once, and the pair is made once per group.
+        ``class_of[a]`` is the index of a's class, and ``walks[c]`` is the walk
+        of class c's smallest member a: a, a**2, ... up to the first power equal
+        to the identity, as many as a's order, read along a's row since
+        a * a**k is a**(k+1). Every member's powers run over the same cyclic
+        subgroup, in another order. Elements are taken in ascending order, and
+        the first one not yet in a class is walked: a**k joins a's class,
+        without a walk of its own, when gcd(k, o(a)) = 1, since then it
+        generates <a>. So classes are numbered by their smallest member ({e} is
+        class 0), each is walked once, and the pair is made once per group.
         """
         if self._classes is None:
             class_of = [-1] * self.order
             walks = []
-            for a in self.elements():
+            for a, row in enumerate(self.table):
                 if class_of[a] < 0:
-                    walk = self.powers(a)
+                    walk, x = [a], a
+                    while x:
+                        x = row[x]
+                        walk.append(x)
                     order = len(walk)
                     for k, x in enumerate(walk, 1):
                         if math.gcd(k, order) == 1:
                             class_of[x] = len(walks)
-                    walks.append(walk)
+                    walks.append(tuple(walk))
             self._classes = (tuple(class_of), tuple(walks))
         return self._classes
 
-    def element_order(self, a: int) -> int:
-        """Least k >= 1 with a**k equal to the identity."""
-        return len(self.powers(a))
-
     def elements(self) -> range:
         return range(self.order)
-
-    def cyclic_subgroup(self, a: int) -> frozenset[int]:
-        """The subgroup generated by a single element, as an index set."""
-        return frozenset(self.powers(a))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FiniteGroup) and self.table == other.table and self.labels == other.labels

@@ -200,16 +200,10 @@ def expand_quotient_graph(Q: QuotientGroup, H: SubgroupSet) -> NSBPowerGraph:
     return NSBPowerGraph(SimpleGraph._from_rows(labels, rows), vertex_element, coset_of)
 
 
-def graph_to_json_obj(graph: SimpleGraph) -> dict:
-    """The stable wire format: {"vertices": [labels], "edges": [[i, j], ...]} with i < j."""
-    return {
-        "vertices": list(graph.vertex_labels),
-        "edges": [[u, v] for u, v in graph.edges()],
-    }
-
-
 def graph_to_json(graph: SimpleGraph) -> str:
-    return json.dumps(graph_to_json_obj(graph), indent=2) + "\n"
+    """The stable wire format: {"vertices": [labels], "edges": [[i, j], ...]} with i < j."""
+    obj = {"vertices": list(graph.vertex_labels), "edges": [[u, v] for u, v in graph.edges()]}
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def graph_to_dot(graph: SimpleGraph, name: str = "G") -> str:

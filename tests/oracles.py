@@ -246,6 +246,15 @@ def brute_is_planar(g: SimpleGraph) -> bool:
 # --- group-side oracles ------------------------------------------------------
 
 
+def powers_by_table(table, a: int) -> tuple[int, ...]:
+    """a, a**2, ... up to the first power equal to the identity, each a power times a."""
+    out, x = [a], a
+    while x:
+        x = table[x][a]
+        out.append(x)
+    return tuple(out)
+
+
 def order_by_iteration(table, a: int) -> int:
     x = a
     k = 1
@@ -261,7 +270,7 @@ def element_power(G: FiniteGroup, a: int, k: int) -> int:
         raise ValueError(f"element index {a} out of range for group of order {G.order}")
     if k < 0:
         raise ValueError("exponent must be non-negative")
-    k %= G.element_order(a)
+    k %= order_by_iteration(G.table, a)
     x = 0
     for _ in range(k):
         x = G.table[x][a]
@@ -298,7 +307,7 @@ def nsb_adjacent_literal(G, h_elements, x: int, y: int) -> bool:
 def power_graph_brute(G: FiniteGroup) -> SimpleGraph:
     """The power graph by scanning every pair: u in <v> or v in <u>."""
     n = G.order
-    powers = [G.cyclic_subgroup(a) for a in G.elements()]
+    powers = [frozenset(powers_by_table(G.table, a)) for a in G.elements()]
     edges = [
         (u, v)
         for u in range(n)
@@ -325,14 +334,7 @@ def nsb_power_graph_brute(G: FiniteGroup, h_elements) -> NSBPowerGraph:
     members = set(h_elements)
     coset = coset_partition_by_sets(G, members)
     vertex_element = (0,) + tuple(a for a in G.elements() if a not in members)
-    power_cosets: dict[int, set[int]] = {}
-    for a in vertex_element:
-        seen = set()
-        x = a
-        for _ in range(G.element_order(a)):
-            seen.add(coset[x])
-            x = G.table[x][a]
-        power_cosets[a] = seen
+    power_cosets = {a: {coset[x] for x in powers_by_table(G.table, a)} for a in vertex_element}
     n = len(vertex_element)
     edges = []
     for i in range(n):
@@ -378,7 +380,7 @@ def closure(G: FiniteGroup, seed: set[int]) -> frozenset[int]:
 
 def all_subgroups(G: FiniteGroup) -> list[frozenset[int]]:
     """Every subgroup of G: cyclic subgroups closed under pairwise joins to a fixpoint."""
-    subs: set[frozenset[int]] = {G.cyclic_subgroup(a) for a in G.elements()}
+    subs: set[frozenset[int]] = {frozenset(powers_by_table(G.table, a)) for a in G.elements()}
     while True:
         current = sorted(subs, key=lambda s: (len(s), sorted(s)))
         added = False

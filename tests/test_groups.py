@@ -16,6 +16,7 @@ from nspg.groups import (
     validate_cayley_table,
 )
 from nspg.harness import DEFAULT_CATALOG_GROUPS
+from nspg.subgroups import generated_subgroup
 from oracles import (
     build_dihedral_brute,
     build_elementary_abelian_brute,
@@ -28,6 +29,7 @@ from oracles import (
     is_associative_brute,
     order_by_iteration,
     phi_by_gcd,
+    powers_by_table,
 )
 
 
@@ -38,12 +40,12 @@ def grp(text):
 def test_trivial_group():
     G = grp("Z1")
     assert G.order == 1
-    assert G.element_order(0) == 1
+    assert order_by_iteration(G.table, 0) == 1
 
 
 def test_cyclic_six_orders_and_powers():
     G = grp("Z6")
-    assert G.element_order(2) == 3
+    assert order_by_iteration(G.table, 2) == 3
     assert element_power(G, 5, 4) == 2
     assert element_power(G, 2, 2) == 4
     assert all(element_power(G, a, 0) == 0 for a in G.elements())
@@ -52,7 +54,7 @@ def test_cyclic_six_orders_and_powers():
 def test_klein_four_is_elementary():
     G = grp("Z2xZ2")
     assert G.order == 4
-    assert all(G.element_order(a) == 2 for a in range(1, 4))
+    assert all(order_by_iteration(G.table, a) == 2 for a in range(1, 4))
 
 
 def test_dihedral_layout_and_reflections():
@@ -61,30 +63,30 @@ def test_dihedral_layout_and_reflections():
     assert G.labels[:4] == ("r0", "r1", "r2", "r3")
     assert G.labels[4:] == ("s0", "s1", "s2", "s3")
     for a in range(4, 8):
-        assert G.element_order(a) == 2
+        assert order_by_iteration(G.table, a) == 2
 
 
 def test_quaternion_orders():
     G = grp("Q8")
     assert G.labels == ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
-    assert G.element_order(1) == 2
-    assert all(G.element_order(a) == 4 for a in range(2, 8))
+    assert order_by_iteration(G.table, 1) == 2
+    assert all(order_by_iteration(G.table, a) == 4 for a in range(2, 8))
 
 
 def test_symmetric_group_s3():
     G = grp("S3")
     assert G.order == 6
     assert G.labels[0] == "012"
-    assert sorted(G.element_order(a) for a in G.elements()) == [1, 2, 2, 2, 3, 3]
+    assert sorted(order_by_iteration(G.table, a) for a in G.elements()) == [1, 2, 2, 2, 3, 3]
 
 
 def test_elementary_abelian():
     G = grp("E(2,3)")
     assert G.order == 8
-    assert all(G.element_order(a) == 2 for a in range(1, 8))
+    assert all(order_by_iteration(G.table, a) == 2 for a in range(1, 8))
     G9 = grp("E(3,2)")
     assert G9.order == 9
-    assert all(G9.element_order(a) == 3 for a in range(1, 9))
+    assert all(order_by_iteration(G9.table, a) == 3 for a in range(1, 9))
 
 
 def test_elementary_abelian_labels_separate_digits_only_past_ten():
@@ -185,8 +187,9 @@ def test_make_group_is_deterministic():
 @pytest.mark.parametrize("text", ["Z1", "Z12", "D4", "S4", "Q8", "E(2,3)", "Z2xZ6", "Z4xZ4"])
 def test_lagrange_and_power_identities(text):
     G = grp(text)
+    class_of, walks = G.cyclic_classes()
     for a in G.elements():
-        o = G.element_order(a)
+        o = len(walks[class_of[a]])
         assert G.order % o == 0
         assert element_power(G, a, o) == 0
         assert o == order_by_iteration(G.table, a)
@@ -197,7 +200,8 @@ def test_cyclic_order_counts_are_phi_multiples():
         G = grp(f"Z{n}")
         counts = {}
         for a in G.elements():
-            counts[G.element_order(a)] = counts.get(G.element_order(a), 0) + 1
+            o = order_by_iteration(G.table, a)
+            counts[o] = counts.get(o, 0) + 1
         for d, c in counts.items():
             assert c % euler_phi(d) == 0
 
@@ -235,7 +239,7 @@ def test_from_cayley_table_trivial_and_z2():
     assert from_cayley_table([[0]]).order == 1
     G = from_cayley_table([[0, 1], [1, 0]])
     assert G.order == 2
-    assert G.element_order(1) == 2
+    assert order_by_iteration(G.table, 1) == 2
 
 
 def test_from_cayley_table_rejects_non_latin():
@@ -329,6 +333,19 @@ def test_a_float_entry_is_out_of_range():
         FiniteGroup("x", [[0, 1], [1, 0.0]], ("0", "1"))
 
 
+def test_a_group_built_from_lists_keeps_tuples_of_its_own():
+    # Hashable, equal to the same table validated by from_cayley_table, and out
+    # of reach of the caller's lists.
+    table, labels = [[0, 1], [1, 0]], ["0", "1"]
+    G = FiniteGroup("g", table, labels)
+    assert hash(G) == hash(from_cayley_table([[0, 1], [1, 0]]))
+    hash(generated_subgroup(G, [1]))
+    assert G == from_cayley_table([[0, 1], [1, 0]])
+    table[1][1] = 1
+    labels[0] = "x"
+    assert G.table == ((0, 1), (1, 0)) and G.labels == ("0", "1")
+
+
 @pytest.mark.parametrize("n", [257, 300])
 def test_custom_tables_are_capped_at_the_order_budget(n):
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
@@ -402,7 +419,7 @@ def test_generators_reach_the_group_and_are_few(text):
     reached = {0}
     frontier = [0]
     while frontier:
-        frontier = [G.mul(x, g) for x in frontier for g in G.generators]
+        frontier = [G.table[x][g] for x in frontier for g in G.generators]
         frontier = [y for y in set(frontier) if y not in reached]
         reached.update(frontier)
     assert reached == set(G.elements())
@@ -423,7 +440,7 @@ def test_from_cayley_table_renumbers_identity():
     ]
     G = from_cayley_table(table)
     assert G.table[0] == (0, 1, 2)
-    assert sorted(G.element_order(a) for a in G.elements()) == [1, 3, 3]
+    assert sorted(order_by_iteration(G.table, a) for a in G.elements()) == [1, 3, 3]
 
 
 @pytest.mark.parametrize("labels", [("a",), ("a", "b", "c")])
@@ -463,21 +480,11 @@ def test_from_cayley_table_rejects_non_sequences(table):
         from_cayley_table(table)
 
 
-def test_cyclic_subgroup_checks_the_index_range():
-    G = grp("Z4")
-    assert G.cyclic_subgroup(0) == frozenset({0})
-    assert G.cyclic_subgroup(3) == frozenset({0, 1, 2, 3})
-    for a in (-1, 4):
-        for method in (G.powers, G.element_order, G.cyclic_subgroup):
-            with pytest.raises(ValueError, match=f"^element index {a} out of range for group of order 4$"):
-                method(a)
-
-
 @pytest.mark.parametrize("text", ["Z12", "D6", "S4", "Q8", "E(3,2)", "Z2xQ8"])
 def test_powers_walk_to_the_first_identity(text):
     G = grp(text)
-    for a in G.elements():
-        walk = G.powers(a)
+    for walk in G.cyclic_classes()[1]:
+        a = walk[0]
         assert len(walk) == order_by_iteration(G.table, a)
         assert walk == tuple(element_power(G, a, k) for k in range(1, len(walk) + 1))
         assert walk[-1] == 0 and 0 not in walk[:-1]
@@ -485,19 +492,13 @@ def test_powers_walk_to_the_first_identity(text):
 
 def test_a_walk_is_a_tuple_made_once():
     G = grp("Z2xQ8")
+    class_of, walks = G.cyclic_classes()
     for a in G.elements():
-        walk = G.powers(a)
+        walk = walks[class_of[a]]
         assert type(walk) is tuple
-        assert G.element_order(a) == len(walk) and G.cyclic_subgroup(a) == frozenset(walk)
-        assert G.powers(a) is walk
-
-
-def _walk_by_table(G, a):
-    out, x = [a], a
-    while x:
-        x = G.table[x][a]
-        out.append(x)
-    return tuple(out)
+        assert order_by_iteration(G.table, a) == len(walk)
+        assert frozenset(powers_by_table(G.table, a)) == frozenset(walk)
+    assert G.cyclic_classes() is G.cyclic_classes()
 
 
 def test_groups_of_one_order_keep_their_own_walks():
@@ -506,12 +507,10 @@ def test_groups_of_one_order_keep_their_own_walks():
     groups = [grp(text) for text in ("Z8", "D4", "E(2,3)")]
     for _ in range(2):
         for G in groups:
-            for a in G.elements():
-                assert G.powers(a) == _walk_by_table(G, a)
-    z8, d4, e23 = groups
-    assert [z8.element_order(a) for a in z8.elements()] == [1, 8, 4, 8, 2, 8, 4, 8]
-    assert [d4.element_order(a) for a in d4.elements()] == [1, 4, 2, 4, 2, 2, 2, 2]
-    assert [e23.element_order(a) for a in e23.elements()] == [1] + [2] * 7
+            for walk in G.cyclic_classes()[1]:
+                assert walk == powers_by_table(G.table, walk[0])
+    orders = [[len(walks[c]) for c in class_of] for class_of, walks in (G.cyclic_classes() for G in groups)]
+    assert orders == [[1, 8, 4, 8, 2, 8, 4, 8], [1, 4, 2, 4, 2, 2, 2, 2], [1] + [2] * 7]
 
 
 def test_order_budgets_keep_their_messages():
@@ -544,8 +543,8 @@ def test_euler_phi_matches_gcd_count(n):
 def test_inverse_roundtrip(text):
     G = grp(text)
     for a in G.elements():
-        assert G.mul(a, G.inv(a)) == 0
-        assert G.mul(G.inv(a), a) == 0
+        assert G.table[a][G.inv(a)] == 0
+        assert G.table[G.inv(a)][a] == 0
 
 
 # --- family and quotient tables are groups by construction ---------------------

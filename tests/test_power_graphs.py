@@ -13,7 +13,14 @@ from nspg.power_graphs import (
     power_graph,
 )
 from nspg.subgroups import all_normal_subgroups, generated_subgroup, quotient, recognize
-from oracles import closure, nsb_adjacent_literal, nsb_power_graph_brute, power_graph_brute
+from oracles import (
+    closure,
+    nsb_adjacent_literal,
+    nsb_power_graph_brute,
+    order_by_iteration,
+    power_graph_brute,
+    powers_by_table,
+)
 
 
 def grp(text):
@@ -124,7 +131,7 @@ def test_nsb_rejects_degenerate_inputs():
     with pytest.raises(ValueError):
         nsb_power_graph(G, generated_subgroup(G, [1]))  # H = G
     S3 = grp("S3")
-    transposition = next(a for a in S3.elements() if S3.element_order(a) == 2)
+    transposition = next(a for a in S3.elements() if order_by_iteration(S3.table, a) == 2)
     with pytest.raises(ValueError):
         nsb_power_graph(S3, generated_subgroup(S3, [transposition]))  # not normal
 
@@ -300,34 +307,37 @@ def test_edges_listing_is_sorted():
 
 @pytest.mark.parametrize("text, central", [("Z256", 128), ("Z2xZ64", 64), ("Q8xQ8", 1), ("E(2,8)", 1)])
 def test_the_graph_layers_walk_each_element_at_most_once(monkeypatch, text, central):
-    # Every object powers hands back for an element is kept, so a walk made
-    # twice shows up as two objects, whatever the ids of freed tuples.
+    # Every pair cyclic_classes hands back for G is kept, so a pair made twice
+    # shows up as two objects, whatever the ids of freed tuples.
     G, H = instance(text, [central])
     assert H.is_normal and 1 < H.order < G.order
-    returned = {a: [] for a in G.elements()}
-    walk = FiniteGroup.powers
+    returned = []
+    classes = FiniteGroup.cyclic_classes
 
-    def counted(self, a):
-        out = walk(self, a)
+    def counted(self):
+        out = classes(self)
         if self is G:
-            returned[a].append(out)
+            returned.append(out)
         return out
 
-    monkeypatch.setattr(FiniteGroup, "powers", counted)
-    power_graph(G)
-    nsb_power_graph(G, H)
-    degree_in_power_graph_formula(G)
-    recognize(G)
-    # E(2,8)'s enumeration reads every cyclic class before it refuses.
+    monkeypatch.setattr(FiniteGroup, "cyclic_classes", counted)
+    # E(2,8)'s enumeration reads the cyclic classes before it refuses.
     refused = pytest.raises(ValueError, match="more than 4096") if text == "E(2,8)" else contextlib.nullcontext()
+    reads = []
+    for layer in (power_graph, lambda G: nsb_power_graph(G, H), degree_in_power_graph_formula, recognize):
+        layer(G)
+        reads.append(len(returned))
     with refused:
         all_normal_subgroups(G)
-    walked = {a: len({id(out) for out in outs}) for a, outs in returned.items() if outs}
-    assert set(walked.values()) == {1}
+    reads.append(len(returned))
+    assert all(a < b for a, b in zip([0] + reads, reads))  # each of the five layers reads the classes
+    assert len({id(out) for out in returned}) == 1  # one pair, made once
     # One walk per cyclic subgroup, from the smallest element generating it.
+    _, walks = returned[0]
     spans = [closure(G, {a}) for a in G.elements()]
-    assert len(walked) == len(set(spans))
-    assert all(a == spans.index(spans[a]) for a in walked)
+    assert len(walks) == len(set(spans))
+    assert [walk[0] for walk in walks] == sorted({spans.index(span) for span in spans})
+    assert all(walk == powers_by_table(G.table, walk[0]) for walk in walks)
 
 
 def _blocks(keys) -> dict:
@@ -344,7 +354,8 @@ def test_cyclic_classes_split_the_elements_by_the_subgroup_they_generate(catalog
         class_of, walks = G.cyclic_classes()
         by_class = _blocks(class_of)
         # class_of[a] == class_of[b] iff <a> == <b>
-        assert list(by_class.values()) == list(_blocks(map(G.cyclic_subgroup, G.elements())).values())
+        spans = (frozenset(powers_by_table(G.table, a)) for a in G.elements())
+        assert list(by_class.values()) == list(_blocks(spans).values())
         assert list(by_class) == list(range(len(walks)))  # numbered by smallest member
-        assert all(walks[c] is G.powers(members[0]) for c, members in by_class.items()), G.name
+        assert all(walks[c] == powers_by_table(G.table, members[0]) for c, members in by_class.items()), G.name
         assert G.cyclic_classes() is G.cyclic_classes()

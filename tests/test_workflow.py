@@ -17,6 +17,12 @@ def test_tier1_job_is_bounded_and_leaves_no_file_behind():
     assert job["steps"][-1]["run"] == 'test -z "$(git status --porcelain)"'
 
 
+def test_no_tracked_file_matches_gitignore():
+    # Build and run leftovers committed by mistake; the last step only sees what the tests write.
+    runs = [step.get("run") for step in _job()["steps"]]
+    assert 'test -z "$(git ls-files -ci --exclude-standard)"' in runs
+
+
 def _runs_before_any_install(command):
     runs = [step.get("run") for step in _job()["steps"]]
     installs = [i for i, run in enumerate(runs) if run and "pip install" in run]
