@@ -10,7 +10,7 @@ import re
 from collections.abc import Callable
 from typing import NamedTuple
 
-MAX_GROUP_ORDER = 256  # at most 256: validate_cayley_table holds each table entry in one byte
+MAX_GROUP_ORDER = 256  # at most 256: every table row is bytes, one byte per entry
 MAX_SYMMETRIC_DEGREE = 5
 # A [0-9]+ input (spec number, selector token, --subgroup-index, NSPG_BUDGET) with
 # more significant digits is refused before int() reads it: every bound such a
@@ -19,7 +19,7 @@ MAX_DIGITS = 18
 # An error message repeats at most this many characters of an input, and then its length.
 MAX_SHOWN = 64
 
-_Built = tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]  # a table and its element labels
+_Built = tuple[tuple[bytes, ...], tuple[str, ...]]  # a table and its element labels
 
 
 def euler_phi(n: int) -> int:
@@ -50,10 +50,12 @@ def _prime_factors(n: int) -> list[int]:
 class FiniteGroup:
     """A finite group given by its Cayley table; element 0 is always the identity.
 
-    Instances are immutable after construction. ``FiniteGroup(...)`` validates its
+    Instances are immutable after construction. ``table`` is a tuple of ``bytes``
+    rows, ``table[a][b]`` the index of a*b: the one table format, from the
+    builders to the harness's cache keys. ``FiniteGroup(...)`` validates its
     table (Latin square, identity at index 0, associativity, two-sided inverses)
-    and keeps it, and the labels, as tuples; make_group and quotient build
-    groups as tuples and skip that. ``generators`` is what
+    and keeps it so, the labels as a tuple; make_group and quotient build such
+    tables and skip the check. ``generators`` is what
     ``generate`` draws from the whole group: every element is a product of them,
     multiplied on the right starting from the identity. ``_classes`` holds
     ``cyclic_classes()`` once made, and lives and dies with the group.
@@ -63,7 +65,7 @@ class FiniteGroup:
 
     def __init__(self, name: str, table, labels):
         generators = validate_cayley_table(table)
-        self._set_table(name, tuple(map(tuple, table)), tuple(labels), generators)
+        self._set_table(name, tuple(map(bytes, table)), tuple(labels), generators)
 
     @classmethod
     def _from_group_table(cls, name: str, table, labels) -> "FiniteGroup":
@@ -135,7 +137,7 @@ class FiniteGroup:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
-def validate_cayley_table(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+def validate_cayley_table(table) -> tuple[int, ...]:
     """Reject anything that is not a group table with the identity at index 0.
 
     Returns a generating set of at most log2(n) elements. Associativity is
@@ -145,10 +147,11 @@ def validate_cayley_table(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]
     include the generators they are the whole table. The test compares whole
     rows: row x*a must equal row x read through row a, for every x.
 
-    Tables past MAX_GROUP_ORDER are refused, so every entry fits in a byte and
-    each check runs on ``bytes`` rows: ``r.translate(None, s)`` is what is left
-    of r once every value in s is deleted, and ``rows[a].translate(row_x)``,
-    row x padded to 256 bytes, reads row x through row a.
+    Rows may be any sequences of ints. Tables past MAX_GROUP_ORDER are refused,
+    so every entry fits in a byte and each check runs on ``bytes`` rows, the
+    format FiniteGroup keeps: ``r.translate(None, s)`` is what is left of r once
+    every value in s is deleted, and ``rows[a].translate(row_x)``, row x padded
+    to 256 bytes, reads row x through row a.
     """
     n = len(table)
     if n == 0:
@@ -338,7 +341,7 @@ def _describe(spec: GroupSpec) -> tuple[str, int, Callable[[], _Built]]:
 def _build_dihedral(n: int) -> _Built:
     # Index f*n + j encodes s^f r^j; rotations occupy 0..n-1, reflections n..2n-1.
     # Row r^i holds r^(i+j), then s r^(j-i); row s r^i holds s r^(i+j), then r^(j-i).
-    rot, ref = tuple(range(n)), tuple(range(n, 2 * n))
+    rot, ref = bytes(range(n)), bytes(range(n, 2 * n))
     turns = [(i, -i % n) for i in range(n)]
     table = tuple(rot[i:] + rot[:i] + ref[m:] + ref[:m] for i, m in turns)
     table += tuple(ref[i:] + ref[:i] + rot[m:] + rot[:m] for i, m in turns)
@@ -350,11 +353,11 @@ def _build_symmetric(n: int) -> _Built:
     perms = list(itertools.permutations(range(n)))  # lexicographic, identity first
     labels = tuple("".join(str(v) for v in p) for p in perms)
     if n == 1:  # itemgetter of one index returns a scalar, not a 1-tuple
-        return ((0,),), labels
+        return (bytes(1),), labels
     index = {p: i for i, p in enumerate(perms)}
     # Column q holds p∘q for every p, where (p∘q)[i] = p[q[i]]: one itemgetter per q.
     columns = [tuple(map(index.__getitem__, map(operator.itemgetter(*q), perms))) for q in perms]
-    return tuple(zip(*columns)), labels
+    return tuple(map(bytes, zip(*columns))), labels
 
 
 def _build_quaternion() -> _Built:
@@ -372,7 +375,7 @@ def _build_quaternion() -> _Built:
             a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
         )
 
-    table = tuple(tuple(index[hamilton(p, q)] for q in units) for p in units)
+    table = tuple(bytes(index[hamilton(p, q)] for q in units) for p in units)
     return table, ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
 
 
@@ -394,21 +397,17 @@ def _build_product(children: list[_Built]) -> _Built:
     return table, labels
 
 
-def _product_table(
-    t1: tuple[tuple[int, ...], ...], t2: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[int, ...], ...]:
+def _product_table(t1: tuple[bytes, ...], t2: tuple[bytes, ...]) -> tuple[bytes, ...]:
     """Direct product table: entry (a1*n2 + a2, b1*n2 + b2) is t1[a1][b1]*n2 + t2[a2][b2]."""
     n1, n2 = len(t1), len(t2)
     # blocks[a2][x] is row a2 of t2 shifted by x*n2; row (a1, a2) joins the blocks t1[a1] names.
-    blocks = [[tuple(map((x * n2).__add__, r2)) for x in range(n1)] for r2 in t2]
-    return tuple(
-        tuple(itertools.chain.from_iterable(map(block.__getitem__, r1))) for r1 in t1 for block in blocks
-    )
+    blocks = [[bytes(map((x * n2).__add__, r2)) for x in range(n1)] for r2 in t2]
+    return tuple(b"".join(map(block.__getitem__, r1)) for r1 in t1 for block in blocks)
 
 
-def _cyclic_table(n: int) -> tuple[tuple[int, ...], ...]:
+def _cyclic_table(n: int) -> tuple[bytes, ...]:
     # Row a is range(n) rotated left by a.
-    base = tuple(range(n))
+    base = bytes(range(n))
     return tuple(base[a:] + base[:a] for a in range(n))
 
 

@@ -96,7 +96,7 @@ def default_catalog(budgets: Budgets = Budgets()) -> Catalog:
 def parse_catalog_json(text: str, budgets: Budgets = Budgets()) -> Catalog:
     """Catalog file schema: {"instances": [{"group": str, "subgroups": ...}], "theorems": [...]}."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:  # the decoder recurses once per nested array or object
         raise ValueError("catalog JSON is nested too deeply") from None
     if not isinstance(data, dict):
@@ -153,6 +153,16 @@ def parse_catalog_json(text: str, budgets: Budgets = Budgets()) -> Catalog:
     return Catalog(entries=tuple(entries), theorems=theorems, budgets=budgets)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, refused if a key repeats: json.loads would keep only its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {shown(key)} in a catalog object")
+        obj[key] = value
+    return obj
+
+
 def _check_keys(obj: dict, valid: tuple[str, ...]) -> None:
     """Refuse a key the schema does not know: a misspelt one would silently run the default."""
     for key in obj:
@@ -195,11 +205,9 @@ def resolve_catalog(cat: Catalog) -> list[tuple[FiniteGroup, SubgroupSet]]:
 class InstanceContext:
     """Caches the per-instance artifacts shared by several theorem checks; ``run_cache``
     holds what every instance of one run shares, each fact built once per key by
-    ``_shared``. A group's facts are keyed on ``G.name`` (a run builds its groups from
-    their specs, so the name fixes the table), a quotient's on its table as bytes, and
-    solver answers and graph invariants on adjacency rows. Nothing is keyed on
-    ``G.table``: a tuple does not cache its hash, so every lookup would hash all
-    65,536 entries of Z256's table again."""
+    ``_shared``. Group and quotient facts are keyed on the group's table, so a group
+    met as a parent and as a quotient shares them; solver answers and graph
+    invariants are keyed on adjacency rows."""
 
     def __init__(self, G: FiniteGroup, H: SubgroupSet, budgets: Budgets, run_cache: dict | None = None):
         self.G = G
@@ -217,13 +225,13 @@ class InstanceContext:
         return self._run_cache[key]
 
     def group_fact(self, build):
-        """``build(G)``, once per group name in a run."""
-        return self._shared((build, self.G.name), build, self.G)
+        """``build(G)``, once per table in a run: labels change no value the checks
+        read, so groups with equal tables share their facts."""
+        return self._shared((build, self.G.table), build, self.G)
 
     def quotient_fact(self, build):
-        """``build(G/H)``, once per quotient table in a run: labels change no value the
-        checks read, so quotients with equal tables share their facts."""
-        return self._shared((build, self._quotient_key), build, self.quotient.group)
+        """``build(G/H)``, keyed as group_fact keys a parent."""
+        return self._shared((build, self.quotient.group.table), build, self.quotient.group)
 
     def solve(self, solver, g, *args):
         """``solver(g, *args)``, once per distinct graph and arguments in a run.
@@ -242,10 +250,6 @@ class InstanceContext:
     @cached_property
     def quotient(self) -> QuotientGroup:
         return quotient(self.G, self.H)
-
-    @cached_property
-    def _quotient_key(self) -> bytes:
-        return b"".join(map(bytes, self.quotient.group.table))
 
 
 class Claim(NamedTuple):

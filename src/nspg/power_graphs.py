@@ -118,8 +118,8 @@ def _power_rows(coset_of, class_of, reached, cosets: int) -> list[int]:
     reached[c] holds the cosets that the powers of class c's elements fall in.
     in_coset[d] holds the vertices in coset d, and into[d] those of a class
     reaching d; down[c] ORs in_coset[d] for d in reached[c]. A row then reads
-    only its vertex's coset and class: into[coset] | down[class] is made once
-    per pair, and masked per vertex.
+    only its vertex's coset and class: into[coset] | down[class], less the
+    vertex itself.
     """
     in_coset = [0] * cosets
     members: dict[int, int] = {}  # class -> its vertices
@@ -135,14 +135,7 @@ def _power_rows(coset_of, class_of, reached, cosets: int) -> list[int]:
             into[d] |= bits
             row |= in_coset[d]
         down[c] = row
-    made: dict[tuple[int, int], int] = {}
-    rows = []
-    for i, key in enumerate(zip(coset_of, class_of)):
-        row = made.get(key)
-        if row is None:
-            row = made[key] = into[key[0]] | down[key[1]]
-        rows.append(row & ~(1 << i))
-    return rows
+    return [(into[d] | down[c]) & ~(1 << i) for i, (d, c) in enumerate(zip(coset_of, class_of))]
 
 
 def _check_nsb_inputs(G: FiniteGroup, H: SubgroupSet) -> None:
@@ -207,12 +200,12 @@ def graph_to_json(graph: SimpleGraph) -> str:
 
 
 def graph_to_dot(graph: SimpleGraph, name: str = "G") -> str:
-    """DOT rendering with vertex labels and nothing else; byte-deterministic."""
-    safe = name.replace('"', "'")
-    lines = [f'graph "{safe}" {{']
+    """DOT rendering with vertex labels and nothing else; byte-deterministic. In the
+    quoted name and labels each backslash is doubled and each '"' becomes "'"."""
+    quote = {ord("\\"): "\\\\", ord('"'): "'"}
+    lines = [f'graph "{name.translate(quote)}" {{']
     for v in range(graph.vertex_count):
-        label = graph.vertex_labels[v].replace('"', "'")
-        lines.append(f'  {v} [label="{label}"];')
+        lines.append(f'  {v} [label="{graph.vertex_labels[v].translate(quote)}"];')
     for u, v in graph.edges():
         lines.append(f"  {u} -- {v};")
     lines.append("}")

@@ -203,10 +203,7 @@ def quotient(G: FiniteGroup, H: SubgroupSet) -> QuotientGroup:
     for a, c in enumerate(projection):
         if c == len(reps):
             reps.append(a)
-    m = len(reps)
-    qtable = tuple(
-        tuple(projection[G.table[reps[i]][reps[j]]] for j in range(m)) for i in range(m)
-    )
+    qtable = tuple(bytes(projection[G.table[a][b]] for b in reps) for a in reps)
     labels = tuple(f"{G.labels[r]}H" for r in reps)
     qgroup = FiniteGroup._from_group_table(f"{G.name}/{H.describe()}", qtable, labels)
     return QuotientGroup(G, H, qgroup, tuple(projection), tuple(reps))

@@ -27,6 +27,7 @@ VERIFY_LARGE = {"instances": [
 PINS = (
     ("verify --format csv", "verify_default.csv"),
     ("analyze Z6 --subgroup 3", "analyze_z6_subgroup3.json"),
+    ("build Z4 --subgroup 2 --format json", "build_z4_subgroup2.json"),
     ("verify --format json", (832509, "e8d6b0bf80ccf22be10a1b067c50ba42d98e00de5436bdf6291fa12770c7cb0b")),
     # Two enumerations bench/expected/ leaves out.
     ("list-normal-subgroups S5", (90, "c6c39614964baa2578fc91e37fd6a9f0869a7cdd9daf06aa7d0ab897001591f8")),

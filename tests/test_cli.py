@@ -621,6 +621,29 @@ def test_verify_refuses_a_deeply_nested_catalog(capsys, tmp_path, template):
     assert (code, out, err) == (2, "", "error: cannot load catalog: catalog JSON is nested too deeply\n")
 
 
+LONG_KEY = "k" * 30000
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"instances": [{"group": "Z4"}], "instances": [{"group": "Z6"}]}', "'instances'"),
+        ('{"instances": [{"group": "Z4"}], "theorems": ["EDGES_6_1"], "theorems": ["GIRTH_5_3"]}',
+         "'theorems'"),
+        ('{"instances": [{"group": "Z4", "group": "Z6"}]}', "'group'"),
+        (f'{{"instances": [{{"group": "Z4"}}], "{LONG_KEY}": 1, "{LONG_KEY}": 2}}', _head(LONG_KEY)),
+    ],
+    ids=["instances", "theorems", "group", "long"],
+)
+def test_verify_refuses_a_catalog_that_repeats_a_key(capsys, tmp_path, text, key):
+    # Written raw: json.dumps cannot repeat a key. Decoded, only the last value would
+    # be kept and run, so a repeat is refused as an unknown key is.
+    path = tmp_path / "catalog.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--catalog", str(path))
+    assert (code, out, err) == (2, "", f"error: cannot load catalog: duplicate key {key} in a catalog object\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [("list-normal-subgroups", "E(2,8)"), ("analyze", "E(2,8)", "--subgroup-index", "0")],

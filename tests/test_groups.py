@@ -16,7 +16,7 @@ from nspg.groups import (
     validate_cayley_table,
 )
 from nspg.harness import DEFAULT_CATALOG_GROUPS
-from nspg.subgroups import generated_subgroup
+from nspg.subgroups import all_normal_subgroups, generated_subgroup, quotient
 from oracles import (
     build_dihedral_brute,
     build_elementary_abelian_brute,
@@ -119,7 +119,8 @@ def _build_brute(spec):
 @pytest.mark.parametrize("text", ["Z1", "Z2", "Z256", "D1", "D2", "D64", "S1", "S2", "S3", "S5", "Q8"])
 def test_row_built_tables_match_per_entry_builder(text):
     G = grp(text)
-    assert (G.table, G.labels) == _build_brute(parse_group_spec(text))
+    table, labels = _build_brute(parse_group_spec(text))
+    assert (G.table, G.labels) == (tuple(map(bytes, table)), labels)
 
 
 FOLDED_SPECS = ["E(2,1)", "E(2,8)", "E(11,2)", "E(3,4)", "Z1xZ5", "Z2xZ4", "Z2xZ2xZ2xZ2xZ2",
@@ -129,7 +130,22 @@ FOLDED_SPECS = ["E(2,1)", "E(2,8)", "E(11,2)", "E(3,4)", "Z1xZ5", "Z2xZ4", "Z2xZ
 @pytest.mark.parametrize("text", FOLDED_SPECS)
 def test_folded_product_tables_match_per_entry_builder(text):
     G = grp(text)
-    assert (G.table, G.labels) == _build_brute(parse_group_spec(text))
+    table, labels = _build_brute(parse_group_spec(text))
+    assert (G.table, G.labels) == (tuple(map(bytes, table)), labels)
+
+
+def test_every_table_is_a_tuple_of_bytes_rows():
+    # One table format: every builder, the quotient, a renumbered foreign table
+    # and a table given as lists all end as a tuple of n rows of n bytes.
+    parents = [grp(text) for text in DEFAULT_CATALOG_GROUPS]
+    groups = parents + [grp(text) for text in FOLDED_SPECS]
+    groups += [quotient(G, H).group for G in parents for H in all_normal_subgroups(G)]
+    groups.append(from_cayley_table([[1, 2, 0], [2, 0, 1], [0, 1, 2]]))  # identity at 2
+    groups.append(FiniteGroup("g", [[0, 1], [1, 0]], ["0", "1"]))
+    assert len(groups) == 43 + 11 + (223 + 43) + 2  # G/G and the 223 proper quotients
+    for G in groups:
+        assert type(G.table) is tuple and len(G.table) == len(G.labels), G.name
+        assert all(type(row) is bytes and len(row) == len(G.labels) for row in G.table), G.name
 
 
 @pytest.mark.parametrize("text", FOLDED_SPECS)
@@ -343,7 +359,7 @@ def test_a_group_built_from_lists_keeps_tuples_of_its_own():
     assert G == from_cayley_table([[0, 1], [1, 0]])
     table[1][1] = 1
     labels[0] = "x"
-    assert G.table == ((0, 1), (1, 0)) and G.labels == ("0", "1")
+    assert G.table == (b"\0\1", b"\1\0") and G.labels == ("0", "1")
 
 
 @pytest.mark.parametrize("n", [257, 300])
@@ -439,7 +455,7 @@ def test_from_cayley_table_renumbers_identity():
         [0, 1, 2],
     ]
     G = from_cayley_table(table)
-    assert G.table[0] == (0, 1, 2)
+    assert G.table[0] == b"\0\1\2"
     assert sorted(order_by_iteration(G.table, a) for a in G.elements()) == [1, 3, 3]
 
 

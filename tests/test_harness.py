@@ -280,10 +280,7 @@ def test_default_run_solves_kappa_once_per_distinct_graph(monkeypatch, catalog_p
 
 
 def test_default_run_builds_each_shared_fact_once_per_distinct_key(monkeypatch, catalog_pairs):
-    # A parent group's facts are keyed on its name, a quotient's on its table.
-    def key(group):
-        return group.table if "/" in group.name else group.name
-
+    # Parent and quotient facts alike are keyed on the group's table.
     calls = {}
     for module, name in (
         (harness, "power_graph"),
@@ -291,14 +288,15 @@ def test_default_run_builds_each_shared_fact_once_per_distinct_key(monkeypatch, 
         (harness.inv, "degree_in_power_graph_formula"),
     ):
         def counting(group, build=getattr(module, name), seen=calls.setdefault(name, [])):
-            seen.append(key(group))
+            seen.append(group.table)
             return build(group)
 
         monkeypatch.setattr(module, name, counting)
     run_catalog(default_catalog())
-    parents = {G.name for G, H in catalog_pairs}
+    parents = {G.table for G, H in catalog_pairs}
     quotients = {quotient(G, H).group.table for G, H in catalog_pairs}
-    assert (len(catalog_pairs), len(parents), len(quotients)) == (223, 42, 43)
+    assert (len(catalog_pairs), len(parents), len(quotients)) == (223, 39, 43)
+    assert parents <= quotients  # every parent table is met again as a quotient's
     expected = {
         "power_graph": parents | quotients,
         "degree_in_power_graph_formula": parents | quotients,
@@ -307,6 +305,12 @@ def test_default_run_builds_each_shared_fact_once_per_distinct_key(monkeypatch, 
     for name, keys in expected.items():
         assert len(calls[name]) == len(set(calls[name])), name
         assert set(calls[name]) == keys, name
+    assert len(calls["power_graph"]) == len(calls["degree_in_power_graph_formula"]) == 43
+    # Two parents of one table under two names: one build covers both.
+    for text, twin in (("E(2,1)", "Z2"), ("D2", "E(2,2)"), ("E(3,2)", "Z3xZ3")):
+        table = grp(text).table
+        assert grp(text).name != grp(twin).name and table == grp(twin).table
+        assert calls["power_graph"].count(table) == calls["degree_in_power_graph_formula"].count(table) == 1
 
 
 def test_cayley_tables_are_validated_only_where_they_come_from_outside(monkeypatch):

@@ -2,7 +2,7 @@ import contextlib
 
 import pytest
 
-from nspg.groups import FiniteGroup, euler_phi, make_group, parse_group_spec
+from nspg.groups import FiniteGroup, euler_phi, from_cayley_table, make_group, parse_group_spec
 from nspg.invariants import degree_in_power_graph_formula
 from nspg.power_graphs import (
     SimpleGraph,
@@ -298,6 +298,17 @@ def test_exports_are_deterministic_and_exact():
     )
     obj_lines = graph_to_json(g)
     assert '"vertices"' in obj_lines and '"edges"' in obj_lines
+
+
+def test_dot_doubles_a_trailing_backslash_in_a_label():
+    G = from_cayley_table([[0, 1], [1, 0]], labels=["e", "x\\"])
+    dot = 'graph "G" {\n  0 [label="e"];\n  1 [label="x\\\\"];\n  0 -- 1;\n}\n'
+    assert graph_to_dot(power_graph(G)) == dot
+
+
+def test_dot_doubles_a_trailing_backslash_in_the_name():
+    g = SimpleGraph(['say "hi"'], [])
+    assert graph_to_dot(g, 'a "b"\\') == 'graph "a \'b\'\\\\" {\n  0 [label="say \'hi\'"];\n}\n'
 
 
 def test_edges_listing_is_sorted():
