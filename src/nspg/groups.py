@@ -54,9 +54,9 @@ class FiniteGroup:
     rows, ``table[a][b]`` the index of a*b: the one table format, from the
     builders to the harness's cache keys. ``FiniteGroup(...)`` validates its
     table (Latin square, identity at index 0, associativity, two-sided inverses)
-    and keeps it so, the labels as a tuple; make_group and quotient build such
-    tables and skip the check. ``generators`` is what
-    ``generate`` draws from the whole group: every element is a product of them,
+    and keeps it so, the labels as a tuple of strings; make_group and quotient
+    build such tables and skip the check. ``generators`` is what ``generate``
+    draws from the whole group: every element is a product of them,
     multiplied on the right starting from the identity. ``_classes`` holds
     ``cyclic_classes()`` once made, and lives and dies with the group.
     """
@@ -65,7 +65,7 @@ class FiniteGroup:
 
     def __init__(self, name: str, table, labels):
         generators = validate_cayley_table(table)
-        self._set_table(name, tuple(map(bytes, table)), tuple(labels), generators)
+        self._set_table(name, tuple(map(bytes, table)), tuple(map(str, labels)), generators)
 
     @classmethod
     def _from_group_table(cls, name: str, table, labels) -> "FiniteGroup":

@@ -185,7 +185,8 @@ def theorem_ids(names) -> tuple[TheoremId, ...]:
 
 def resolve_catalog(cat: Catalog) -> list[tuple[FiniteGroup, SubgroupSet]]:
     """Concrete (group, normal subgroup) pairs, in deterministic catalog order. An
-    entry's ValueError names the entry, as the loader's do."""
+    entry's ValueError names the entry, as the loader's do. Entries that select
+    no pair are refused too; a catalog built with no entries resolves to none."""
     out: list[tuple[FiniteGroup, SubgroupSet]] = []
     for i, entry in enumerate(cat.entries):
         try:
@@ -199,6 +200,8 @@ def resolve_catalog(cat: Catalog) -> list[tuple[FiniteGroup, SubgroupSet]]:
                     out.append((G, select_subgroup(G, selector)))
         except ValueError as exc:
             raise ValueError(f"instance {i} ({shown(entry.group, str)}): {exc}") from None
+    if cat.entries and not out:
+        raise ValueError("'instances' selects no group with a proper normal subgroup")
     return out
 
 

@@ -193,19 +193,14 @@ def clique_number(g: SimpleGraph, budget: int = DEFAULT_SOLVER_BUDGET) -> tuple[
 # Exact chromatic number: iterative deepening from the clique bound
 
 
-def _k_colorable(
-    g: SimpleGraph, k: int, clique: tuple[int, ...], todo: int
-) -> list[int | None] | None:
-    """Backtracking k-colorability of the subgraph induced on the vertex mask todo,
-    with a maximum clique of it pre-colored for symmetry breaking. Vertices
-    outside todo get None; -1 marks one not yet coloured."""
-    rows = [row & todo for row in g.rows]
-    colors = [-1 if (todo >> v) & 1 else None for v in range(g.vertex_count)]
+def _k_colorable(g: SimpleGraph, k: int, clique: tuple[int, ...]) -> list[int] | None:
+    """Backtracking k-colorability, DSATUR-style, with a maximum clique
+    pre-colored for symmetry breaking; -1 marks a vertex not yet coloured."""
+    rows = g.rows
+    colors = [-1] * g.vertex_count
     sat = [0] * g.vertex_count
     full = (1 << k) - 1
     for c, v in enumerate(clique):
-        if c >= k:
-            return None
         colors[v] = c
         for w in _bits(rows[v]):
             sat[w] |= 1 << c
@@ -213,15 +208,14 @@ def _k_colorable(
     def pick() -> int:
         return max(
             (v for v in range(len(rows)) if colors[v] == -1),
-            key=lambda v: ((sat[v] & full).bit_count(), rows[v].bit_count(), -v),
+            key=lambda v: (sat[v].bit_count(), rows[v].bit_count(), -v),
         )
 
     def solve(remaining: int) -> bool:
         if remaining == 0:
             return True
         v = pick()
-        avail = full & ~sat[v]
-        for c in _bits(avail):
+        for c in _bits(full & ~sat[v]):
             colors[v] = c
             touched = []
             ok = True
@@ -229,7 +223,7 @@ def _k_colorable(
                 if colors[w] == -1 and not (sat[w] >> c) & 1:
                     sat[w] |= 1 << c
                     touched.append(w)
-                    if (sat[w] & full) == full:
+                    if sat[w] == full:
                         ok = False
             if ok and solve(remaining - 1):
                 return True
@@ -238,7 +232,7 @@ def _k_colorable(
                 sat[w] &= ~(1 << c)
         return False
 
-    if solve(todo.bit_count() - len(clique)):
+    if solve(g.vertex_count - len(clique)):
         return colors
     return None
 
@@ -246,26 +240,19 @@ def _k_colorable(
 def chromatic_number(
     g: SimpleGraph, budget: int = DEFAULT_SOLVER_BUDGET
 ) -> tuple[int, tuple[int, ...]]:
-    """Exact chromatic number with a proper coloring witness.
+    """Exact chromatic number with a proper coloring witness: the first k from
+    omega up for which the k-coloring search succeeds, seeded by the clique
+    witness.
 
-    Each universal vertex needs a colour of its own, so chi(G) = |U| + chi(R)
-    with R = G - U, searched as a vertex mask of G. R is coloured by the first k
-    from omega(R) up for which the k-coloring search succeeds, seeded by the
-    clique witness less U (a maximum clique of R, since the witness holds U);
-    U takes the colours after R's.
+    The witness holds every universal vertex, so each one is precoloured and
+    never branched on; every other vertex sees all of their colours.
     """
-    n = g.vertex_count
-    _check_budget("chromatic_number", n, budget)
+    _check_budget("chromatic_number", g.vertex_count, budget)
     _, clique = clique_number(g, budget)
-    universal = _universal(g)
-    rest = (1 << n) - 1 & ~universal
-    rest_clique = tuple(v for v in clique if (rest >> v) & 1)
-    k = len(rest_clique)
-    while (colors := _k_colorable(g, k, rest_clique, rest)) is None:
+    k = len(clique)
+    while (colors := _k_colorable(g, k, clique)) is None:
         k += 1
-    for c, u in enumerate(_bits(universal), k):
-        colors[u] = c
-    return k + universal.bit_count(), tuple(colors)
+    return k, tuple(colors)
 
 
 # ---------------------------------------------------------------------------
@@ -411,25 +398,21 @@ def _blocks(rows: tuple[int, ...]) -> list[int]:
 def _path(rows: tuple[int, ...], start: int, through: int, targets: int) -> list[int]:
     """A shortest path from start to a vertex of targets with its inner vertices in through.
 
-    Breadth-first; the first step goes into through only, later steps into
-    through or targets. The caller guarantees that such a path exists.
+    Walks the breadth-first layers of start through `through` to the first one
+    after {start} with a neighbour in targets, then back one layer at a time,
+    so the first step never enters targets (disjoint from through). The caller
+    guarantees that such a path exists.
     """
-    prev: dict[int, int] = {}
-    seen = 1 << start
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        fresh = rows[u] & (through if u == start else through | targets) & ~seen
-        seen |= fresh
-        for v in _bits(fresh):
-            prev[v] = u
-            if (targets >> v) & 1:
-                path = [v]
-                while v != start:
-                    v = prev[v]
-                    path.append(v)
-                return path[::-1]
-            queue.append(v)
+    layers = []
+    for layer in _layers(rows, through | 1 << start, start):
+        hit = targets & reduce(or_, (rows[u] for u in _bits(layer))) if layers else 0
+        layers.append(layer)
+        if hit:
+            path = [(hit & -hit).bit_length() - 1]
+            for back in reversed(layers):
+                step = rows[path[-1]] & back
+                path.append((step & -step).bit_length() - 1)
+            return path[::-1]
     raise AssertionError("a fragment of a block always links two attachments")
 
 

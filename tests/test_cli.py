@@ -316,6 +316,19 @@ def test_catalog_errors_found_while_resolving_name_their_entry(capsys, tmp_path,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "instances", [[{"group": "Z1"}], [{"group": "Z1"}, {"group": "S1", "subgroups": "all-normal"}]]
+)
+def test_verify_refuses_a_catalog_that_selects_no_pair(capsys, tmp_path, instances):
+    # The trivial group has no proper normal subgroup: such a catalog would
+    # print a bare CSV header and pass, as no empty "instances" list may.
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"instances": instances}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--catalog", str(path), "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err == "error: 'instances' selects no group with a proper normal subgroup\n"
+
+
 def test_analyze_json_anchor_values(capsys):
     code, out, _ = run_cli(capsys, "analyze", "Z6", "--subgroup", "3")
     assert code == 0

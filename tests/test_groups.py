@@ -16,6 +16,7 @@ from nspg.groups import (
     validate_cayley_table,
 )
 from nspg.harness import DEFAULT_CATALOG_GROUPS
+from nspg.power_graphs import power_graph
 from nspg.subgroups import all_normal_subgroups, generated_subgroup, quotient
 from oracles import (
     build_dihedral_brute,
@@ -467,6 +468,18 @@ def test_from_cayley_table_checks_the_label_count(labels):
         with pytest.raises(ValueError, match="^label count does not match group order$"):
             from_cayley_table(table, labels=labels)
     assert from_cayley_table([[1, 0], [0, 1]], labels=("a", "b")).labels == ("b", "a")
+
+
+def test_labels_are_kept_as_strings_and_refused_if_their_strings_collide():
+    # Graphs label their vertices with str(label): 1 and "1" would pass as
+    # distinct here and collide in every graph of the group.
+    with pytest.raises(ValueError, match="^element labels must be pairwise distinct$"):
+        from_cayley_table([[0, 1], [1, 0]], labels=[1, "1"])
+    with pytest.raises(ValueError, match="^element labels must be pairwise distinct$"):
+        FiniteGroup("g", [[0, 1], [1, 0]], [1, "1"])
+    G = from_cayley_table([[1, 0], [0, 1]], labels=[7, 8])
+    assert G.labels == ("8", "7")
+    assert power_graph(G).vertex_labels == G.labels
 
 
 @pytest.mark.parametrize("entry", [1.9, None, "1"])

@@ -226,9 +226,8 @@ def test_chromatic_refutes_levels_above_the_clique_number():
     omega, clique = inv.clique_number(g)
     assert omega == 2
     # The search must refute k = 2 and k = 3 before it colours with 4.
-    every_vertex = (1 << g.vertex_count) - 1
-    assert inv._k_colorable(g, 2, clique, every_vertex) is None
-    assert inv._k_colorable(g, 3, clique, every_vertex) is None
+    assert inv._k_colorable(g, 2, clique) is None
+    assert inv._k_colorable(g, 3, clique) is None
     k, coloring = inv.chromatic_number(g)
     assert k == 4 == brute_chromatic_number(g)
     assert len(set(coloring)) == 4
@@ -241,6 +240,31 @@ def test_chromatic_witness_is_proper():
         assert len(set(coloring)) == k
         for u, v in g.edges():
             assert coloring[u] != coloring[v]
+
+
+def test_chromatic_number_at_scale_matches_networkx_clique_number(catalog_pairs):
+    # Power graphs and Gamma_H(G) are comparability graphs, so chi = omega;
+    # networkx's omega checks chi past the reach of the brute-force oracles.
+    import networkx as nx  # a test oracle only, never a runtime dependency
+
+    graphs = {}
+    for G, H in catalog_pairs:
+        g = nsb_power_graph(G, H).graph
+        graphs[g.rows] = g
+    for text in ("Q8xQ8", "E(2,5)"):
+        G = grp(text)
+        g = nsb_power_graph(G, generated_subgroup(G, [0])).graph
+        assert g.vertex_count == G.order
+        graphs[g.rows] = g
+    assert max(g.vertex_count for g in graphs.values()) == 64
+    for g in graphs.values():
+        k, coloring = inv.chromatic_number(g)
+        assert len(coloring) == g.vertex_count and set(coloring) == set(range(k))
+        assert all(coloring[u] != coloring[v] for u, v in g.edges())
+        reference = nx.Graph()
+        reference.add_nodes_from(range(g.vertex_count))
+        reference.add_edges_from(g.edges())
+        assert k == nx.max_weight_clique(reference, weight=None)[1]
 
 
 # --- vertex connectivity -----------------------------------------------------
@@ -383,6 +407,22 @@ def test_planarity_on_larger_structured_graphs():
     assert not inv.is_planar(extra)
 
 
+def path_distance(g, start, through, targets):
+    """The fewest edges from start to targets, inner vertices in through and the
+    first step not into targets, by a plain queue search; None if no such path."""
+    dist = {start: 0}
+    queue = collections.deque([start])
+    while queue:
+        u = queue.popleft()
+        for v in g.neighbors(u):
+            if u != start and v in targets:
+                return dist[u] + 1
+            if v in through and v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return None
+
+
 def test_first_cycle_of_the_embedding_is_simple():
     for g in [complete_graph(5), k33(), petersen(), cycle_graph(6), nsb_graph("Z12", [6])]:
         first = next(g.neighbors(0))
@@ -390,6 +430,27 @@ def test_first_cycle_of_the_embedding_is_simple():
         cycle = inv._path(g.rows, first, through, 1 << 0)
         assert len(cycle) == len(set(cycle)) >= 3
         assert all(g.has_edge(cycle[i - 1], cycle[i]) for i in range(len(cycle)))
+    # _path's whole contract on seeded random graphs: a shortest path to
+    # targets, inner vertices in through, and a first step not into targets.
+    rng = random.Random(20261020)
+    found = 0
+    for _ in range(400):
+        n = rng.randint(3, 24)
+        g = random_graph(rng, n, rng.choice([0.1, 0.2, 0.35, 0.6]))
+        start, *rest = rng.sample(range(n), n)
+        cut = rng.randint(1, len(rest))
+        targets, through = set(rest[:cut]), {v for v in rest[cut:] if rng.random() < 0.8}
+        want = path_distance(g, start, through, targets)
+        if want is None:
+            continue
+        found += 1
+        path = inv._path(g.rows, start, sum(1 << v for v in through), sum(1 << v for v in targets))
+        assert path[0] == start and path[-1] in targets
+        assert set(path[1:-1]) <= through
+        assert path[1] not in targets
+        assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
+        assert len(path) - 1 == want
+    assert found >= 100
 
 
 def test_planarity_is_subdivision_consistent():
@@ -658,8 +719,10 @@ def test_chi_and_hamiltonicity_with_universal_vertices_match_brute_force(small_g
             assert k == brute_chromatic_number(h)
             assert len(set(coloring)) == k
             assert all(coloring[u] != coloring[v] for u, v in h.edges())
-            # U takes the colours after those of G - U.
-            assert sorted(coloring[u] for u in universal) == list(range(k - len(universal), k))
+            # Each vertex of omega's witness, which holds U, takes its index as its colour.
+            clique = inv.clique_number(h)[1]
+            assert universal <= set(clique)
+            assert [coloring[v] for v in clique] == list(range(len(clique)))
             cycle = inv.hamiltonian_cycle(h)
             assert (cycle is not None) == brute_hamiltonian_exists(h)
             if cycle is not None:
