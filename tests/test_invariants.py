@@ -483,6 +483,37 @@ def test_planarity_random_seven_and_eight_vertices_against_oracle():
         assert inv.is_planar(g) == brute_is_planar(g)
 
 
+def stacked_triangulation(rng, n):
+    """The edges of a planar triangulation of n >= 3 vertices, 3n - 6 of them:
+    each new vertex goes into a random face and is joined to its three corners.
+    The vertices are shuffled, so the embedding does not meet them in order."""
+    name = rng.sample(range(n), n)
+    edges = [(0, 1), (0, 2), (1, 2)]
+    faces = [(0, 1, 2), (0, 1, 2)]  # the two sides of the first triangle
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges += [(a, v), (b, v), (c, v)]
+        faces += [(a, b, v), (a, c, v), (b, c, v)]
+    return sorted(tuple(sorted((name[u], name[v]))) for u, v in edges)
+
+
+def planarity_graphs_at_scale():
+    """Q8xQ8's power graph (64 vertices, planar), then, for n = 25, 30, ..., 80,
+    a stacked triangulation, the same with one edge swapped for a non-edge,
+    and a random half of its edges."""
+    G = grp("Q8xQ8")
+    graphs = [nsb_power_graph(G, generated_subgroup(G, [0])).graph]
+    rng = random.Random(20261041)
+    for n in range(25, 81, 5):
+        edges = stacked_triangulation(rng, n)
+        assert len(edges) == len(set(edges)) == 3 * n - 6
+        missing = sorted(set(itertools.combinations(range(n), 2)) - set(edges))
+        swapped = rng.sample(edges, len(edges) - 1) + [rng.choice(missing)]
+        half = rng.sample(edges, len(edges) // 2)
+        graphs += [SimpleGraph(labels(n), es) for es in (edges, swapped, half)]
+    return graphs
+
+
 def test_planarity_and_blocks_match_networkx(catalog_pairs):
     import networkx as nx  # a test oracle only, never a runtime dependency
 
@@ -518,15 +549,42 @@ def test_planarity_and_blocks_match_networkx(catalog_pairs):
             graphs.append(SimpleGraph(labels(n), es))
     assert halves_with_cut_vertices > 0
     graphs += [nsb_power_graph(G, H).graph for G, H in catalog_pairs]
-    outcomes = set()
-    for g in graphs:
+    at_scale = planarity_graphs_at_scale()
+    assert sorted(b.bit_count() for b in inv._blocks(at_scale[0].rows)) == [14, 14, 38]
+    outcomes = collections.Counter()
+    for scaled, g in [(False, g) for g in graphs] + [(True, g) for g in at_scale]:
         h = reference(g.edges(), g.vertex_count)
         want = nx.check_planarity(h)[0]
         assert inv.is_planar(g) == want, g.edges()
-        outcomes.add(want)
+        outcomes[want, scaled] += 1
         blocks = sorted(sum(1 << v for v in c) for c in nx.biconnected_components(h))
         assert sorted(inv._blocks(g.rows)) == blocks, g.edges()
-    assert outcomes == {True, False}
+    assert outcomes[True, False] and outcomes[False, False]
+    # Q8xQ8, the 12 triangulations and their 12 halves are planar; the 12 swaps are not
+    assert (outcomes[True, True], outcomes[False, True]) == (25, 12)
+
+
+def test_planar_blocks_come_with_their_faces(catalog_pairs):
+    """Every embedded block's faces are closed walks that use each edge once
+    in each direction, and there are m - n + 2 of them (Euler's formula)."""
+    graphs = planarity_graphs_at_scale() + [nsb_power_graph(G, H).graph for G, H in catalog_pairs]
+    checked = 0
+    for g in graphs:
+        if not inv.is_planar(g):
+            continue
+        for block in inv._blocks(g.rows):
+            n = block.bit_count()
+            if n < 3:  # a single edge bounds no face
+                continue
+            rows = [row & block if (block >> v) & 1 else 0 for v, row in enumerate(g.rows)]
+            m = sum(row.bit_count() for row in rows) // 2
+            faces = inv._demoucron_planar(g.rows, block)
+            assert faces is not None and len(faces) == m - n + 2
+            darts = [(a, b) for face in faces for a, b in zip(face, face[1:] + face[:1])]
+            assert all((rows[a] >> b) & 1 for a, b in darts), "a face steps along a non-edge"
+            assert len(darts) == len(set(darts)) == 2 * m, "an edge is not walked once each way"
+            checked += n > 4
+    assert checked >= 30
 
 
 # --- perfectness -------------------------------------------------------------
