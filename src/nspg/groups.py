@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -350,14 +349,30 @@ def _build_dihedral(n: int) -> _Built:
 
 
 def _build_symmetric(n: int) -> _Built:
-    perms = list(itertools.permutations(range(n)))  # lexicographic, identity first
+    """S_n over the permutations of range(n), lexicographic, identity first.
+
+    Row p holds p∘q for every q, where (p∘q)[i] = p[q[i]]. Permutations are
+    composed only for the rows of the generators (0 1) and the n-cycle; every
+    other row is reached breadth-first, row(s∘x) being row(x) read through
+    row(s) (one translate) and stored at index row(s)[x].
+    """
+    perms = list(itertools.permutations(range(n)))
     labels = tuple("".join(str(v) for v in p) for p in perms)
-    if n == 1:  # itemgetter of one index returns a scalar, not a 1-tuple
+    if n == 1:  # no transposition
         return (bytes(1),), labels
     index = {p: i for i, p in enumerate(perms)}
-    # Column q holds p∘q for every p, where (p∘q)[i] = p[q[i]]: one itemgetter per q.
-    columns = [tuple(map(index.__getitem__, map(operator.itemgetter(*q), perms))) for q in perms]
-    return tuple(map(bytes, zip(*columns))), labels
+    pad = bytes(256 - len(perms))  # translate maps through a table of exactly 256 bytes
+    swap, cycle = (1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)
+    generators = [bytes(index[tuple(map(s.__getitem__, x))] for x in perms) for s in (swap, cycle)]
+    rows = [bytes(range(len(perms)))] + [b""] * (len(perms) - 1)
+    reached = [0]
+    for x in reached:  # the list grows while it is walked: breadth-first
+        for row_s in generators:
+            sx = row_s[x]
+            if not rows[sx]:
+                rows[sx] = rows[x].translate(row_s + pad)
+                reached.append(sx)
+    return tuple(rows), labels
 
 
 def _build_quaternion() -> _Built:
@@ -382,7 +397,7 @@ def _build_quaternion() -> _Built:
 def _build_elementary_abelian(p: int, k: int) -> _Built:
     # Index x has the base-p digits of x, most significant first, as coordinates.
     # Past p = 10 a digit can take two characters, so a comma separates them.
-    table = functools.reduce(_product_table, [_cyclic_table(p)] * k)
+    table = _fold_product([_cyclic_table(p)] * k)
     sep = "," if p > 10 else ""
     labels = tuple(sep.join(d) for d in itertools.product([str(v) for v in range(p)], repeat=k))
     return table, labels
@@ -390,19 +405,40 @@ def _build_elementary_abelian(p: int, k: int) -> _Built:
 
 def _build_product(children: list[_Built]) -> _Built:
     # Mixed radix over the factors, the first factor most significant.
-    table = functools.reduce(_product_table, [t for t, _ in children])
+    table = _fold_product([t for t, _ in children])
     labels = tuple(
         "(" + ",".join(parts) + ")" for parts in itertools.product(*(lab for _, lab in children))
     )
     return table, labels
 
 
+def _fold_product(tables: list[tuple[bytes, ...]]) -> tuple[bytes, ...]:
+    """T1 x (T2 x (... x Tk)), E(p,k)'s and every product's table, folded from the right.
+
+    The mixed-radix index a1*n2*n3 + a2*n3 + a3 is the same under either
+    grouping, so the table is the left fold's; each step has the one factor
+    on the left, where _product_table joins its blocks.
+    """
+    table = tables[-1]
+    for t in reversed(tables[:-1]):
+        table = _product_table(t, table)
+    return table
+
+
 def _product_table(t1: tuple[bytes, ...], t2: tuple[bytes, ...]) -> tuple[bytes, ...]:
-    """Direct product table: entry (a1*n2 + a2, b1*n2 + b2) is t1[a1][b1]*n2 + t2[a2][b2]."""
+    """Direct product table: entry (a1*n2 + a2, b1*n2 + b2) is t1[a1][b1]*n2 + t2[a2][b2].
+
+    (a1, a2) = (a1, e)(e, a2), so row (a1, a2) is row (e, a2) read through row
+    (a1, e), padded to 256 bytes: one translate per row. Row (a1, e) joins n1
+    blocks and row (e, a2) joins n1 translates, so a small t1 keeps both cheap.
+    """
     n1, n2 = len(t1), len(t2)
-    # blocks[a2][x] is row a2 of t2 shifted by x*n2; row (a1, a2) joins the blocks t1[a1] names.
-    blocks = [[bytes(map((x * n2).__add__, r2)) for x in range(n1)] for r2 in t2]
-    return tuple(b"".join(map(block.__getitem__, r1)) for r1 in t1 for block in blocks)
+    # blocks[x] is x*n2 + range(n2): block x of row (e, e).
+    blocks = [bytes(range(x * n2, x * n2 + n2)) for x in range(n1)]
+    # Row (e, a2) holds row a2 of t2 in each block; row (a1, e) joins the blocks t1[a1] names.
+    right = [b"".join(r2.translate(block + bytes(256 - n2)) for block in blocks) for r2 in t2]
+    left = [b"".join(map(blocks.__getitem__, r1)) + bytes(256 - n1 * n2) for r1 in t1]
+    return tuple(row_e_a2.translate(row_a1_e) for row_a1_e in left for row_e_a2 in right)
 
 
 def _cyclic_table(n: int) -> tuple[bytes, ...]:

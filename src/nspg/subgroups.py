@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 from .groups import FiniteGroup, _prime_factors, generate, parse_nat, shown
@@ -196,14 +197,24 @@ class QuotientGroup(NamedTuple):
 
 
 def quotient(G: FiniteGroup, H: SubgroupSet) -> QuotientGroup:
-    """Quotient of G by H, checked to be normal; G/H's table is then a group and is not validated."""
+    """Quotient of G by H, checked to be normal; G/H's table is then a group and is not validated.
+
+    Coset aH times coset bH is coset abH, so row aH is row a of G taken at the
+    representatives and read through the projection, padded to 256 bytes: one
+    itemgetter and one translate per row.
+    """
     _check_normal_subgroup(G, H, "cannot form the quotient by a non-normal subgroup")
     projection = _coset_partition(G.table, H.elements)
     reps: list[int] = []  # the first element to reach each index: its coset's smallest member
     for a, c in enumerate(projection):
         if c == len(reps):
             reps.append(a)
-    qtable = tuple(bytes(projection[G.table[a][b]] for b in reps) for a in reps)
+    if len(reps) == 1:  # G/G: itemgetter of one index returns a scalar, not a 1-tuple
+        qtable = (bytes(1),)
+    else:
+        at_reps = operator.itemgetter(*reps)
+        through = bytes(projection) + bytes(256 - G.order)  # translate needs exactly 256 bytes
+        qtable = tuple(bytes(at_reps(G.table[a])).translate(through) for a in reps)
     labels = tuple(f"{G.labels[r]}H" for r in reps)
     qgroup = FiniteGroup._from_group_table(f"{G.name}/{H.describe()}", qtable, labels)
     return QuotientGroup(G, H, qgroup, tuple(projection), tuple(reps))

@@ -27,6 +27,7 @@ from oracles import (
     is_normal_brute,
     order_by_iteration,
 )
+from pinned_outputs import VERIFY_LARGE
 
 
 def grp(text):
@@ -251,18 +252,30 @@ def test_quotient_d4_center_is_klein():
 
 
 def test_quotient_fibers_and_homomorphism():
+    # Pins the quotient's rows entry by entry: for every pair a, b the coset of
+    # a*b is the product of a's and b's cosets. Four small groups, every quotient
+    # of a default-catalog group (G/G among them) and the four verify-large pairs.
+    pairs = []
     for text, gens in [("Z12", [4]), ("D4", [2]), ("Q8", [1]), ("S3", [THREE_CYCLE])]:
         G = grp(text)
-        H = generated_subgroup(G, gens)
+        pairs.append((G, generated_subgroup(G, gens)))
+    for text in DEFAULT_CATALOG_GROUPS:
+        G = grp(text)
+        pairs += [(G, H) for H in all_normal_subgroups(G)]
+    for instance in VERIFY_LARGE["instances"]:
+        G = grp(instance["group"])
+        pairs += [(G, select_subgroup(G, selector)) for selector in instance["subgroups"]]
+    assert len(pairs) == 4 + (223 + 43) + 4
+    for G, H in pairs:
         Q = quotient(G, H)
         assert Q.group.order * H.order == G.order
         fibers = {}
         for a in G.elements():
             fibers.setdefault(Q.projection[a], []).append(a)
         assert all(len(f) == H.order for f in fibers.values())
-        for a in G.elements():
-            for b in G.elements():
-                assert Q.projection[G.table[a][b]] == Q.group.table[Q.projection[a]][Q.projection[b]]
+        proj, qtable = Q.projection, Q.group.table
+        for a, row in enumerate(G.table):
+            assert all(proj[ab] == qtable[proj[a]][proj[b]] for b, ab in enumerate(row)), (G.name, H.elements, a)
 
 
 def test_projection_well_defined():

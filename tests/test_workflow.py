@@ -86,6 +86,13 @@ def test_non_abelian_graph_digests_are_checked_before_any_dependency_is_installe
     )
 
 
+def test_folded_product_power_graph_digest_is_checked_before_any_dependency_is_installed():
+    # A non-abelian middle factor: the fold's order of operands shows in the table.
+    assert _pinned_before_any_install(
+        ("power-graph Z2xS4xZ3", (21665, "03f5edc8e778a0a7d677abca21e0327d6fd09db50fea463be2ded2b240e402ba"))
+    )
+
+
 def test_verify_large_json_digest_is_checked_before_any_dependency_is_installed():
     # On the bench's verify-large catalog, which pinned_outputs writes outside the checkout.
     assert pinned_outputs.VERIFY_LARGE == {"instances": [
