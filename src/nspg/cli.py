@@ -157,20 +157,6 @@ def _cmd_power_graph(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _table_value(value) -> str:
-    import json
-
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, (list, tuple)):
-        return json.dumps(list(value))
-    return str(value)
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     import json
 
@@ -190,12 +176,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         rows += [("witness." + name, value) for name, value in sorted(obj.get("witnesses", {}).items())]
         width = max(len(key) for key, _ in rows) + 2
         for key, value in rows:
-            print(f"{key.ljust(width)}{_table_value(value)}")
+            print(key.ljust(width) + (value if isinstance(value, str) else json.dumps(value)))
     return EXIT_BUDGET if result.skipped else EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .harness import Budgets, Catalog, default_catalog, parse_catalog_json, run_catalog, theorem_ids
+    from .harness import Budgets, default_catalog, parse_catalog_json, run_catalog, theorem_ids
 
     budgets = Budgets(exact_solver=_solver_budget())
     if args.catalog is not None:
@@ -207,8 +193,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         catalog = default_catalog(budgets)
     if args.theorems is not None:
-        wanted = theorem_ids(args.theorems.split(","))
-        catalog = Catalog(entries=catalog.entries, theorems=wanted, budgets=catalog.budgets)
+        catalog = catalog._replace(theorems=theorem_ids(args.theorems.split(",")))
     report = run_catalog(catalog)
     if args.format == "csv":
         sys.stdout.write(report.to_csv())

@@ -104,17 +104,23 @@ class FiniteGroup:
         the first one not yet in a class is walked: a**k joins a's class,
         without a walk of its own, when gcd(k, o(a)) = 1, since then it
         generates <a>. So classes are numbered by their smallest member ({e} is
-        class 0), each is walked once, and the pair is made once per group.
+        class 0), each is walked once, and the pair is made once per group. A
+        walk that does not reach e within |G| steps raises ValueError.
         """
         if self._classes is None:
             class_of = [-1] * self.order
             walks = []
+            steps = range(self.order)  # a group's powers reach e within |G| steps
             for a, row in enumerate(self.table):
                 if class_of[a] < 0:
                     walk, x = [a], a
-                    while x:
+                    for _ in steps:
+                        if not x:
+                            break
                         x = row[x]
                         walk.append(x)
+                    else:
+                        raise ValueError(f"{shown(self.name)}: the powers of element {a} never reach e")
                     order = len(walk)
                     for k, x in enumerate(walk, 1):
                         if math.gcd(k, order) == 1:

@@ -86,11 +86,7 @@ DEFAULT_CATALOG_GROUPS: tuple[str, ...] = (
 
 def default_catalog(budgets: Budgets = Budgets()) -> Catalog:
     """Every stock test group, each paired with all of its proper normal subgroups."""
-    return Catalog(
-        entries=tuple(CatalogEntry(g, "all-normal") for g in DEFAULT_CATALOG_GROUPS),
-        theorems=tuple(TheoremId),
-        budgets=budgets,
-    )
+    return Catalog(tuple(CatalogEntry(g) for g in DEFAULT_CATALOG_GROUPS), budgets=budgets)
 
 
 def parse_catalog_json(text: str, budgets: Budgets = Budgets()) -> Catalog:

@@ -139,7 +139,7 @@ def _power_rows(coset_of, class_of, reached, cosets: int) -> list[int]:
 
 
 def _check_nsb_inputs(G: FiniteGroup, H: SubgroupSet) -> None:
-    _check_normal_subgroup(G, H, "H must be normal in G")
+    _check_normal_subgroup(G, H)
     if H.order == G.order:
         raise ValueError("H = G is rejected: the graph would degenerate to a single vertex")
 

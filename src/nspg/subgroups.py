@@ -59,12 +59,12 @@ def _conjugation_closed(G: FiniteGroup, members) -> bool:
     return all(table[table[g][h]][G.inv(g)] in members for g in G.generators for h in members)
 
 
-def _check_normal_subgroup(G: FiniteGroup, H: SubgroupSet, unmarked: str) -> None:
-    """Refuse H unless it is a normal subgroup of G; unmarked: the message for H not marked normal."""
+def _check_normal_subgroup(G: FiniteGroup, H: SubgroupSet) -> None:
+    """Refuse H unless it is a normal subgroup of G."""
     if H.parent.table != G.table:
         raise ValueError("H is not a subgroup of this group")
     if not H.is_normal:
-        raise ValueError(unmarked)
+        raise ValueError("H must be normal in G")
     members = set(H.elements)
     distinct = len(members) == len(H.elements) and members.issubset(G.elements())
     if not distinct or generate(G.table, members)[1] != members:
@@ -203,7 +203,7 @@ def quotient(G: FiniteGroup, H: SubgroupSet) -> QuotientGroup:
     representatives and read through the projection, padded to 256 bytes: one
     itemgetter and one translate per row.
     """
-    _check_normal_subgroup(G, H, "cannot form the quotient by a non-normal subgroup")
+    _check_normal_subgroup(G, H)
     projection = _coset_partition(G.table, H.elements)
     reps: list[int] = []  # the first element to reach each index: its coset's smallest member
     for a, c in enumerate(projection):

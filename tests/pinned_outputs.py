@@ -45,6 +45,9 @@ PINS = (
      (52893, "0a439b8aa7ee01544f3fad0023be054717cf51b2086e5e0bf0464602ecec84c1")),
     # A product folded from the right with a non-abelian middle factor.
     ("power-graph Z2xS4xZ3", (21665, "03f5edc8e778a0a7d677abca21e0327d6fd09db50fea463be2ded2b240e402ba")),
+    # The table format on a 23-vertex graph that is not complete, with all four witnesses.
+    ("analyze Q8xZ3 --subgroup-index 1 --format table",
+     (955, "b81f90ba1c50222993f2f514f5f490f2a2eb2a9abc2b81d505cda27bbd093b7d")),
 )
 
 

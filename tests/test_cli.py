@@ -165,6 +165,9 @@ LONG_NUMBER_ERRORS = [
             for budget in (" 64", "+64", "6_4", "\u0666\u0664", "64\n", "", "0", "-64")
         ),
         *LONG_NUMBER_ERRORS,
+        (("power-graph", "D0"), "dihedral parameter must be positive"),
+        (("power-graph", "S0"), "symmetric degree must be positive"),
+        (("power-graph", "E(2,0)"), "elementary abelian rank must be positive"),
     ],
 )
 def test_library_errors_exit_2_with_their_message(capsys, monkeypatch, argv, message):

@@ -369,6 +369,8 @@ def test_custom_tables_are_capped_at_the_order_budget(n):
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     with pytest.raises(ValueError, match=f"^group order {n} exceeds budget 256$"):
         from_cayley_table(table)
+    with pytest.raises(ValueError, match=f"^group order {n} exceeds budget 256$"):
+        FiniteGroup(f"Z{n}", table, map(str, range(n)))
 
 
 @pytest.mark.parametrize("entry", [None, "0", 1.5])
@@ -468,6 +470,8 @@ def test_from_cayley_table_checks_the_label_count(labels):
     for table in ([[0, 1], [1, 0]], [[1, 0], [0, 1]]):
         with pytest.raises(ValueError, match="^label count does not match group order$"):
             from_cayley_table(table, labels=labels)
+    with pytest.raises(ValueError, match="^label count does not match group order$"):
+        FiniteGroup("Z2", [[0, 1], [1, 0]], labels)
     assert from_cayley_table([[1, 0], [0, 1]], labels=("a", "b")).labels == ("b", "a")
 
 
@@ -504,6 +508,12 @@ def test_from_cayley_table_checks_the_range_before_the_identity(table):
         from_cayley_table(table)
 
 
+def test_from_cayley_table_needs_a_two_sided_identity():
+    # Both elements are identities from the left, and neither is one from the right.
+    with pytest.raises(ValueError, match="^table has no two-sided identity$"):
+        from_cayley_table(((0, 1), (0, 1)))
+
+
 @pytest.mark.parametrize("table", [[0, 1], [[0, 1], 5], None])
 def test_from_cayley_table_rejects_non_sequences(table):
     with pytest.raises(ValueError, match="^Cayley table must be a non-empty square array$"):
@@ -518,6 +528,14 @@ def test_powers_walk_to_the_first_identity(text):
         assert len(walk) == order_by_iteration(G.table, a)
         assert walk == tuple(element_power(G, a, k) for k in range(1, len(walk) + 1))
         assert walk[-1] == 0 and 0 not in walk[:-1]
+
+
+def test_a_walk_that_never_reaches_the_identity_is_refused():
+    # Every row holds 0, so the inverses read off, but 1's powers run 1, 2, 1, 2, ...
+    # A builder that made such a table must fail here, not fill memory.
+    G = FiniteGroup._from_group_table("bad", (b"\0\1\2", b"\0\2\1", b"\2\0\1"), ("a", "b", "c"))
+    with pytest.raises(ValueError, match="^'bad': the powers of element 1 never reach e$"):
+        G.cyclic_classes()
 
 
 def test_a_walk_is_a_tuple_made_once():

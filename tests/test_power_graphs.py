@@ -37,6 +37,9 @@ def test_simple_graph_rejects_loops_and_duplicate_labels():
         SimpleGraph(["a", "b"], [(0, 0)])
     with pytest.raises(ValueError):
         SimpleGraph(["a", "a"], [])
+    for edge in [(0, 2), (-1, 0)]:
+        with pytest.raises(ValueError, match=rf"^edge \({edge[0]}, {edge[1]}\) out of range$"):
+            SimpleGraph(["a", "b"], [edge])
 
 
 def test_simple_graph_rejects_an_empty_vertex_set():

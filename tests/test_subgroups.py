@@ -7,7 +7,7 @@ import pytest
 
 from nspg.groups import make_group, parse_group_spec, validate_cayley_table
 from nspg.harness import DEFAULT_CATALOG_GROUPS
-from nspg.power_graphs import nsb_power_graph
+from nspg.power_graphs import expand_quotient_graph, nsb_power_graph
 from nspg.subgroups import (
     SubgroupSet,
     _coset_partition,
@@ -314,6 +314,21 @@ def test_quotient_rejects_non_normal():
     H = generated_subgroup(S3, [TRANSPOSITION])
     with pytest.raises(ValueError):
         quotient(S3, H)
+
+
+def test_unmarked_and_foreign_records_get_one_text_from_each_entry_point():
+    # A3 is normal in S3, but a record not marked so is refused as such by all
+    # three constructions; a record of another group, by the two that take G.
+    A3 = generated_subgroup(S3, [THREE_CYCLE])
+    Q = quotient(S3, A3)
+    unmarked = A3._replace(is_normal=False)
+    for build in (quotient, nsb_power_graph, lambda G, H: expand_quotient_graph(Q, H)):
+        with pytest.raises(ValueError, match="^H must be normal in G$"):
+            build(S3, unmarked)
+    foreign = generated_subgroup(grp("Z6"), [2])
+    for build in (quotient, nsb_power_graph):
+        with pytest.raises(ValueError, match="^H is not a subgroup of this group$"):
+            build(S3, foreign)
 
 
 @pytest.mark.parametrize("text", ["S4", "D4", "Z2xS3"])

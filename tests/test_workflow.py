@@ -93,6 +93,14 @@ def test_folded_product_power_graph_digest_is_checked_before_any_dependency_is_i
     )
 
 
+def test_analyze_table_digest_is_checked_before_any_dependency_is_installed():
+    # The table format beyond test_analyze_table_format's K5: every witness, a graph not complete.
+    assert _pinned_before_any_install(
+        ("analyze Q8xZ3 --subgroup-index 1 --format table",
+         (955, "b81f90ba1c50222993f2f514f5f490f2a2eb2a9abc2b81d505cda27bbd093b7d"))
+    )
+
+
 def test_verify_large_json_digest_is_checked_before_any_dependency_is_installed():
     # On the bench's verify-large catalog, which pinned_outputs writes outside the checkout.
     assert pinned_outputs.VERIFY_LARGE == {"instances": [
