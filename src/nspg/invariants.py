@@ -574,6 +574,31 @@ def is_perfect(g: SimpleGraph, budget: int = DEFAULT_ODD_HOLE_BUDGET) -> bool:
 # Hamiltonian cycles: exact backtracking with degree and connectivity pruning
 
 
+def _tough_cut(rows: tuple[int, ...]) -> int:
+    """A vertex set S, as a mask, whose removal leaves more than |S| components,
+    or 0 when no degree-ordered prefix does.
+
+    The candidates are the prefixes of the vertices sorted by degree, highest
+    first, that end where the degree drops and leave at least 3 vertices.
+    """
+    n = len(rows)
+    degree = [row.bit_count() for row in rows]
+    order = sorted(range(n), key=lambda v: (-degree[v], v))
+    full = (1 << n) - 1
+    cut = 0
+    for size, (v, w) in enumerate(zip(order, order[1 : n - 2]), 1):  # w follows the prefix
+        cut |= 1 << v
+        if degree[v] == degree[w]:
+            continue
+        rest, parts = full & ~cut, 0
+        while rest and parts <= size:
+            rest &= ~_reach(rows, rest, (rest & -rest).bit_length() - 1)
+            parts += 1
+        if parts > size:
+            return cut
+    return 0
+
+
 def hamiltonian_cycle(
     g: SimpleGraph, budget: int = DEFAULT_SOLVER_BUDGET
 ) -> tuple[int, ...] | None:
@@ -581,6 +606,12 @@ def hamiltonian_cycle(
 
     A complete graph of n >= 3 vertices gets 0, 1, ..., n-1 without a search;
     that is also the cycle the search finds there first.
+
+    Within the budget, a graph that is not 1-tough gets None without a search:
+    a Hamiltonian graph minus any vertex set S has at most |S| components
+    (Chvatal, "Tough graphs and Hamiltonian circuits", Discrete Math. 5, 1973),
+    and `_tough_cut` tries the degree-ordered prefixes as S. Any other graph
+    goes to the backtracking, which stays the one complete search.
     """
     n = g.vertex_count
     _check_budget("hamiltonian_cycle", n, budget)
@@ -590,6 +621,8 @@ def hamiltonian_cycle(
         return tuple(range(n))
     rows = g.rows
     if rows[0].bit_count() < 2:  # solve(0, 1) checks every other degree and the connectivity
+        return None
+    if _tough_cut(rows):
         return None
     full = (1 << n) - 1
     nbr_order = [

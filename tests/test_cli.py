@@ -384,6 +384,23 @@ def test_analyze_decides_planarity_beyond_the_vertex_budget(capsys):
     assert "is_planar" not in obj["skipped"]
 
 
+@pytest.mark.parametrize(
+    "spec, size, digest",
+    [
+        ("S3xZ6", 1186, "1e20ed5b228d10c18c3707948268878e8e11c453034a27387bceac9b3139de85"),
+        ("D6xZ3", 1188, "5a762a59164a6f8e2a1b6952076f805ab48c67c85b25ea4b3fa4d919bfd358dc"),
+    ],
+)
+def test_analyze_refuses_hamiltonicity_on_a_graph_that_is_not_one_tough(capsys, spec, size, digest):
+    # 36 vertices with a small separator: the backtracking alone took about 0.4 s on each.
+    code, out, _ = run_cli(capsys, "analyze", spec, "--subgroup-index", "0")
+    assert code == 3  # perfectness is still refused: 36 vertices exceed its budget of 24
+    obj = json.loads(out)
+    assert obj["is_hamiltonian"] is False
+    assert obj["skipped"] == ["is_perfect"]
+    assert (len(out.encode()), hashlib.sha256(out.encode()).hexdigest()) == (size, digest)
+
+
 @pytest.mark.parametrize("spec", ["E(1000000000000000003,1)", "E(3,200000000)", "Z2xE(3,200000000)"])
 def test_huge_elementary_abelian_spec_exits_2_at_once(spec):
     src = str(Path(nspg.__file__).resolve().parents[1])

@@ -730,6 +730,92 @@ def test_hamiltonian_witness_is_valid():
             assert g.has_edge(cycle[i], cycle[(i + 1) % len(cycle)])
 
 
+def components_without(g, cut):
+    """The number of components of g minus the vertex mask cut, by breadth-first search."""
+    left = {v for v in range(g.vertex_count) if not cut >> v & 1}
+    count = 0
+    while left:
+        count += 1
+        queue = [left.pop()]
+        while queue:
+            for v in g.neighbors(queue.pop()):
+                if v in left:
+                    left.remove(v)
+                    queue.append(v)
+    return count
+
+
+def assert_toughness_certificate(g, cut):
+    """cut is a degree-ordered prefix that ends where the degree drops, leaves at
+    least 3 vertices, and leaves more components than it has vertices."""
+    inside = [g.degree(v) for v in range(g.vertex_count) if cut >> v & 1]
+    outside = [g.degree(v) for v in range(g.vertex_count) if not cut >> v & 1]
+    assert inside and len(outside) >= 3
+    assert min(inside) > max(outside)
+    assert components_without(g, cut) > len(inside)
+
+
+def test_petersen_is_one_tough_so_the_search_decides_it(monkeypatch):
+    g = petersen()
+    assert inv._tough_cut(g.rows) == 0
+    steps = collections.Counter()
+    connected = inv._mask_connected
+
+    def counting(*args):
+        steps["search"] += 1
+        return connected(*args)
+
+    monkeypatch.setattr(inv, "_mask_connected", counting)  # each search node tests connectivity
+    assert inv.hamiltonian_cycle(g) is None
+    assert brute_hamiltonian_exists(g) is False
+    assert steps["search"] > 1
+
+
+def test_no_prefix_ends_inside_a_tie():
+    # Two triangles joined by the edge a-b, a and b of degree 3: {a} alone leaves 2
+    # components, but that prefix ends inside the tie between a and b, and {a, b}
+    # leaves only 2. So no prefix refutes, and the search answers.
+    g = SimpleGraph(labels(6), [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
+    assert components_without(g, 1 << 2) == components_without(g, 1 << 2 | 1 << 3) == 2
+    assert inv._tough_cut(g.rows) == 0
+    assert inv.hamiltonian_cycle(g) is None
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_dicyclic_obstruction_is_refused_by_a_cut_of_two(n):
+    # The power graph of Dic_n as a plain graph: e and the central involution are
+    # universal, the other 4n - 2 elements form n disjoint edges and a K_{2n-2}.
+    pairs = [(2 * i, 2 * i + 1) for i in range(n)]
+    clique = itertools.combinations(range(2 * n, 4 * n - 2), 2)
+    g = plant_universal(random.Random(n), SimpleGraph(labels(4 * n - 2), pairs + list(clique)), 2)
+    cut = inv._tough_cut(g.rows)
+    assert cut.bit_count() == 2 and {v for v in range(4 * n) if cut >> v & 1} == universal_vertices(g)
+    assert components_without(g, cut) == n + 1 > 2
+    assert_toughness_certificate(g, cut)
+    assert inv.hamiltonian_cycle(g) is None
+
+
+def test_hamiltonicity_with_the_toughness_refusal_matches_the_dp_oracle():
+    rng = random.Random(1973)
+    refused = searched = 0
+    for _ in range(300):
+        n = rng.randint(3, 12)
+        g = random_graph(rng, n, rng.choice([0.2, 0.35, 0.5, 0.7]))
+        if rng.random() < 0.5:  # a few universal vertices over a sparse rest: small separators
+            count = rng.randint(1, min(3, n - 1))
+            g = plant_universal(rng, random_graph(rng, n - count, rng.choice([0.1, 0.2, 0.3])), count)
+        cycle = inv.hamiltonian_cycle(g)
+        assert (cycle is not None) == brute_hamiltonian_exists(g)
+        cut = inv._tough_cut(g.rows)
+        if cut:
+            assert cycle is None
+            assert_toughness_certificate(g, cut)
+            refused += 1
+        elif cycle is None and g.rows[0].bit_count() >= 2:
+            searched += 1
+    assert refused >= 100 and searched >= 10
+
+
 # --- universal vertices --------------------------------------------------------
 
 

@@ -128,3 +128,13 @@ def test_benchmark_checks_its_outputs_before_the_clean_tree_check():
     # One checked pass of every workload; it writes only under the ignored bench/out/.
     runs = [step.get("run") for step in _job()["steps"]]
     assert runs.index("python bench/run.py --seconds 0") == len(runs) - 2
+
+
+def test_hamiltonicity_refusal_on_d10xz6_is_bounded_before_any_dependency_is_installed():
+    # Four graphs of 119-120 vertices that the backtracking alone did not decide in 8 s.
+    steps = [step for step in _job()["steps"] if "analyze D10xZ6" in step.get("run", "")]
+    assert len(steps) == 1
+    run = steps[0]["run"]
+    assert "for i in 0 1 2 3" in run and "NSPG_BUDGET=200" in run and "timeout 60" in run
+    assert 'test "$code" = 3' in run and "'\"is_hamiltonian\": false'" in run
+    assert _runs_before_any_install(run)
