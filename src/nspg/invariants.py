@@ -63,21 +63,10 @@ def is_complete(g: SimpleGraph) -> bool:
     return g.edge_count == n * (n - 1) // 2
 
 
-def _universal(g: SimpleGraph) -> int:
-    """The mask of g's universal vertices, those adjacent to every other vertex."""
-    full = (1 << g.vertex_count) - 1
-    return sum(1 << v for v, row in enumerate(g.rows) if row | 1 << v == full)
-
-
-def _induced(g: SimpleGraph, keep: list[int]) -> SimpleGraph:
-    """The subgraph induced on keep, in its order: vertex i is g's keep[i]."""
-    if len(keep) == g.vertex_count:
-        return g
-    rows = g.rows
-    return SimpleGraph._from_rows(
-        [g.vertex_labels[v] for v in keep],
-        [sum(((rows[v] >> w) & 1) << i for i, w in enumerate(keep)) for v in keep],
-    )
+def _universal(rows: tuple[int, ...]) -> int:
+    """The mask of the universal vertices, those adjacent to every other vertex."""
+    full = (1 << len(rows)) - 1
+    return sum(1 << v for v, row in enumerate(rows) if row | 1 << v == full)
 
 
 def is_regular(g: SimpleGraph) -> bool:
@@ -159,7 +148,7 @@ def clique_number(g: SimpleGraph, budget: int = DEFAULT_SOLVER_BUDGET) -> tuple[
     n = g.vertex_count
     _check_budget("clique_number", n, budget)
     rows = g.rows
-    universal = _universal(g)
+    universal = _universal(rows)
     best_size = 0
     best_mask = 0
 
@@ -193,12 +182,11 @@ def clique_number(g: SimpleGraph, budget: int = DEFAULT_SOLVER_BUDGET) -> tuple[
 # Exact chromatic number: iterative deepening from the clique bound
 
 
-def _k_colorable(g: SimpleGraph, k: int, clique: tuple[int, ...]) -> list[int] | None:
+def _k_colorable(rows: tuple[int, ...], k: int, clique: tuple[int, ...]) -> list[int] | None:
     """Backtracking k-colorability, DSATUR-style, with a maximum clique
     pre-colored for symmetry breaking; -1 marks a vertex not yet coloured."""
-    rows = g.rows
-    colors = [-1] * g.vertex_count
-    sat = [0] * g.vertex_count
+    colors = [-1] * len(rows)
+    sat = [0] * len(rows)
     full = (1 << k) - 1
     for c, v in enumerate(clique):
         colors[v] = c
@@ -232,7 +220,7 @@ def _k_colorable(g: SimpleGraph, k: int, clique: tuple[int, ...]) -> list[int] |
                 sat[w] &= ~(1 << c)
         return False
 
-    if solve(g.vertex_count - len(clique)):
+    if solve(len(rows) - len(clique)):
         return colors
     return None
 
@@ -250,7 +238,7 @@ def chromatic_number(
     _check_budget("chromatic_number", g.vertex_count, budget)
     _, clique = clique_number(g, budget)
     k = len(clique)
-    while (colors := _k_colorable(g, k, clique)) is None:
+    while (colors := _k_colorable(g.rows, k, clique)) is None:
         k += 1
     return k, tuple(colors)
 
@@ -259,7 +247,7 @@ def chromatic_number(
 # Vertex connectivity: Menger via unit-capacity flow on the split digraph
 
 
-def _max_vertex_disjoint_paths(g: SimpleGraph, s: int, t: int) -> tuple[int, list[int]]:
+def _max_vertex_disjoint_paths(rows: tuple[int, ...], s: int, t: int) -> tuple[int, list[int]]:
     """Max s-t vertex-disjoint paths and a minimum separating vertex set; s, t non-adjacent.
 
     Augments on the split digraph without building it: state (v, 0) is v_in and
@@ -268,8 +256,7 @@ def _max_vertex_disjoint_paths(g: SimpleGraph, s: int, t: int) -> tuple[int, lis
     is prev[v], the vertex whose path unit enters v (-1 while v is free). The
     states a failed search reaches are the residual reach, which gives the cut.
     """
-    rows = g.rows
-    prev = [-1] * g.vertex_count
+    prev = [-1] * len(rows)
     source, sink = (s, 1), (t, 0)
     flow = 0
     while True:
@@ -300,15 +287,16 @@ def _max_vertex_disjoint_paths(g: SimpleGraph, s: int, t: int) -> tuple[int, lis
         flow += 1
 
 
-def _kappa(g: SimpleGraph) -> tuple[int, list[int]]:
-    """Kappa and a minimum cut of a connected, non-complete g, by flows over
-    Esfahanian–Hakimi's pairs."""
-    v = min(range(g.vertex_count), key=g.degree)
-    pairs = [(v, t) for t in range(g.vertex_count) if t != v and not g.has_edge(v, t)]
-    pairs += [(a, b) for a, b in combinations(g.neighbors(v), 2) if not g.has_edge(a, b)]
-    best, best_cut = g.vertex_count, []
+def _kappa(rows: tuple[int, ...], mask: int) -> tuple[int, list[int]]:
+    """Kappa and a minimum cut of the connected, non-complete subgraph on mask,
+    by flows over Esfahanian–Hakimi's pairs; rows cut to mask keep the flows in it."""
+    rows = tuple(row & mask for row in rows)
+    v = min(_bits(mask), key=lambda u: rows[u].bit_count())
+    pairs = [(v, t) for t in _bits(mask & ~rows[v] & ~(1 << v))]
+    pairs += [(a, b) for a, b in combinations(_bits(rows[v]), 2) if not (rows[a] >> b) & 1]
+    best, best_cut = mask.bit_count(), []
     for s, t in pairs:
-        value, cut = _max_vertex_disjoint_paths(g, s, t)
+        value, cut = _max_vertex_disjoint_paths(rows, s, t)
         if value < best:
             best, best_cut = value, cut
     return best, best_cut
@@ -324,7 +312,7 @@ def vertex_connectivity(g: SimpleGraph) -> tuple[int, tuple[int, ...] | None]:
     kappa(G) = |U| + kappa(R). When R is disconnected, U itself is a minimum
     cut and no flow runs. Otherwise R has at least two vertices, is not
     complete (G would be) and has no universal vertex (it would be universal in
-    G), so one pass suffices, and the flows run on R.
+    G), so one pass suffices, and the flows run on R, a mask of G's rows.
 
     There, fix a vertex v of minimum degree and let S be a minimum cut. Either S
     misses v, and then it separates v from some non-neighbour; or S contains v,
@@ -339,13 +327,12 @@ def vertex_connectivity(g: SimpleGraph) -> tuple[int, tuple[int, ...] | None]:
     n = g.vertex_count
     if n == 1 or is_complete(g):
         return n - 1, None
-    universal = _universal(g)
+    universal = _universal(g.rows)
     rest = (1 << n) - 1 & ~universal
     if not _mask_connected(g.rows, rest, (rest & -rest).bit_length() - 1):
         return universal.bit_count(), tuple(_bits(universal))
-    keep = list(_bits(rest))
-    k, cut = _kappa(_induced(g, keep))
-    return universal.bit_count() + k, tuple(sorted([*_bits(universal), *(keep[v] for v in cut)]))
+    k, cut = _kappa(g.rows, rest)
+    return universal.bit_count() + k, tuple(sorted([*_bits(universal), *cut]))
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +507,10 @@ def is_planar(g: SimpleGraph) -> bool:
 # Perfect graphs: bounded exhaustive odd-hole search in the graph and complement
 
 
-def _has_odd_hole(g: SimpleGraph) -> bool:
-    n = g.vertex_count
-    if n < 5:
+def _has_odd_hole(rows: tuple[int, ...], mask: int) -> bool:
+    """An induced odd cycle of length >= 5 in the subgraph on mask."""
+    if mask.bit_count() < 5:
         return False
-    rows = g.rows
 
     def extend(v0: int, allowed: int, path_len: int, last: int, visited: int, bad: int) -> bool:
         cands = rows[last] & allowed & ~visited & ~bad
@@ -537,9 +523,8 @@ def _has_odd_hole(g: SimpleGraph) -> bool:
                 return True
         return False
 
-    full = (1 << n) - 1
-    for v0 in range(n):
-        allowed = full & ~((1 << (v0 + 1)) - 1)  # the hole's smallest vertex is v0
+    for v0 in _bits(mask):
+        allowed = mask & ~((1 << (v0 + 1)) - 1)  # the hole's smallest vertex is v0
         for v1 in _bits(rows[v0] & allowed):
             if extend(v0, allowed, 2, v1, (1 << v0) | (1 << v1), 0):
                 return True
@@ -554,6 +539,8 @@ def is_perfect(g: SimpleGraph, budget: int = DEFAULT_ODD_HOLE_BUDGET) -> bool:
     ones. Exact, as G is perfect iff G - v is for a twin v (Lovasz's replication
     lemma; false twins are true twins of the complement); a cograph leaves one
     vertex. The budget counts the input's vertices, so no refusal depends on this.
+    Both searches run on the kept vertices as a mask, of the rows and of the
+    complement's rows.
     """
     _check_budget("is_perfect", g.vertex_count, budget)
     rows, keep, before = g.rows, (1 << g.vertex_count) - 1, 0
@@ -566,8 +553,8 @@ def is_perfect(g: SimpleGraph, budget: int = DEFAULT_ODD_HOLE_BUDGET) -> bool:
                 keep &= ~(1 << v)
             else:
                 neighbourhoods.update((open_, open_ | 1 << v))
-    q = _induced(g, list(_bits(keep)))
-    return not _has_odd_hole(q) and not _has_odd_hole(q.complement())
+    complement = tuple(keep & ~row & ~(1 << v) for v, row in enumerate(rows))
+    return not _has_odd_hole(rows, keep) and not _has_odd_hole(complement, keep)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,13 @@ def plant_universal(rng, g: SimpleGraph, count: int) -> SimpleGraph:
     return SimpleGraph([str(i) for i in range(n)], edges)
 
 
+def induced_subgraph(g: SimpleGraph, keep: list[int]) -> SimpleGraph:
+    """The subgraph induced on keep, rebuilt from g's edge list: vertex i is g's keep[i]."""
+    index = {v: i for i, v in enumerate(keep)}
+    edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+    return SimpleGraph([g.vertex_labels[v] for v in keep], edges)
+
+
 def universal_vertices(g: SimpleGraph) -> set[int]:
     """The vertices of degree n - 1."""
     return {v for v in range(g.vertex_count) if g.degree(v) == g.vertex_count - 1}

@@ -16,9 +16,11 @@ from oracles import (
     brute_girth,
     brute_hamiltonian_by_permutations,
     brute_hamiltonian_exists,
+    brute_has_odd_hole,
     brute_is_perfect,
     brute_is_planar,
     brute_vertex_connectivity,
+    induced_subgraph,
     plant_universal,
     power_graph_brute,
     random_graph,
@@ -226,8 +228,8 @@ def test_chromatic_refutes_levels_above_the_clique_number():
     omega, clique = inv.clique_number(g)
     assert omega == 2
     # The search must refute k = 2 and k = 3 before it colours with 4.
-    assert inv._k_colorable(g, 2, clique) is None
-    assert inv._k_colorable(g, 3, clique) is None
+    assert inv._k_colorable(g.rows, 2, clique) is None
+    assert inv._k_colorable(g.rows, 3, clique) is None
     k, coloring = inv.chromatic_number(g)
     assert k == 4 == brute_chromatic_number(g)
     assert len(set(coloring)) == 4
@@ -290,12 +292,7 @@ def assert_cut_witness(g, k, cut):
     """The witness has k vertices and its removal disconnects g."""
     assert cut is not None and len(cut) == k
     keep = [v for v in range(g.vertex_count) if v not in set(cut)]
-    relabel = {v: i for i, v in enumerate(keep)}
-    sub = SimpleGraph(
-        [str(v) for v in keep],
-        [(relabel[u], relabel[v]) for u, v in g.edges() if u in relabel and v in relabel],
-    )
-    assert not inv.is_connected(sub)
+    assert not inv.is_connected(induced_subgraph(g, keep))
 
 
 def test_kappa_cut_witness_disconnects():
@@ -320,7 +317,7 @@ def test_kappa_flow_reroutes_back_through_a_used_vertex():
     edges = [(0, 1), (1, 3), (3, 5), (5, 9), (0, 2), (2, 4), (4, 5)]
     edges += [(1, 6), (6, 7), (7, 8), (8, 9)]
     g = SimpleGraph(labels(10), edges)
-    assert inv._max_vertex_disjoint_paths(g, 0, 9) == (2, [1, 2])
+    assert inv._max_vertex_disjoint_paths(g.rows, 0, 9) == (2, [1, 2])
 
 
 def test_kappa_matches_networkx_on_random_graphs():
@@ -337,6 +334,30 @@ def test_kappa_matches_networkx_on_random_graphs():
         assert k == nx.node_connectivity(reference)
         if not inv.is_complete(g):
             assert_cut_witness(g, k, cut)
+
+
+def test_kappa_on_a_random_mask_matches_networkx_on_the_induced_subgraph():
+    import networkx as nx  # a test oracle only, never a runtime dependency
+
+    rng = random.Random(20261020)
+    checked = 0
+    for _ in range(400):
+        n = rng.randint(3, 12)
+        g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7, 0.9]))
+        mask = rng.randrange(1, 1 << n)
+        kept = [v for v in range(n) if mask >> v & 1]
+        reference = nx.Graph(g.edges())
+        reference.add_nodes_from(range(n))
+        reference = reference.subgraph(kept)
+        complete = reference.number_of_edges() == len(kept) * (len(kept) - 1) // 2
+        if complete or not nx.is_connected(reference):
+            continue
+        k, cut = inv._kappa(g.rows, mask)
+        assert k == nx.node_connectivity(reference) == len(cut)
+        assert set(cut) <= set(kept)
+        assert not nx.is_connected(reference.subgraph(set(kept) - set(cut)))
+        checked += 1
+    assert checked >= 100
 
 
 @pytest.mark.parametrize("text, gens, n", [("S5", [0], 120), ("D64", [2], 97)])
@@ -670,17 +691,35 @@ def test_perfectness_of_a_star_is_searched_on_one_vertex(monkeypatch):
     assert g.vertex_count == 256 and g.edge_count == 255
     searched = []
     search = inv._has_odd_hole
-    monkeypatch.setattr(inv, "_has_odd_hole", lambda q: searched.append(q.vertex_count) or search(q))
+    monkeypatch.setattr(
+        inv, "_has_odd_hole", lambda rows, mask: searched.append(mask.bit_count()) or search(rows, mask)
+    )
     assert inv.is_perfect(g, budget=10**6) is True
     assert searched == [1, 1]
     with pytest.raises(inv.BudgetExceeded, match="256 vertices exceeds budget 24"):
         inv.is_perfect(g)  # the budget still counts the input's vertices
 
 
+def test_odd_hole_search_on_a_random_mask_matches_brute_force_on_the_induced_subgraph():
+    rng = random.Random(20261020)
+    found = collections.Counter()
+    for _ in range(1000):
+        n = rng.randint(1, 12)
+        g = random_graph(rng, n, rng.choice([0.3, 0.4, 0.5, 0.6, 0.7]))
+        mask = sum(1 << v for v in range(n) if rng.random() < 0.8) or 1
+        sub = induced_subgraph(g, [v for v in range(n) if mask >> v & 1])
+        for rows, on in ((g.rows, sub), (g.complement().rows, sub.complement())):
+            hole = inv._has_odd_hole(rows, mask)
+            assert hole == brute_has_odd_hole(on), (g.edges(), mask)
+            found[hole] += 1
+    assert found[True] >= 100 and found[False] >= 100, found
+
+
 def test_twin_reduced_perfectness_matches_unreduced_search_on_catalog(catalog_pairs):
     for G, H in catalog_pairs:
         g = nsb_power_graph(G, H).graph
-        unreduced = not inv._has_odd_hole(g) and not inv._has_odd_hole(g.complement())
+        full = (1 << g.vertex_count) - 1
+        unreduced = not inv._has_odd_hole(g.rows, full) and not inv._has_odd_hole(g.complement().rows, full)
         assert inv.is_perfect(g) == unreduced
 
 
@@ -906,6 +945,26 @@ def test_solvers_on_universal_vertices_call_no_public_solver_again(monkeypatch, 
         calls.clear()
         getattr(inv, solver)(g)
         assert calls == collections.Counter({solver: 1, **also})
+
+
+def test_kappa_perfectness_and_chi_build_no_graph_below_the_public_call(monkeypatch):
+    # The cores read the input's rows through a vertex mask: kappa's flows run on
+    # G - U without an induced copy, and the odd-hole search on the twin residue
+    # without a complement graph.
+    rest_connected = plant_universal(random.Random(3), petersen(), 2)
+    with_twins = nsb_graph("Z24", [12])
+    graphs = (rest_connected, with_twins)
+    for g in graphs:
+        assert inv.vertex_connectivity(g)[0] > len(universal_vertices(g)) > 0  # flows ran on G - U
+    assert len({row | 1 << v for v, row in enumerate(with_twins.rows)}) < with_twins.vertex_count
+    built = []
+    set_rows = SimpleGraph._set_rows
+    monkeypatch.setattr(SimpleGraph, "_set_rows", lambda self, *args: built.append(self) or set_rows(self, *args))
+    for g in graphs:
+        inv.vertex_connectivity(g)
+        inv.is_perfect(g)
+        inv.chromatic_number(g)
+    assert built == []
 
 
 # --- degree formula ------------------------------------------------------------

@@ -5,6 +5,7 @@ import yaml
 import pinned_outputs
 
 WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+PINNED_OUTPUTS = "PYTHONPATH=src python -W error tests/pinned_outputs.py"  # a warning fails the step
 
 
 def _job():
@@ -31,14 +32,12 @@ def _runs_before_any_install(command):
 
 def test_pinned_outputs_are_checked_before_any_dependency_is_installed():
     # Every row of tests/pinned_outputs.py, with the standard library alone, on every CI Python.
-    assert _runs_before_any_install("PYTHONPATH=src python tests/pinned_outputs.py")
+    assert _runs_before_any_install(PINNED_OUTPUTS)
 
 
 def _pinned_before_any_install(*rows):
     """Whether PINS holds each (command, expected) row and CI checks PINS before any install."""
-    return all(row in pinned_outputs.PINS for row in rows) and _runs_before_any_install(
-        "PYTHONPATH=src python tests/pinned_outputs.py"
-    )
+    return all(row in pinned_outputs.PINS for row in rows) and _runs_before_any_install(PINNED_OUTPUTS)
 
 
 def test_default_report_runs_before_any_dependency_is_installed():
