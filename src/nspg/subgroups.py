@@ -99,11 +99,17 @@ def all_normal_subgroups(G: FiniteGroup) -> list[SubgroupSet]:
     Every normal subgroup is the join of the normal closures of its elements,
     and the normal closure of g is the span of its conjugacy class. The class
     is g's orbit under conjugation by G.generators, since every element is a
-    positive word in them. A breadth-first walk from {e}, joining each subgroup
-    found with each closure it does not contain, reaches them all (Holt, Eick &
-    O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 3). The join
-    NP of two normal subgroups is their set product, so it needs no closure and
-    no check. Raises ValueError past MAX_NORMAL_SUBGROUPS.
+    positive word in them (Holt, Eick & O'Brien, *Handbook of Computational
+    Group Theory*, 2005, ch. 3). The join NP of two normal subgroups is their
+    set product, so it needs no closure and no check. Raises ValueError past
+    MAX_NORMAL_SUBGROUPS.
+
+    The closures are atoms P_0, P_1, ...; N holds P_j exactly when it holds g_j,
+    the element P_j is the closure of. A breadth-first Close-by-One walk from {e}
+    makes each normal subgroup once (FCbO: Outrata & Vychodil, *Information
+    Sciences* 185, 2012): N, made by adding atom i, keeps NP_j (j > i) only if
+    it gains no g_k with k < j. A failed NP_j is passed to N's children, which
+    skip atom j while it holds a g_k (k < j) they lack: their NP_j would too.
 
     Subgroups are int bitmasks over the element indices. One closure is spanned
     per conjugacy class of cyclic subgroups: every generator of <c>, for c
@@ -133,12 +139,17 @@ def all_normal_subgroups(G: FiniteGroup) -> list[SubgroupSet]:
         closures.setdefault(sum(map(bit.__getitem__, generate(table, conj)[1])), g)
         for c in conj:
             done[class_of[c]] = 1
-    found = [1]  # {e}: bit 0 is the identity
-    seen = set(found)
-    for N in found:  # the list grows while it is walked: breadth-first
+    atoms = list(closures.items())
+    low = [0]  # low[j]: the elements of the atoms before atom j
+    for _, g in atoms:
+        low.append(low[-1] | bit[g])
+    queue = [(1, 0, [0] * len(atoms))]  # {e}: bit 0 is the identity
+    for N, start, failed in queue:  # the list grows while it is walked: breadth-first
         part = None
-        for P, g in closures.items():
-            if N & bit[g]:
+        fails = failed.copy()  # shared by N's children, which are walked after N
+        for j in range(start, len(atoms)):
+            P, g = atoms[j]
+            if N & bit[g] or failed[j] & low[j] & ~N:
                 continue
             if part is None:
                 part = _coset_partition(table, list(_bits(N)))
@@ -149,15 +160,16 @@ def all_normal_subgroups(G: FiniteGroup) -> list[SubgroupSet]:
             while rest:
                 joined |= masks[part[(rest & -rest).bit_length() - 1]]
                 rest &= ~joined
-            if joined not in seen:
-                if len(found) == MAX_NORMAL_SUBGROUPS:
-                    raise ValueError(
-                        f"{shown(G.name, str)} has more than {MAX_NORMAL_SUBGROUPS} normal subgroups; "
-                        "enumeration refused"
-                    )
-                seen.add(joined)
-                found.append(joined)
-    subsets = sorted((list(_bits(m)) for m in found), key=lambda s: (len(s), s))
+            if (joined ^ N) & low[j]:  # it gains an earlier atom: made from another parent
+                fails[j] = joined
+                continue
+            if len(queue) == MAX_NORMAL_SUBGROUPS:
+                raise ValueError(
+                    f"{shown(G.name, str)} has more than {MAX_NORMAL_SUBGROUPS} normal subgroups; "
+                    "enumeration refused"
+                )
+            queue.append((joined, j + 1, fails))
+    subsets = sorted((list(_bits(m)) for m, _, _ in queue), key=lambda s: (len(s), s))
     return [_subgroup(G, elems, True) for elems in subsets]
 
 

@@ -407,9 +407,11 @@ def all_subgroups(G: FiniteGroup) -> list[frozenset[int]]:
 def all_normal_subgroups_by_sets(G: FiniteGroup) -> list[tuple[int, ...]]:
     """Element tuples of every normal subgroup, in all_normal_subgroups' order.
 
-    The same walk as nspg.subgroups.all_normal_subgroups on Python sets: one
-    closure per conjugacy class, each join rebuilt coset by coset with
-    set.update. Raises ValueError past MAX_NORMAL_SUBGROUPS.
+    An independent breadth-first walk on Python sets: one closure per conjugacy
+    class, and every subgroup found joined with every closure it lacks, each join
+    rebuilt coset by coset with set.update and kept if the seen set lacks it. It
+    has no canonicity test, so it does not share the library's Close-by-One
+    pruning. Raises ValueError past MAX_NORMAL_SUBGROUPS.
     """
     table = G.table
     closures: dict[frozenset[int], int] = {}  # normal closure -> an element it is the closure of

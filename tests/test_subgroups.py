@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from nspg import subgroups
 from nspg.groups import make_group, parse_group_spec, validate_cayley_table
 from nspg.harness import DEFAULT_CATALOG_GROUPS
 from nspg.power_graphs import expand_quotient_graph, nsb_power_graph
@@ -115,6 +116,21 @@ def test_all_normal_subgroups_refuses_past_the_bound():
         all_normal_subgroups(grp("E(2,8)"))
 
 
+def test_refusal_past_the_bound_partitions_few_subgroups(monkeypatch):
+    # Breadth-first, the 4097th subgroup turns up after 35 coset partitions;
+    # a depth-first walk makes 3,143 before it refuses.
+    calls = []
+
+    def counted(table, members):
+        calls.append(len(members))
+        return _coset_partition(table, members)
+
+    monkeypatch.setattr(subgroups, "_coset_partition", counted)
+    with pytest.raises(ValueError, match="more than 4096 normal subgroups"):
+        all_normal_subgroups(grp("E(2,8)"))
+    assert 0 < len(calls) <= 64
+
+
 # The groups of the normal-subgroups benchmark workload.
 NORMAL_SUBGROUP_BENCH_GROUPS = (
     "E(2,4)", "Z4xZ4xZ2", "S3xS3", "D32", "S4xZ2", "D12xZ2", "Q8xQ8", "Z8xZ8", "Z256"
@@ -125,7 +141,7 @@ NORMAL_SUBGROUP_BENCH_GROUPS = (
     "text",
     # the benchmark groups, then larger and non-abelian ones
     NORMAL_SUBGROUP_BENCH_GROUPS
-    + ("S5", "E(2,5)", "D64", "D128", "Q8xS3", "S4xZ3", "S4xD4", "Z4xZ4xZ4", "Z2xZ64", "Q8xZ32"),
+    + ("S5", "E(2,5)", "D64", "D128", "Q8xS3", "S4xZ3", "S4xD4", "Z4xZ4xZ4", "Z2xZ64", "Q8xZ32", "E(3,4)"),
 )
 def test_bitmask_enumeration_equals_the_set_walk(text):
     G = grp(text)
@@ -145,14 +161,14 @@ def _subspace_count(p, k):
 
 
 @pytest.mark.parametrize(
-    "p,k", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)]
+    "p,k", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (7, 2)]
 )
 def test_elementary_abelian_counts_are_gaussian_binomial_sums(p, k):
     assert len(all_normal_subgroups(grp(f"E({p},{k})"))) == _subspace_count(p, k)
 
 
 def test_gaussian_binomial_sums_of_named_ranks():
-    assert _subspace_count(2, 6) == 2825 and _subspace_count(3, 4) == 212
+    assert _subspace_count(2, 6) == 2825 and _subspace_count(3, 4) == 212 and _subspace_count(3, 5) == 2664
 
 
 def _candidate_sets(G, subs, rng, count):

@@ -137,3 +137,12 @@ def test_hamiltonicity_refusal_on_d10xz6_is_bounded_before_any_dependency_is_ins
     assert "for i in 0 1 2 3" in run and "NSPG_BUDGET=200" in run and "timeout 60" in run
     assert 'test "$code" = 3' in run and "'\"is_hamiltonian\": false'" in run
     assert _runs_before_any_install(run)
+
+
+def test_normal_subgroups_of_e35_are_listed_before_any_dependency_is_installed():
+    # 2,664 subgroups of order 243; a walk that joins every subgroup with every closure took twice as long.
+    steps = [step for step in _job()["steps"] if "list-normal-subgroups 'E(3,5)'" in step.get("run", "")]
+    assert len(steps) == 1
+    run = steps[0]["run"]
+    assert "timeout 60" in run and 'test "$code" = 0' in run and 'test "$lines" = 2664' in run
+    assert _runs_before_any_install(run)
