@@ -435,15 +435,32 @@ def _product_table(t1: tuple[bytes, ...], t2: tuple[bytes, ...]) -> tuple[bytes,
     """Direct product table: entry (a1*n2 + a2, b1*n2 + b2) is t1[a1][b1]*n2 + t2[a2][b2].
 
     (a1, a2) = (a1, e)(e, a2), so row (a1, a2) is row (e, a2) read through row
-    (a1, e), padded to 256 bytes: one translate per row. Row (a1, e) joins n1
-    blocks and row (e, a2) joins n1 translates, so a small t1 keeps both cheap.
+    (a1, e), padded to 256 bytes: one translate per row. Row (e, a2) joins n1
+    translates. Row (a1, e) joins the blocks t1[a1] names for the generators a
+    walk like generate()'s picks; every other row (x*g, e) is row (g, e) read
+    through row (x, e).
     """
     n1, n2 = len(t1), len(t2)
+    pad = bytes(256 - n1 * n2)
     # blocks[x] is x*n2 + range(n2): block x of row (e, e).
     blocks = [bytes(range(x * n2, x * n2 + n2)) for x in range(n1)]
-    # Row (e, a2) holds row a2 of t2 in each block; row (a1, e) joins the blocks t1[a1] names.
+    # Row (e, a2) holds row a2 of t2 in each block.
     right = [b"".join(r2.translate(block + bytes(256 - n2)) for block in blocks) for r2 in t2]
-    left = [b"".join(map(blocks.__getitem__, r1)) + bytes(256 - n1 * n2) for r1 in t1]
+    left = [bytes(range(n1 * n2))] + [b""] * (n1 - 1)
+    reached, generators = [0], []
+    for a in range(n1):
+        if left[a]:
+            continue
+        left[a] = b"".join(map(blocks.__getitem__, t1[a]))
+        reached.append(a)
+        generators.append(a)
+        for x in reached:  # the list grows while it is walked
+            for g in generators:
+                xg = t1[x][g]
+                if not left[xg]:
+                    left[xg] = left[g].translate(left[x] + pad)
+                    reached.append(xg)
+    left = [row_a1_e + pad for row_a1_e in left]
     return tuple(row_e_a2.translate(row_a1_e) for row_a1_e in left for row_e_a2 in right)
 
 

@@ -183,44 +183,58 @@ def clique_number(g: SimpleGraph, budget: int = DEFAULT_SOLVER_BUDGET) -> tuple[
 
 
 def _k_colorable(rows: tuple[int, ...], k: int, clique: tuple[int, ...]) -> list[int] | None:
-    """Backtracking k-colorability, DSATUR-style, with a maximum clique
-    pre-colored for symmetry breaking; -1 marks a vertex not yet coloured."""
-    colors = [-1] * len(rows)
-    sat = [0] * len(rows)
-    full = (1 << k) - 1
+    """Backtracking k-colorability, DSATUR-style (Brélaz 1979), with a maximum
+    clique pre-colored for symmetry breaking; colours are tried in ascending order.
+
+    The next vertex maximises (saturation, degree, -v). Each vertex keeps one
+    key that orders like that tuple, -1 once coloured, so one max() picks it.
+    seen[c] holds the vertices with a neighbour coloured c: colouring v with c
+    raises the saturation of rows[v] & uncoloured & ~seen[c] alone, and undoing
+    it restores seen[c] and those keys.
+    """
+    n = len(rows)
+    w = n.bit_length()  # degree and n - 1 - v each fit in w bits
+    low, step = (1 << w) - 1, 1 << 2 * w
+    full = k * step  # a key this large has no colour left
+    colors = [-1] * n
+    key = [rows[v].bit_count() << w | n - 1 - v for v in range(n)]
+    seen = [0] * k
+    uncoloured = (1 << n) - 1 - sum(1 << v for v in clique)
     for c, v in enumerate(clique):
         colors[v] = c
-        for w in _bits(rows[v]):
-            sat[w] |= 1 << c
+        key[v] = -1
+        seen[c] = rows[v]
+        for u in _bits(rows[v] & uncoloured):
+            key[u] += step
 
-    def pick() -> int:
-        return max(
-            (v for v in range(len(rows)) if colors[v] == -1),
-            key=lambda v: (sat[v].bit_count(), rows[v].bit_count(), -v),
-        )
-
-    def solve(remaining: int) -> bool:
-        if remaining == 0:
+    def solve(uncoloured: int) -> bool:
+        if not uncoloured:
             return True
-        v = pick()
-        for c in _bits(full & ~sat[v]):
-            colors[v] = c
-            touched = []
+        top = max(key)
+        v = n - 1 - (top & low)
+        key[v] = -1
+        row, rest = rows[v], uncoloured & ~(1 << v)
+        for c in range(k):
+            before = seen[c]
+            if before >> v & 1:
+                continue
+            rise = row & rest & ~before
             ok = True
-            for w in _bits(rows[v]):
-                if colors[w] == -1 and not (sat[w] >> c) & 1:
-                    sat[w] |= 1 << c
-                    touched.append(w)
-                    if sat[w] == full:
-                        ok = False
-            if ok and solve(remaining - 1):
+            for u in _bits(rise):
+                key[u] += step
+                if key[u] >= full:
+                    ok = False
+            colors[v] = c
+            seen[c] = before | row
+            if ok and solve(rest):
                 return True
-            colors[v] = -1
-            for w in touched:
-                sat[w] &= ~(1 << c)
+            seen[c] = before
+            for u in _bits(rise):
+                key[u] -= step
+        key[v] = top
         return False
 
-    if solve(len(rows) - len(clique)):
+    if solve(uncoloured):
         return colors
     return None
 

@@ -56,7 +56,11 @@ def generated_subgroup(G: FiniteGroup, gens) -> SubgroupSet:
 def _conjugation_closed(G: FiniteGroup, members) -> bool:
     """Whether gHg^-1 is within members (H) for each generator g of G, hence for every g."""
     table = G.table
-    return all(table[table[g][h]][G.inv(g)] in members for g in G.generators for h in members)
+    return all(
+        table[row_g[h]][g_inv] in members
+        for row_g, g_inv in [(table[g], G.inv(g)) for g in G.generators]
+        for h in members
+    )
 
 
 def _check_normal_subgroup(G: FiniteGroup, H: SubgroupSet) -> None:

@@ -103,6 +103,58 @@ def brute_chromatic_number(g: SimpleGraph) -> int:
     return best
 
 
+def _set_bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def rescanning_k_colorable(rows: tuple[int, ...], k: int, clique: tuple[int, ...]) -> list[int] | None:
+    """A frozen copy of the library's k-colouring search as it was before it kept its
+    bookkeeping between steps: each step rescans every uncoloured vertex for the
+    maximum (saturation, degree, -v) and updates every neighbour's colour set.
+    The library's search must give the same answer and the same colouring."""
+    colors = [-1] * len(rows)
+    sat = [0] * len(rows)
+    full = (1 << k) - 1
+    for c, v in enumerate(clique):
+        colors[v] = c
+        for w in _set_bits(rows[v]):
+            sat[w] |= 1 << c
+
+    def pick() -> int:
+        return max(
+            (v for v in range(len(rows)) if colors[v] == -1),
+            key=lambda v: (sat[v].bit_count(), rows[v].bit_count(), -v),
+        )
+
+    def solve(remaining: int) -> bool:
+        if remaining == 0:
+            return True
+        v = pick()
+        for c in _set_bits(full & ~sat[v]):
+            colors[v] = c
+            touched = []
+            ok = True
+            for w in _set_bits(rows[v]):
+                if colors[w] == -1 and not (sat[w] >> c) & 1:
+                    sat[w] |= 1 << c
+                    touched.append(w)
+                    if sat[w] == full:
+                        ok = False
+            if ok and solve(remaining - 1):
+                return True
+            colors[v] = -1
+            for w in touched:
+                sat[w] &= ~(1 << c)
+        return False
+
+    if solve(len(rows) - len(clique)):
+        return colors
+    return None
+
+
 def brute_vertex_connectivity(g: SimpleGraph) -> int:
     """Try every removal set by increasing size; complete graphs give n - 1."""
     n = g.vertex_count

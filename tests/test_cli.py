@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import nspg
+import nspg.cli as cli
 import nspg.invariants as inv
 import pinned_outputs
 from nspg.cli import main
@@ -413,6 +414,21 @@ def test_huge_elementary_abelian_spec_exits_2_at_once(spec):
     assert time.perf_counter() - start < 1
     assert proc.returncode == 2
     assert "error:" in proc.stderr and len(proc.stderr) < 100
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_the_broken_pipe_status():
+    # 89 kB of output, more than a pipe holds: the child is still writing when the pipe closes.
+    src = str(Path(nspg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nspg.cli", "list-normal-subgroups", "E(3,5)"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+    )
+    assert proc.stdout.readline() == b"[0] order=1 subgroup={e}\n"  # unbuffered: one line read, no more
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert err == b""
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
 
 
 def test_huge_direct_product_names_the_first_order_past_the_budget(capsys):

@@ -24,6 +24,7 @@ from oracles import (
     plant_universal,
     power_graph_brute,
     random_graph,
+    rescanning_k_colorable,
     universal_vertices,
 )
 from test_power_graphs import LARGE_PAIRS
@@ -234,6 +235,75 @@ def test_chromatic_refutes_levels_above_the_clique_number():
     assert k == 4 == brute_chromatic_number(g)
     assert len(set(coloring)) == 4
     assert all(coloring[u] != coloring[v] for u, v in g.edges())
+
+
+def assert_same_colourings_as_the_rescanning_search(g, budget=inv.DEFAULT_SOLVER_BUDGET):
+    """Every level from omega to chi gives the frozen copy's answer, so chi and
+    the colouring do too; returns chi - omega."""
+    _, clique = inv.clique_number(g, budget)
+    k = len(clique)
+    while True:
+        colors = inv._k_colorable(g.rows, k, clique)
+        assert colors == rescanning_k_colorable(g.rows, k, clique), (g.edges(), k)
+        if colors is not None:
+            break
+        k += 1
+    assert inv.chromatic_number(g, budget) == (k, tuple(colors))
+    return k - len(clique)
+
+
+def test_colourings_equal_the_rescanning_search_on_the_catalog(catalog_pairs):
+    graphs = {}
+    for G, H in catalog_pairs:
+        g = nsb_power_graph(G, H).graph
+        graphs[g.rows] = g
+    assert len(graphs) == 116
+    for g in graphs.values():
+        assert_same_colourings_as_the_rescanning_search(g)
+
+
+@pytest.mark.parametrize("text", ["Q8xQ8", "E(2,5)", "S5", "D64"])
+def test_colourings_equal_the_rescanning_search_on_large_power_graphs(text):
+    g = power_graph(grp(text))
+    assert g.vertex_count in (32, 64, 120, 128)
+    assert_same_colourings_as_the_rescanning_search(g, budget=g.vertex_count)
+
+
+def test_colourings_equal_the_rescanning_search_on_complete_graphs_and_odd_cycles():
+    for n in range(1, 41):
+        assert_same_colourings_as_the_rescanning_search(complete_graph(n), budget=n)
+    # chi exceeds omega on each: the search refutes omega (and 3 on Groetzsch's graph).
+    gaps = [assert_same_colourings_as_the_rescanning_search(g) for g in (cycle_graph(5), cycle_graph(7), grotzsch())]
+    assert gaps == [1, 1, 2]
+
+
+def test_colourings_equal_the_rescanning_search_on_random_graphs():
+    rng = random.Random(4701)
+    gaps = [
+        assert_same_colourings_as_the_rescanning_search(
+            random_graph(rng, rng.randint(1, 14), rng.choice([0.2, 0.35, 0.5, 0.65, 0.8]))
+        )
+        for _ in range(3000)
+    ]
+    assert sum(gap > 0 for gap in gaps) >= 100  # graphs on which the search backtracks past omega
+
+
+def test_colouring_a_complete_graph_touches_no_neighbour(monkeypatch):
+    # The clique is every vertex, so precolouring it leaves no uncoloured vertex to update.
+    yielded = 0
+    real_bits = inv._bits
+
+    def counting(mask):
+        nonlocal yielded
+        for v in real_bits(mask):
+            yielded += 1
+            yield v
+
+    monkeypatch.setattr(inv, "_bits", counting)
+    for n in (8, 64, 200):
+        yielded = 0
+        assert inv.chromatic_number(complete_graph(n), budget=n) == (n, tuple(range(n)))
+        assert yielded <= 2 * n  # the clique witness's n bits; n * n before
 
 
 def test_chromatic_witness_is_proper():

@@ -146,3 +146,14 @@ def test_normal_subgroups_of_e35_are_listed_before_any_dependency_is_installed()
     run = steps[0]["run"]
     assert "timeout 60" in run and 'test "$code" = 0' in run and 'test "$lines" = 2664' in run
     assert _runs_before_any_install(run)
+
+
+def test_broken_pipe_status_is_checked_before_any_dependency_is_installed():
+    # A reader that takes one line of 2,664 and closes the pipe, as `| head -1` does.
+    steps = [step for step in _job()["steps"] if "| head -1" in step.get("run", "")]
+    assert len(steps) == 1
+    run = steps[0]["run"]
+    assert 'list-normal-subgroups "E(3,5)"' in run and "timeout 60" in run and "${PIPESTATUS[0]}" in run
+    assert 'test "$(tail -1 <<< "$out")" = "exit 141"' in run and 'test ! -s "$err"' in run
+    assert 'test "$(wc -l <<< "$out")" = 2' in run
+    assert _runs_before_any_install(run)
