@@ -18,7 +18,7 @@ MAX_DIGITS = 18
 # An error message repeats at most this many characters of an input, and then its length.
 MAX_SHOWN = 64
 
-_Built = tuple[tuple[bytes, ...], tuple[str, ...]]  # a table and its element labels
+_Built = tuple[tuple[str, ...], list[bytes]]  # element labels and the generators' rows
 
 
 def euler_phi(n: int) -> int:
@@ -289,20 +289,23 @@ def parse_nat(digits: str, what: str) -> int:
 def make_group(spec: GroupSpec) -> FiniteGroup:
     """Build the group an explicit spec describes; deterministic per spec."""
     name, _, build = _describe(spec)
-    return FiniteGroup._from_group_table(name, *build())
+    labels, generator_rows = build()
+    return FiniteGroup._from_group_table(name, _close(len(labels), generator_rows), labels)
 
 
 def _describe(spec: GroupSpec) -> tuple[str, int, Callable[[], _Built]]:
-    """Check a spec's parameters; give its canonical name, order and unbuilt table builder.
+    """Check a spec's parameters; give its canonical name, order and unbuilt builder.
 
-    This is the one switch over the families. The builder is not called here,
-    so no table is made for a spec past the order budget.
+    This is the one switch over the families. A family's builder returns its
+    element labels and its generators' rows, from which make_group closes the
+    table. The builder is not called here, so nothing is built for a spec
+    past the order budget.
     """
     n, p, k = spec.n, spec.p, spec.k
     if spec.family == "cyclic":
         if n < 1:
             raise ValueError("cyclic order must be positive")
-        name, order, build = f"Z{n}", n, lambda: (_cyclic_table(n), tuple(map(str, range(n))))
+        name, order, build = f"Z{n}", n, lambda: _build_cyclic(n)
     elif spec.family == "dihedral":
         if n < 1:
             raise ValueError("dihedral parameter must be positive")
@@ -343,131 +346,91 @@ def _describe(spec: GroupSpec) -> tuple[str, int, Callable[[], _Built]]:
     return name, order, build
 
 
+def _close(n: int, generator_rows: list[bytes]) -> tuple[bytes, ...]:
+    """The table of the order-n group that the generators' rows generate, by the
+    orbit closure (Holt, Eick & O'Brien, *Handbook of Computational Group
+    Theory*, 2005, ch. 4).
+
+    Breadth-first from the identity's row: row(g*x) is row(x) read through
+    row(g), padded to 256 bytes (one translate), and is stored at index
+    row(g)[x]. Every row is reached once, at its own index, so the table does
+    not depend on the order of the generators.
+    """
+    pad = bytes(256 - n)  # translate maps through a table of exactly 256 bytes
+    generators = [row_g + pad for row_g in generator_rows]
+    rows = [bytes(range(n))] + [b""] * (n - 1)
+    reached = [0]
+    for x in reached:  # the list grows while it is walked: breadth-first
+        row_x = rows[x]
+        for row_g in generators:
+            gx = row_g[x]
+            if not rows[gx]:
+                rows[gx] = row_x.translate(row_g)
+                reached.append(gx)
+    return tuple(rows)
+
+
+def _lift(factor_generator_rows: list[list[bytes]], sizes: list[int]) -> list[bytes]:
+    """Each factor's generator rows acting on the factor's own digit of the
+    mixed-radix index (the first factor most significant), every other digit kept."""
+    size = math.prod(sizes)
+    base = bytes(range(size))
+    lifted, block = [], size
+    for rows, n in zip(factor_generator_rows, sizes):
+        stride = block // n  # the digit's place value; n digits make a block
+        starts = range(0, size, block)
+        for row in rows:  # place i of every block holds the identity row's run at digit row[i]
+            lifted.append(b"".join(base[a + d * stride:a + (d + 1) * stride] for a in starts for d in row))
+        block = stride
+    return lifted
+
+
+def _build_cyclic(n: int) -> _Built:
+    # Generated by 1, whose row is range(n) rotated left by one.
+    base = bytes(range(n))
+    return tuple(map(str, base)), [base[1:] + base[:1]]
+
+
 def _build_dihedral(n: int) -> _Built:
     # Index f*n + j encodes s^f r^j; rotations occupy 0..n-1, reflections n..2n-1.
-    # Row r^i holds r^(i+j), then s r^(j-i); row s r^i holds s r^(i+j), then r^(j-i).
+    # Row r holds r^(j+1), then s r^(j-1); row s holds s r^j, then r^j.
     rot, ref = bytes(range(n)), bytes(range(n, 2 * n))
-    turns = [(i, -i % n) for i in range(n)]
-    table = tuple(rot[i:] + rot[:i] + ref[m:] + ref[:m] for i, m in turns)
-    table += tuple(ref[i:] + ref[:i] + rot[m:] + rot[:m] for i, m in turns)
     labels = tuple(f"r{j}" for j in range(n)) + tuple(f"s{j}" for j in range(n))
-    return table, labels
+    return labels, [rot[1:] + rot[:1] + ref[-1:] + ref[:-1], ref + rot]
 
 
 def _build_symmetric(n: int) -> _Built:
-    """S_n over the permutations of range(n), lexicographic, identity first.
-
-    Row p holds p∘q for every q, where (p∘q)[i] = p[q[i]]. Permutations are
-    composed only for the rows of the generators (0 1) and the n-cycle; every
-    other row is reached breadth-first, row(s∘x) being row(x) read through
-    row(s) (one translate) and stored at index row(s)[x].
-    """
+    # The permutations of range(n), lexicographic, identity first, generated by
+    # (0 1) and the n-cycle; row p holds p∘q for every q, where (p∘q)[i] = p[q[i]].
     perms = list(itertools.permutations(range(n)))
     labels = tuple("".join(str(v) for v in p) for p in perms)
-    if n == 1:  # no transposition
-        return (bytes(1),), labels
     index = {p: i for i, p in enumerate(perms)}
-    pad = bytes(256 - len(perms))  # translate maps through a table of exactly 256 bytes
     swap, cycle = (1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)
-    generators = [bytes(index[tuple(map(s.__getitem__, x))] for x in perms) for s in (swap, cycle)]
-    rows = [bytes(range(len(perms)))] + [b""] * (len(perms) - 1)
-    reached = [0]
-    for x in reached:  # the list grows while it is walked: breadth-first
-        for row_s in generators:
-            sx = row_s[x]
-            if not rows[sx]:
-                rows[sx] = rows[x].translate(row_s + pad)
-                reached.append(sx)
-    return tuple(rows), labels
+    moves = (swap, cycle) if n > 1 else ()  # S1 has no transposition
+    return labels, [bytes(index[tuple(map(s.__getitem__, x))] for x in perms) for s in moves]
 
 
 def _build_quaternion() -> _Built:
-    # Index 2*unit + sign over the units 1, i, j, k, each a signed basis 4-vector.
-    units = [tuple(sign * (d == u) for d in range(4)) for u in range(4) for sign in (1, -1)]
-    index = {q: i for i, q in enumerate(units)}
-
-    def hamilton(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-        a1, b1, c1, d1 = p
-        a2, b2, c2, d2 = q
-        return (
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-        )
-
-    table = tuple(bytes(index[hamilton(p, q)] for q in units) for p in units)
-    return table, ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
+    # Index 2*unit + sign over the units 1, i, j, k; generated by i and j.
+    # Row i holds i, -i, -1, 1, k, -k, -j, j; row j holds j, -j, -k, k, -1, 1, i, -i.
+    labels = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
+    return labels, [bytes((2, 3, 1, 0, 6, 7, 5, 4)), bytes((4, 5, 7, 6, 1, 0, 2, 3))]
 
 
 def _build_elementary_abelian(p: int, k: int) -> _Built:
     # Index x has the base-p digits of x, most significant first, as coordinates.
     # Past p = 10 a digit can take two characters, so a comma separates them.
-    table = _fold_product([_cyclic_table(p)] * k)
     sep = "," if p > 10 else ""
     labels = tuple(sep.join(d) for d in itertools.product([str(v) for v in range(p)], repeat=k))
-    return table, labels
+    return labels, _lift([_build_cyclic(p)[1]] * k, [p] * k)
 
 
 def _build_product(children: list[_Built]) -> _Built:
     # Mixed radix over the factors, the first factor most significant.
-    table = _fold_product([t for t, _ in children])
     labels = tuple(
-        "(" + ",".join(parts) + ")" for parts in itertools.product(*(lab for _, lab in children))
+        "(" + ",".join(parts) + ")" for parts in itertools.product(*(lab for lab, _ in children))
     )
-    return table, labels
-
-
-def _fold_product(tables: list[tuple[bytes, ...]]) -> tuple[bytes, ...]:
-    """T1 x (T2 x (... x Tk)), E(p,k)'s and every product's table, folded from the right.
-
-    The mixed-radix index a1*n2*n3 + a2*n3 + a3 is the same under either
-    grouping, so the table is the left fold's; each step has the one factor
-    on the left, where _product_table joins its blocks.
-    """
-    table = tables[-1]
-    for t in reversed(tables[:-1]):
-        table = _product_table(t, table)
-    return table
-
-
-def _product_table(t1: tuple[bytes, ...], t2: tuple[bytes, ...]) -> tuple[bytes, ...]:
-    """Direct product table: entry (a1*n2 + a2, b1*n2 + b2) is t1[a1][b1]*n2 + t2[a2][b2].
-
-    (a1, a2) = (a1, e)(e, a2), so row (a1, a2) is row (e, a2) read through row
-    (a1, e), padded to 256 bytes: one translate per row. Row (e, a2) joins n1
-    translates. Row (a1, e) joins the blocks t1[a1] names for the generators a
-    walk like generate()'s picks; every other row (x*g, e) is row (g, e) read
-    through row (x, e).
-    """
-    n1, n2 = len(t1), len(t2)
-    pad = bytes(256 - n1 * n2)
-    # blocks[x] is x*n2 + range(n2): block x of row (e, e).
-    blocks = [bytes(range(x * n2, x * n2 + n2)) for x in range(n1)]
-    # Row (e, a2) holds row a2 of t2 in each block.
-    right = [b"".join(r2.translate(block + bytes(256 - n2)) for block in blocks) for r2 in t2]
-    left = [bytes(range(n1 * n2))] + [b""] * (n1 - 1)
-    reached, generators = [0], []
-    for a in range(n1):
-        if left[a]:
-            continue
-        left[a] = b"".join(map(blocks.__getitem__, t1[a]))
-        reached.append(a)
-        generators.append(a)
-        for x in reached:  # the list grows while it is walked
-            for g in generators:
-                xg = t1[x][g]
-                if not left[xg]:
-                    left[xg] = left[g].translate(left[x] + pad)
-                    reached.append(xg)
-    left = [row_a1_e + pad for row_a1_e in left]
-    return tuple(row_e_a2.translate(row_a1_e) for row_a1_e in left for row_e_a2 in right)
-
-
-def _cyclic_table(n: int) -> tuple[bytes, ...]:
-    # Row a is range(n) rotated left by a.
-    base = bytes(range(n))
-    return tuple(base[a:] + base[:a] for a in range(n))
+    return labels, _lift([rows for _, rows in children], [len(lab) for lab, _ in children])
 
 
 def _table_entry(v) -> int:

@@ -306,21 +306,19 @@ def brute_is_planar(g: SimpleGraph) -> bool:
 
 
 def powers_by_table(table, a: int) -> tuple[int, ...]:
-    """a, a**2, ... up to the first power equal to the identity, each a power times a."""
+    """a, a**2, ... up to the first power equal to the identity, each a power times a.
+    A power that has not reached the identity within len(table) steps fails the caller."""
     out, x = [a], a
-    while x:
+    for _ in range(len(table)):
+        if not x:
+            return tuple(out)
         x = table[x][a]
         out.append(x)
-    return tuple(out)
+    raise AssertionError(f"the powers of element {a} never reach the identity")
 
 
 def order_by_iteration(table, a: int) -> int:
-    x = a
-    k = 1
-    while x != 0:
-        x = table[x][a]
-        k += 1
-    return k
+    return len(powers_by_table(table, a))
 
 
 def element_power(G: FiniteGroup, a: int, k: int) -> int:

@@ -43,7 +43,7 @@ PINS = (
     ("build D64 --subgroup 2", (51395, "c6e130d6219f0990c42e6ca0772dbb297a54c5ffd1d8cfc0f5e075ddb7221fbd")),
     ("verify --catalog verify_large.json --format json",
      (52893, "0a439b8aa7ee01544f3fad0023be054717cf51b2086e5e0bf0464602ecec84c1")),
-    # A product folded from the right with a non-abelian middle factor.
+    # Three factors, the middle one non-abelian: each generator must move its own digit.
     ("power-graph Z2xS4xZ3", (21665, "03f5edc8e778a0a7d677abca21e0327d6fd09db50fea463be2ded2b240e402ba")),
     # The table format on a 23-vertex graph that is not complete, with all four witnesses.
     ("analyze Q8xZ3 --subgroup-index 1 --format table",

@@ -67,6 +67,14 @@ def test_dihedral_layout_and_reflections():
         assert order_by_iteration(G.table, a) == 2
 
 
+def test_oracle_power_walks_fail_on_a_table_whose_powers_never_reach_the_identity():
+    # The powers of 1 run 1, 2, 1, 2, ...: a builder that makes such a table fails tier-1, not hangs it.
+    table = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]
+    for walk in (order_by_iteration, powers_by_table):
+        with pytest.raises(AssertionError, match="^the powers of element 1 never reach the identity$"):
+            walk(table, 1)
+
+
 def test_quaternion_orders():
     G = grp("Q8")
     assert G.labels == ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
@@ -124,12 +132,13 @@ def test_row_built_tables_match_per_entry_builder(text):
     assert (G.table, G.labels) == (tuple(map(bytes, table)), labels)
 
 
-# From "Q8xQ8" on, a large or non-abelian factor sits on each side of the right fold.
-# In D10xZ6 and the last four the first factor is the larger one: most of its rows
-# (a1, e) are read through the rows of the one to three generators its walk picks.
+# E(p,k) and products: each factor's generator rows are lifted to move only its own
+# digit of the mixed-radix index, and the closure makes every other row. From "Q8xQ8"
+# on, a large or non-abelian factor sits before and after another; the last three have
+# a size-1 digit in the middle, a factor with no generator rows (S1) and a one-digit E(p,k).
 FOLDED_SPECS = ["E(2,1)", "E(2,8)", "E(11,2)", "E(3,4)", "Z1xZ5", "Z2xZ4", "Z2xZ2xZ2xZ2xZ2",
                 "Z3xE(2,2)xQ8", "Q8xQ8", "D4xS3", "Z2xS4xZ3", "Z2xZ64", "E(3,5)", "D10xZ6",
-                "S5xZ2", "S4xZ3", "D8xS3", "E(2,3)xZ3"]
+                "S5xZ2", "S4xZ3", "D8xS3", "E(2,3)xZ3", "S3xZ1xD1", "Q8xS1xZ3", "E(5,1)xD2"]
 
 
 @pytest.mark.parametrize("text", FOLDED_SPECS)
@@ -147,7 +156,7 @@ def test_every_table_is_a_tuple_of_bytes_rows():
     groups += [quotient(G, H).group for G in parents for H in all_normal_subgroups(G)]
     groups.append(from_cayley_table([[1, 2, 0], [2, 0, 1], [0, 1, 2]]))  # identity at 2
     groups.append(FiniteGroup("g", [[0, 1], [1, 0]], ["0", "1"]))
-    assert len(groups) == 43 + 18 + (223 + 43) + 2  # G/G and the 223 proper quotients
+    assert len(groups) == 43 + 21 + (223 + 43) + 2  # G/G and the 223 proper quotients
     for G in groups:
         assert type(G.table) is tuple and len(G.table) == len(G.labels), G.name
         assert all(type(row) is bytes and len(row) == len(G.labels) for row in G.table), G.name

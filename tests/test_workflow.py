@@ -86,7 +86,7 @@ def test_non_abelian_graph_digests_are_checked_before_any_dependency_is_installe
 
 
 def test_folded_product_power_graph_digest_is_checked_before_any_dependency_is_installed():
-    # A non-abelian middle factor: the fold's order of operands shows in the table.
+    # A non-abelian middle factor: a generator lifted onto the wrong digit shows in the table.
     assert _pinned_before_any_install(
         ("power-graph Z2xS4xZ3", (21665, "03f5edc8e778a0a7d677abca21e0327d6fd09db50fea463be2ded2b240e402ba"))
     )
@@ -129,11 +129,18 @@ def test_benchmark_checks_its_outputs_before_the_clean_tree_check():
     assert runs.index("python bench/run.py --seconds 0") == len(runs) - 2
 
 
+def _run_of_step(name):
+    """The command of the one CI step with this name; steps that run the same command
+    under different checks are told apart by their names."""
+    steps = [step for step in _job()["steps"] if step.get("name") == name]
+    assert len(steps) == 1
+    return steps[0]["run"]
+
+
 def test_hamiltonicity_refusal_on_d10xz6_is_bounded_before_any_dependency_is_installed():
     # Four graphs of 119-120 vertices that the backtracking alone did not decide in 8 s.
-    steps = [step for step in _job()["steps"] if "analyze D10xZ6" in step.get("run", "")]
-    assert len(steps) == 1
-    run = steps[0]["run"]
+    run = _run_of_step("Hamiltonicity on D10xZ6 is refused without the exponential search")
+    assert "analyze D10xZ6" in run
     assert "for i in 0 1 2 3" in run and "NSPG_BUDGET=200" in run and "timeout 60" in run
     assert 'test "$code" = 3' in run and "'\"is_hamiltonian\": false'" in run
     assert _runs_before_any_install(run)
@@ -141,18 +148,16 @@ def test_hamiltonicity_refusal_on_d10xz6_is_bounded_before_any_dependency_is_ins
 
 def test_normal_subgroups_of_e35_are_listed_before_any_dependency_is_installed():
     # 2,664 subgroups of order 243; a walk that joins every subgroup with every closure took twice as long.
-    steps = [step for step in _job()["steps"] if "list-normal-subgroups 'E(3,5)'" in step.get("run", "")]
-    assert len(steps) == 1
-    run = steps[0]["run"]
+    run = _run_of_step("All 2,664 normal subgroups of E(3,5) are listed within a minute")
+    assert "list-normal-subgroups 'E(3,5)'" in run
     assert "timeout 60" in run and 'test "$code" = 0' in run and 'test "$lines" = 2664' in run
     assert _runs_before_any_install(run)
 
 
 def test_broken_pipe_status_is_checked_before_any_dependency_is_installed():
     # A reader that takes one line of 2,664 and closes the pipe, as `| head -1` does.
-    steps = [step for step in _job()["steps"] if "| head -1" in step.get("run", "")]
-    assert len(steps) == 1
-    run = steps[0]["run"]
+    run = _run_of_step("A reader that closes the pipe early gets exit 141 and no traceback")
+    assert "| head -1" in run
     assert 'list-normal-subgroups "E(3,5)"' in run and "timeout 60" in run and "${PIPESTATUS[0]}" in run
     assert 'test "$(tail -1 <<< "$out")" = "exit 141"' in run and 'test ! -s "$err"' in run
     assert 'test "$(wc -l <<< "$out")" = 2' in run
