@@ -577,20 +577,19 @@ def is_perfect(g: SimpleGraph, budget: int = DEFAULT_ODD_HOLE_BUDGET) -> bool:
 
 def _tough_cut(rows: tuple[int, ...]) -> int:
     """A vertex set S, as a mask, whose removal leaves more than |S| components,
-    or 0 when no degree-ordered prefix does.
+    or 0 when no degree threshold does.
 
-    The candidates are the prefixes of the vertices sorted by degree, highest
-    first, that end where the degree drops and leave at least 3 vertices.
+    The candidates are the vertices of degree >= d, for each degree d from the
+    highest down, while they leave at least 3 vertices.
     """
     n = len(rows)
     degree = [row.bit_count() for row in rows]
-    order = sorted(range(n), key=lambda v: (-degree[v], v))
     full = (1 << n) - 1
-    cut = 0
-    for size, (v, w) in enumerate(zip(order, order[1 : n - 2]), 1):  # w follows the prefix
-        cut |= 1 << v
-        if degree[v] == degree[w]:
-            continue
+    for d in sorted(set(degree), reverse=True):
+        cut = sum(1 << v for v in range(n) if degree[v] >= d)
+        size = cut.bit_count()
+        if size > n - 3:
+            break
         rest, parts = full & ~cut, 0
         while rest and parts <= size:
             rest &= ~_reach(rows, rest, (rest & -rest).bit_length() - 1)
@@ -611,8 +610,10 @@ def hamiltonian_cycle(
     Within the budget, a graph that is not 1-tough gets None without a search:
     a Hamiltonian graph minus any vertex set S has at most |S| components
     (Chvatal, "Tough graphs and Hamiltonian circuits", Discrete Math. 5, 1973),
-    and `_tough_cut` tries the degree-ordered prefixes as S. Any other graph
-    goes to the backtracking, which stays the one complete search.
+    and `_tough_cut` tries the degree thresholds as S. Any other graph goes to
+    the backtracking, which stays the one complete search. From each vertex u
+    on the path it branches on u's unvisited neighbours sorted by (degree,
+    index), lowest first.
     """
     n = g.vertex_count
     _check_budget("hamiltonian_cycle", n, budget)
@@ -626,9 +627,6 @@ def hamiltonian_cycle(
     if _tough_cut(rows):
         return None
     full = (1 << n) - 1
-    nbr_order = [
-        sorted(_bits(rows[u]), key=lambda v: (rows[v].bit_count(), v)) for u in range(n)
-    ]
     path = [0]
 
     def solve(u: int, visited: int) -> bool:
@@ -641,12 +639,9 @@ def hamiltonian_cycle(
         for w in _bits(full & ~visited):
             if (rows[w] & usable).bit_count() < 2:
                 return False
-        for v in nbr_order[u]:
-            bit = 1 << v
-            if visited & bit:
-                continue
+        for v in sorted(_bits(rows[u] & ~visited), key=lambda v: (rows[v].bit_count(), v)):
             path.append(v)
-            if solve(v, visited | bit):
+            if solve(v, visited | 1 << v):
                 return True
             path.pop()
         return False

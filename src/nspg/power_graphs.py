@@ -156,8 +156,7 @@ def nsb_power_graph(G: FiniteGroup, H: SubgroupSet) -> NSBPowerGraph:
     """
     _check_nsb_inputs(G, H)
     coset = _coset_partition(G.table, H.elements)
-    members = set(H.elements)
-    vertex_element = (0,) + tuple(a for a in G.elements() if a not in members)
+    vertex_element = (0,) + tuple(a for a in G.elements() if coset[a])  # coset 0 is H
     element_class, walks = G.cyclic_classes()
     class_of = tuple(element_class[a] for a in vertex_element)
     reached = {c: set(map(coset.__getitem__, walks[c])) for c in set(class_of)}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
+from typing import NamedTuple
 
 from nspg.groups import FiniteGroup, generate
 from nspg.power_graphs import NSBPowerGraph, SimpleGraph
@@ -203,6 +204,80 @@ def brute_hamiltonian_by_permutations(g: SimpleGraph) -> bool:
         if all(g.has_edge(cycle[i], cycle[(i + 1) % n]) for i in range(n)):
             return True
     return False
+
+
+def _reach_on(rows: tuple[int, ...], mask: int, start: int) -> int:
+    """The vertices reached from start through mask alone, start included."""
+    seen = frontier = 1 << start
+    while frontier:
+        step = 0
+        for u in _set_bits(frontier):
+            step |= rows[u]
+        frontier = step & mask & ~seen
+        seen |= frontier
+    return seen
+
+
+def prefix_tough_cut(rows: tuple[int, ...]) -> int:
+    """A frozen copy of the library's toughness cut as it was when it sorted the
+    vertices by (-degree, index): it tries each prefix of that order that ends
+    where the degree drops and leaves at least 3 vertices, and returns the first
+    whose removal leaves more components than it has vertices (0 if none does).
+    The library's degree thresholds must give the same mask."""
+    n = len(rows)
+    degree = [row.bit_count() for row in rows]
+    order = sorted(range(n), key=lambda v: (-degree[v], v))
+    full = (1 << n) - 1
+    cut = 0
+    for size, (v, w) in enumerate(zip(order, order[1 : n - 2]), 1):  # w follows the prefix
+        cut |= 1 << v
+        if degree[v] == degree[w]:
+            continue
+        rest, parts = full & ~cut, 0
+        while rest and parts <= size:
+            rest &= ~_reach_on(rows, rest, (rest & -rest).bit_length() - 1)
+            parts += 1
+        if parts > size:
+            return cut
+    return 0
+
+
+def neighbour_list_hamiltonian_cycle(rows: tuple[int, ...]) -> tuple[int, ...] | None:
+    """A frozen copy of the library's Hamiltonian cycle search as it was when it
+    kept one neighbour list per vertex, sorted by (degree, index), and skipped the
+    visited ones: the complete-graph shortcut, the vertex-0 degree guard, the
+    prefix toughness cut, then backtracking from vertex 0 that prunes a node whose
+    unvisited vertices (with the path's ends) are disconnected or hold a vertex of
+    fewer than two usable neighbours. The library must find the same cycle."""
+    n = len(rows)
+    if n < 3:
+        return None
+    if sum(map(int.bit_count, rows)) == n * (n - 1):
+        return tuple(range(n))
+    if rows[0].bit_count() < 2 or prefix_tough_cut(rows):
+        return None
+    full = (1 << n) - 1
+    nbr_order = [sorted(_set_bits(rows[u]), key=lambda v: (rows[v].bit_count(), v)) for u in range(n)]
+    path = [0]
+
+    def solve(u: int, visited: int) -> bool:
+        if len(path) == n:
+            return rows[u] & 1 == 1
+        remaining = full & ~visited | 1 << u
+        if _reach_on(rows, remaining, u) != remaining:
+            return False
+        usable = remaining | 1
+        if any((rows[w] & usable).bit_count() < 2 for w in _set_bits(full & ~visited)):
+            return False
+        for v in nbr_order[u]:
+            if not visited >> v & 1:
+                path.append(v)
+                if solve(v, visited | 1 << v):
+                    return True
+                path.pop()
+        return False
+
+    return tuple(path) if solve(0, 1) else None
 
 
 def brute_girth(g: SimpleGraph) -> int | None:
@@ -406,6 +481,54 @@ def nsb_power_graph_brute(G: FiniteGroup, h_elements) -> NSBPowerGraph:
         vertex_element=vertex_element,
         coset_of=tuple(coset[a] for a in vertex_element),
     )
+
+
+class CosetChain(NamedTuple):
+    """Gamma_H(G) as a comparability graph, read from the group alone.
+
+    cosets[i] is the set of cosets in <aH> for vertex i's element a (vertex 0 is
+    e, then G \\ H ascending). classes holds the vertices of equal sets, ordered
+    by (set size, smallest vertex). chain is the vertices of the heaviest chain
+    of classes under strict inclusion, each class weighing its size, and
+    colouring gives each class the block of colours that ends at the weight of
+    the heaviest chain ending at it, to its members in vertex order.
+    """
+
+    cosets: tuple[frozenset[int], ...]
+    classes: tuple[tuple[int, ...], ...]
+    chain: tuple[int, ...]
+    colouring: tuple[int, ...]
+
+
+def coset_chain(G: FiniteGroup, h_elements) -> CosetChain:
+    """The heaviest chain and the interval colouring of Gamma_H(G), from G's table
+    and H's elements alone. Two vertices are adjacent exactly when one set holds
+    the other, so the chain is a clique, the colouring is proper, and both have
+    the chain's weight: omega = chi (Mirsky, Amer. Math. Monthly 78, 1971)."""
+    members = set(h_elements)
+    coset = coset_partition_by_sets(G, members)
+    vertex_element = (0,) + tuple(a for a in G.elements() if a not in members)
+    cosets = tuple(frozenset(coset[x] for x in powers_by_table(G.table, a)) for a in vertex_element)
+    by_set: dict[frozenset[int], list[int]] = {}
+    for i, key in enumerate(cosets):
+        by_set.setdefault(key, []).append(i)
+    classes = sorted(by_set.values(), key=lambda c: (len(cosets[c[0]]), c[0]))
+    height, below = [], []  # the heaviest chain ending at each class, and its class before
+    for k, c in enumerate(classes):
+        inside = [j for j in range(k) if cosets[classes[j][0]] < cosets[c[0]]]
+        best = max(inside, key=height.__getitem__, default=None)
+        height.append(len(c) + (height[best] if best is not None else 0))
+        below.append(best)
+    colouring = [0] * len(vertex_element)
+    for c, top in zip(classes, height):
+        for offset, v in enumerate(c):
+            colouring[v] = top - len(c) + offset
+    chain: list[int] = []
+    k = max(range(len(classes)), key=height.__getitem__)
+    while k is not None:
+        chain += classes[k]
+        k = below[k]
+    return CosetChain(cosets, tuple(map(tuple, classes)), tuple(sorted(chain)), tuple(colouring))
 
 
 def is_normal_brute(G, elems) -> bool:

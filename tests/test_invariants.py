@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import nspg.invariants as inv
 from nspg.groups import make_group, parse_group_spec
 from nspg.power_graphs import SimpleGraph, nsb_power_graph, power_graph
-from nspg.subgroups import generated_subgroup, quotient
+from nspg.subgroups import all_normal_subgroups, generated_subgroup, quotient
 from oracles import (
     brute_chromatic_number,
     brute_clique_number,
@@ -20,9 +20,12 @@ from oracles import (
     brute_is_perfect,
     brute_is_planar,
     brute_vertex_connectivity,
+    coset_chain,
     induced_subgraph,
+    neighbour_list_hamiltonian_cycle,
     plant_universal,
     power_graph_brute,
+    prefix_tough_cut,
     random_graph,
     rescanning_k_colorable,
     universal_vertices,
@@ -793,6 +796,38 @@ def test_twin_reduced_perfectness_matches_unreduced_search_on_catalog(catalog_pa
         assert inv.is_perfect(g) == unreduced
 
 
+# --- comparability: omega, chi and perfectness from the group's coset chains --
+
+
+def assert_the_coset_chain_gives_omega_and_chi(G, H, budget=inv.DEFAULT_SOLVER_BUDGET):
+    """Adjacency is comparability of the sets <aH>; the heaviest chain is a clique,
+    the interval colouring is proper, and both have omega = chi vertices and colours."""
+    g = nsb_power_graph(G, H).graph
+    chain = coset_chain(G, H.elements)
+    sets = chain.cosets
+    for u, v in itertools.combinations(range(g.vertex_count), 2):
+        assert g.has_edge(u, v) == (sets[u] <= sets[v] or sets[v] <= sets[u])
+    assert all(g.has_edge(u, v) for u, v in itertools.combinations(chain.chain, 2))
+    assert all(chain.colouring[u] != chain.colouring[v] for u, v in g.edges())
+    omega = len(chain.chain)
+    assert set(chain.colouring) == set(range(omega))
+    assert inv.clique_number(g, budget)[0] == omega == inv.chromatic_number(g, budget)[0]
+    return g
+
+
+def test_the_coset_chain_gives_omega_chi_and_perfectness_on_the_catalog(catalog_pairs):
+    assert len(catalog_pairs) == 223
+    for G, H in catalog_pairs:
+        assert inv.is_perfect(assert_the_coset_chain_gives_omega_and_chi(G, H))
+
+
+@pytest.mark.parametrize("text, gens, n", [("Q8xQ8", [0], 64), ("E(2,5)", [0], 32), ("S5", [0], 120), ("D64", [2], 97)])
+def test_the_coset_chain_gives_omega_and_chi_on_large_nsb_graphs(text, gens, n):
+    G = grp(text)
+    g = assert_the_coset_chain_gives_omega_and_chi(G, generated_subgroup(G, gens), budget=10**6)
+    assert g.vertex_count == n
+
+
 # --- hamiltonian -------------------------------------------------------------
 
 
@@ -923,6 +958,92 @@ def test_hamiltonicity_with_the_toughness_refusal_matches_the_dp_oracle():
         elif cycle is None and g.rows[0].bit_count() >= 2:
             searched += 1
     assert refused >= 100 and searched >= 10
+
+
+def test_a_cut_that_leaves_exactly_three_vertices_is_tried():
+    # K2 joined to three independent vertices: removing the two of degree 4 leaves
+    # the other three isolated, 3 components for a cut of 2, and exactly 3 vertices.
+    g = SimpleGraph(labels(5), [(0, 1), *((a, b) for a in (0, 1) for b in (2, 3, 4))])
+    assert inv._tough_cut(g.rows) == 0b11
+    assert_toughness_certificate(g, 0b11)
+    assert inv.hamiltonian_cycle(g) is None
+
+
+def grid_graph(r, c):
+    edges = [(i * c + j, i * c + j + 1) for i in range(r) for j in range(c - 1)]
+    edges += [(i * c + j, (i + 1) * c + j) for i in range(r - 1) for j in range(c)]
+    return SimpleGraph(labels(r * c), edges)
+
+
+def hypercube(d):
+    return SimpleGraph(labels(1 << d), [(v, v | 1 << k) for v in range(1 << d) for k in range(d) if not v >> k & 1])
+
+
+def generalized_petersen(n, k):
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
+    edges += [(n + i, n + (i + k) % n) for i in range(n)]
+    return SimpleGraph(labels(2 * n), edges)
+
+
+def wheel(n):
+    return SimpleGraph(labels(n + 1), [(i, (i + 1) % n) for i in range(n)] + [(i, n) for i in range(n)])
+
+
+def assert_same_cycle_and_cut_as_the_neighbour_lists(g):
+    """The search and the cut equal the frozen copies of the per-vertex neighbour
+    lists and the degree-sorted prefixes; returns whether a cycle was found."""
+    cycle = inv.hamiltonian_cycle(g)
+    assert cycle == neighbour_list_hamiltonian_cycle(g.rows)
+    assert inv._tough_cut(g.rows) == prefix_tough_cut(g.rows)
+    return cycle is not None
+
+
+def test_cycles_equal_the_neighbour_list_search_on_group_graphs(catalog_pairs):
+    # Every distinct Gamma_H(G) and Gamma(G/H) of the default catalog, and of every
+    # proper normal subgroup of three products whose graphs reach 36 vertices.
+    pairs = list(catalog_pairs)
+    for text in ("S3xZ6", "D6xZ3", "Q8xZ3"):
+        G = grp(text)
+        pairs += [(G, H) for H in all_normal_subgroups(G) if H.order < G.order]
+    graphs = {}
+    for G, H in pairs:
+        for g in (nsb_power_graph(G, H).graph, power_graph(quotient(G, H).group)):
+            graphs[g.rows] = g
+    assert len(graphs) == 149
+    found = [assert_same_cycle_and_cut_as_the_neighbour_lists(g) for g in graphs.values()]
+    assert 0 < sum(found) < len(found)
+
+
+def test_cycles_equal_the_neighbour_list_search_on_complete_and_sparse_graphs():
+    graphs = [complete_graph(n) for n in range(3, 41)]
+    graphs += [cycle_graph(n) for n in (5, 7, 12, 40)] + [petersen(), hypercube(4), hypercube(5)]
+    graphs += [generalized_petersen(n, 2) for n in range(5, 13)] + [wheel(n) for n in range(3, 13)]
+    graphs += [grid_graph(r, c) for r in range(2, 6) for c in range(r, 7)]  # up to 5 x 6
+    found = [assert_same_cycle_and_cut_as_the_neighbour_lists(g) for g in graphs]
+    # Petersen, GP(5, 2) (Petersen again), GP(11, 2) (n = 5 mod 6) and the 3x3, 3x5 and 5x5 grids have none.
+    assert found.count(False) == 6
+
+
+def test_cycles_equal_the_neighbour_list_search_on_random_graphs():
+    rng = random.Random(4901)
+    searched = found = 0
+    for _ in range(1500):
+        n = rng.randint(3, 12)
+        g = random_graph(rng, n, rng.choice([0.2, 0.35, 0.5, 0.65, 0.8]))
+        found += assert_same_cycle_and_cut_as_the_neighbour_lists(g)
+        searched += not inv.is_complete(g) and g.rows[0].bit_count() > 1 and not prefix_tough_cut(g.rows)
+    assert searched >= 700 and found >= 600
+
+
+def test_tough_cuts_equal_the_degree_sorted_prefixes_on_random_graphs():
+    rng = random.Random(4902)
+    cuts = 0
+    for _ in range(20000):
+        g = random_graph(rng, rng.randint(1, 16), rng.choice([0.1, 0.2, 0.35, 0.5, 0.7]))
+        cut = inv._tough_cut(g.rows)
+        assert cut == prefix_tough_cut(g.rows)
+        cuts += cut != 0
+    assert cuts >= 7000
 
 
 # --- universal vertices --------------------------------------------------------

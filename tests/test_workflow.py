@@ -162,3 +162,8 @@ def test_broken_pipe_status_is_checked_before_any_dependency_is_installed():
     assert 'test "$(tail -1 <<< "$out")" = "exit 141"' in run and 'test ! -s "$err"' in run
     assert 'test "$(wc -l <<< "$out")" = 2' in run
     assert _runs_before_any_install(run)
+
+
+def test_tier1_step_prints_the_ten_slowest_tests():
+    # Informational only: each Python's log shows whether any test nears 3 s; it gates nothing.
+    assert _run_of_step("Tier-1 tests").endswith(" --durations=10")
