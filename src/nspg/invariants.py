@@ -504,17 +504,49 @@ def _demoucron_planar(rows: tuple[int, ...], block: int) -> list[list[int]] | No
     return faces
 
 
-def is_planar(g: SimpleGraph) -> bool:
-    """Exact planarity: edge-density rejection, then Demoucron on each block.
+def _planar_kernel(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The rows left once no vertex of degree <= 1, of degree 2, or of degree 3
+    with an adjacent closed twin remains; a removed vertex keeps an empty row."""
+    rows = list(rows)
+    todo = (1 << len(rows)) - 1
+    while todo:
+        v = (todo & -todo).bit_length() - 1
+        todo &= todo - 1
+        row = rows[v]
+        degree = row.bit_count()
+        if degree > 3 or degree == 3 and not any(rows[u] | 1 << u == row | 1 << v for u in _bits(row)):
+            continue
+        if degree == 2:
+            u, w = _bits(row)
+            rows[u] |= 1 << w
+            rows[w] |= 1 << u
+        for u in _bits(row):
+            rows[u] &= ~(1 << v)
+        rows[v] = 0
+        todo |= row
+    return tuple(rows)
 
+
+def is_planar(g: SimpleGraph) -> bool:
+    """Exact planarity: edge-density rejection, a planar kernel, then Demoucron on each block.
+
+    The kernel repeats three deletions, each of which keeps the answer:
+    - a vertex of degree <= 1 lies in no cycle, so it fits into any drawing;
+    - a vertex v of degree 2, with neighbours u and w, goes and uw is added if
+      missing: the graph is a subdivision of the result, or is the result plus
+      a path u-v-w drawn beside the edge uw;
+    - a vertex y of degree 3 with an adjacent closed twin x (N[x] = N[y]) goes.
+      In the rest, x has degree 2, so both faces at x hold x's two other
+      neighbours, and y fits back into either face, joined to all three.
     A graph is planar iff each of its blocks is, and a block of at most four
     vertices always is. Polynomial, so there is no budget.
     """
     n = g.vertex_count
     if n > 4 and g.edge_count > 3 * n - 6:
         return False
-    blocks = _blocks(g.rows)
-    return all(_demoucron_planar(g.rows, block) is not None for block in blocks if block.bit_count() > 4)
+    kernel = _planar_kernel(g.rows)
+    blocks = _blocks(kernel)
+    return all(_demoucron_planar(kernel, block) is not None for block in blocks if block.bit_count() > 4)
 
 
 # ---------------------------------------------------------------------------

@@ -681,6 +681,77 @@ def test_planar_blocks_come_with_their_faces(catalog_pairs):
     assert checked >= 30
 
 
+def test_planarity_matches_networkx_with_planted_kernel_reductions():
+    """Random graphs with pendant vertices, subdivided edges, paths beside an
+    edge and adjacent degree-3 closed twins planted on an edge, some planted on
+    earlier plants, so the kernel's three deletions run in cascades."""
+    import networkx as nx  # a test oracle only, never a runtime dependency
+
+    rng = random.Random(20261050)
+    outcomes = collections.Counter()
+    for _ in range(1200):
+        n = rng.randint(4, 10)
+        p = rng.choice([0.3, 0.45, 0.6, 0.75])
+        edges = {e for e in itertools.combinations(range(n), 2) if rng.random() < p}
+        for _ in range(rng.randint(1, 6)):
+            kind = rng.choice(["pendant", "subdivide", "beside", "twins"])
+            if kind == "pendant" or not edges:
+                edges.add((rng.randrange(n), n))
+                n += 1
+                continue
+            a, b = rng.choice(sorted(edges))
+            if kind == "subdivide":
+                edges.remove((a, b))
+            if kind == "twins":
+                edges |= {(a, n), (b, n), (a, n + 1), (b, n + 1), (n, n + 1)}
+                n += 2
+            else:
+                edges |= {(a, n), (b, n)}
+                n += 1
+        g = SimpleGraph(labels(n), sorted(edges))
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(edges)
+        want = nx.check_planarity(h)[0]
+        assert inv.is_planar(g) == want, sorted(edges)
+        outcomes[want] += 1
+    assert outcomes[True] >= 300 and outcomes[False] >= 300
+
+
+def test_planar_kernel_keeps_what_a_wider_rule_would_lose():
+    # K5 plus a pendant vertex: a twin rule widened to degree 4 would empty the K5
+    k5_pendant = SimpleGraph(labels(6), list(itertools.combinations(range(5), 2)) + [(0, 5)])
+    assert not inv.is_planar(k5_pendant)
+    assert sum(1 for row in inv._planar_kernel(k5_pendant.rows) if row) == 5
+    # K3 joined to three independent vertices (K3,3 plus a triangle, 3n - 6
+    # edges): each of 3, 4 and 5 has degree 3 and a triangle for neighbours,
+    # but no closed twin, so the kernel keeps every vertex
+    join = SimpleGraph(labels(6), [(0, 1), (0, 2), (1, 2)] + [(a, b) for a in range(3) for b in range(3, 6)])
+    assert join.edge_count == 3 * 6 - 6
+    assert not inv.is_planar(join)
+    assert inv._planar_kernel(join.rows) == join.rows
+
+
+def test_planar_kernel_of_a_planar_nsb_graph_has_no_edges(catalog_pairs):
+    """PLANAR_5_4's graphs, |H| = 2 or 3 and G/H of exponent 2, are fans of K3
+    or K4 blocks on the identity: the kernel deletes every edge, as it does on
+    every planar default-catalog graph and on Gamma_{e}(Q8xQ8)."""
+    G = grp("Q8xQ8")
+    q8q8 = nsb_power_graph(G, generated_subgroup(G, [0])).graph
+    assert inv.is_planar(q8q8) and not any(inv._planar_kernel(q8q8.rows))
+    hypothesis = [
+        (G, H)
+        for G, H in catalog_pairs
+        if H.order in (2, 3) and all(G.table[a][a] in H.elements for a in range(G.order))
+    ]
+    assert len(hypothesis) == 37
+    for G, H in hypothesis:
+        assert not any(inv._planar_kernel(nsb_power_graph(G, H).graph.rows)), (G.name, H.elements)
+    planar = [g for g in (nsb_power_graph(G, H).graph for G, H in catalog_pairs) if inv.is_planar(g)]
+    assert len(planar) == 54
+    assert not any(any(inv._planar_kernel(g.rows)) for g in planar)
+
+
 # --- perfectness -------------------------------------------------------------
 
 
