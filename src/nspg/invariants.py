@@ -422,24 +422,11 @@ def _demoucron_planar(rows: tuple[int, ...], block: int) -> list[list[int]] | No
 
     A fragment is an unembedded edge between placed vertices, or a component of
     the unplaced vertices with its edges to the placed ones (its attachments).
-    It fits a face whose vertex set holds all its attachments. A fragment that
-    fits no face makes the block non-planar; one that fits one face only is
-    placed first. Each step embeds a path of one fragment across a face it
-    fits, which splits that face into f1 and f2. The two walk the path in
-    opposite directions, so each edge ends on two face walks, once each way.
-
-    Fragments and the faces each one fits are built once, from the first
-    cycle, and kept from step to step. After a step, only the fragments that
-    fit the split face are tested again, and only against f1 and f2. New
-    fragments come only from the placed fragment's interior less the path's
-    inner vertices: the unembedded edges from an inner vertex to a placed one,
-    and the components of what is left. They too are tested against f1 and f2
-    alone. This is exact:
-    - no other fragment touches the inner vertices, so its attachments, and
-      its fits outside the split face, are what a full rebuild would give;
-    - every new fragment attaches to an inner vertex, and only f1 and f2 hold one.
-    So each step sees the fragments and fit sets of a full rebuild, in another
-    order, and Demoucron is correct for any choice among unforced fragments
+    It fits a face whose vertex set holds all its attachments. Each step
+    rebuilds the fragments; if one fits no face, the block is not planar. A
+    path of a fragment that fits one face only, else of the first fragment, is
+    embedded across a face it fits and splits it in two. The two walk the path
+    in opposite directions, so each edge ends on two face walks, once each way
     (Demoucron, Malgrange and Pertuiset, Rev. Française Rech. Opér. 8, 1964).
     """
     rows = tuple(row & block for row in rows)
@@ -454,54 +441,42 @@ def _demoucron_planar(rows: tuple[int, ...], block: int) -> list[list[int]] | No
             embedded[a] |= 1 << b
             embedded[b] |= 1 << a
 
-    def fragments(new: int, rest: int, near: tuple[int, int]) -> list[list]:
-        """[attachments, interior, fitting faces among near] of each fragment
-        that placing `new` makes: the unembedded edges with an end in new, and
-        the components of rest."""
-        made = [
-            (1 << u | 1 << v, 0)
-            for u in _bits(new)
-            for v in _bits(rows[u] & placed & ~embedded[u] & ~(new & ((2 << u) - 1)))
-        ]
-        while rest:
-            interior = _reach(rows, rest, (rest & -rest).bit_length() - 1)
-            rest &= ~interior
-            made.append((reduce(or_, (rows[w] for w in _bits(interior))) & placed, interior))
-        return [[att, interior, [f for f in near if att & ~masks[f] == 0]] for att, interior in made]
-
     start = (block & -block).bit_length() - 1
     first = (rows[start] & -rows[start]).bit_length() - 1
     cycle = _path(rows, first, block & ~(1 << start | 1 << first), 1 << start)
     faces = [cycle, cycle[::-1]]
     placed = sum(1 << v for v in cycle)
-    masks = [placed, placed]
     embed(cycle + cycle[:1])
-    pending = fragments(placed, block & ~placed, (0, 1))
-    while pending:
-        k = next((k for k, p in enumerate(pending) if len(p[2]) == 1), 0)  # a forced fragment first
-        att, interior, (f1, *_) = pending.pop(k)
+    while True:
+        fragments = [
+            (1 << u | 1 << v, 0)
+            for u in _bits(placed)
+            for v in _bits(rows[u] & placed & ~embedded[u] & ~((2 << u) - 1))
+        ]
+        rest = block & ~placed
+        while rest:
+            interior = _reach(rows, rest, (rest & -rest).bit_length() - 1)
+            rest &= ~interior
+            fragments.append((reduce(or_, (rows[w] for w in _bits(interior))) & placed, interior))
+        if not fragments:
+            return faces
+        masks = [sum(1 << v for v in face) for face in faces]
+        fits = [[f for f, mask in enumerate(masks) if att & ~mask == 0] for att, _ in fragments]
+        if not all(fits):
+            return None
+        k = next((k for k, f in enumerate(fits) if len(f) == 1), 0)  # a forced fragment first
+        (att, interior), f = fragments[k], fits[k][0]
         a1 = (att & -att).bit_length() - 1
         path = _path(rows, a1, interior, att & ~(1 << a1)) if interior else list(_bits(att))
         embed(path)
         inner = path[1:-1]
-        new = sum(1 << v for v in inner)
-        placed |= new
-        boundary = faces[f1]
+        placed |= sum(1 << v for v in inner)
+        boundary = faces[f]
         r = boundary.index(a1)  # rotate the face to start at the path's first vertex
         boundary = boundary[r:] + boundary[:r]
         j = boundary.index(path[-1])
-        f2 = len(faces)
-        faces[f1] = boundary[: j + 1] + inner[::-1]
+        faces[f] = boundary[: j + 1] + inner[::-1]
         faces.append(boundary[j:] + boundary[:1] + inner)
-        masks[f1] = sum(1 << v for v in faces[f1])
-        masks.append(sum(1 << v for v in faces[f2]))
-        for p in pending:
-            if f1 in p[2]:
-                p[2] = [h for h in p[2] if h != f1] + [h for h in (f1, f2) if p[0] & ~masks[h] == 0]
-        pending += fragments(new, interior & ~new, (f1, f2))
-        if not all(p[2] for p in pending):
-            return None
-    return faces
 
 
 def _planar_kernel(rows: tuple[int, ...]) -> tuple[int, ...]:

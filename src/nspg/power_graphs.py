@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import json
-from functools import reduce
-from operator import or_
 from typing import NamedTuple
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, shown
 from .subgroups import QuotientGroup, SubgroupSet, _bits, _check_normal_subgroup, _coset_partition
 
 
@@ -167,26 +165,37 @@ def nsb_power_graph(G: FiniteGroup, H: SubgroupSet) -> NSBPowerGraph:
 
 
 def expand_quotient_graph(Q: QuotientGroup, H: SubgroupSet) -> NSBPowerGraph:
-    """Independent construction: build the quotient's power graph, then blow up cosets.
+    """Independent construction: the quotient's power graph from its table, then cosets blown up.
 
-    blocks[c] holds the vertices in coset c and lifted[c] ORs the blocks of c
-    and of its neighbours in the quotient's power graph, so every non-identity
-    coset becomes a clique of |H| vertices joined to the cosets the quotient
-    joins it to. Coset 0's block is the identity vertex alone, and the
-    quotient's identity is joined to every coset, so that vertex is joined to all.
+    blocks[c] holds the vertices in coset c. Each coset's powers c, c^2, ...
+    are walked along its row of the quotient's table up to the identity, and c
+    and each power x take each other's block into lifted[c] and lifted[x]. So
+    every non-identity coset becomes a clique of |H| vertices joined to the
+    cosets the quotient's power graph joins it to, and the identity vertex,
+    coset 0's block alone, ends every walk and is joined to all.
     """
     if Q.subgroup.elements != H.elements or Q.parent.table != H.parent.table:
         raise ValueError("quotient was not built from this subgroup")
     G = Q.parent
     _check_nsb_inputs(G, H)
-    qrows = power_graph(Q.group).rows
+    qtable = Q.group.table
     members = set(H.elements)
     vertex_element = (0,) + tuple(a for a in G.elements() if a not in members)
     coset_of = tuple(Q.projection[a] for a in vertex_element)
-    blocks = [0] * len(qrows)
+    blocks = [0] * len(qtable)
     for i, c in enumerate(coset_of):
         blocks[c] |= 1 << i
-    lifted = [reduce(or_, (blocks[d] for d in _bits(row | 1 << c))) for c, row in enumerate(qrows)]
+    lifted = list(blocks)
+    for c, row in enumerate(qtable):
+        x = c
+        for _ in qtable:  # a power of c is the identity within |G/H| steps
+            if not x:
+                break
+            x = row[x]
+            lifted[c] |= blocks[x]
+            lifted[x] |= blocks[c]
+        else:
+            raise ValueError(f"{shown(Q.group.name)}: the powers of coset {c} never reach the identity")
     rows = [lifted[c] & ~(1 << i) for i, c in enumerate(coset_of)]
     labels = tuple(G.labels[a] for a in vertex_element)
     return NSBPowerGraph(SimpleGraph._from_rows(labels, rows), vertex_element, coset_of)

@@ -148,6 +148,14 @@ def test_expand_quotient_rejects_mismatched_provenance():
         expand_quotient_graph(Q, H6)
 
 
+def test_expand_quotient_refuses_a_coset_whose_powers_never_reach_the_identity():
+    # The blow-up walks the quotient's own table; coset 1's powers here run 1, 2, 1, 2, ...
+    G, H = instance("Z9", [3])
+    bad = FiniteGroup._from_group_table("bad", (b"\0\1\2", b"\0\2\1", b"\2\0\1"), ("a", "b", "c"))
+    with pytest.raises(ValueError, match="^'bad': the powers of coset 1 never reach the identity$"):
+        expand_quotient_graph(quotient(G, H)._replace(group=bad), H)
+
+
 def test_expand_quotient_anchor_instances():
     G, H = instance("Z4", [2])
     assert expand_quotient_graph(quotient(G, H), H).graph == nsb_power_graph(G, H).graph

@@ -164,6 +164,15 @@ def test_broken_pipe_status_is_checked_before_any_dependency_is_installed():
     assert _runs_before_any_install(run)
 
 
+def test_installed_console_script_is_checked_between_the_tests_and_the_benchmark():
+    # [project.scripts] and package discovery: no other step installs the package itself.
+    runs = [step.get("run") for step in _job()["steps"]]
+    run = _run_of_step("The installed nspg console script runs")
+    assert "python -m pip install .\n" in run and "installed=$(nspg list-groups)" in run
+    assert '"$(PYTHONPATH=src python -m nspg.cli list-groups)"' in run and 'test -n "$installed"' in run
+    assert runs.index(_run_of_step("Tier-1 tests")) + 1 == runs.index(run) == len(runs) - 3
+
+
 def test_tier1_step_prints_the_ten_slowest_tests():
     # Informational only: each Python's log shows whether any test nears 3 s; it gates nothing.
     assert _run_of_step("Tier-1 tests").endswith(" --durations=10")
