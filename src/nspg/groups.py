@@ -55,9 +55,9 @@ class FiniteGroup:
     table (Latin square, identity at index 0, associativity, two-sided inverses)
     and keeps it so, the labels as a tuple of strings; make_group and quotient
     build such tables and skip the check. ``generators`` is what ``generate``
-    draws from the whole group: every element is a product of them,
-    multiplied on the right starting from the identity. ``_classes`` holds
-    ``cyclic_classes()`` once made, and lives and dies with the group.
+    draws from the whole group: every element is a product of them.
+    ``_classes`` holds ``cyclic_classes()`` once made, and lives and dies
+    with the group.
     """
 
     __slots__ = ("name", "table", "labels", "generators", "_inverse", "_classes")
@@ -208,26 +208,47 @@ def _byte_rows(table) -> tuple[tuple[bytes, ...], bytes]:
 def generate(rows, elements) -> tuple[tuple[int, ...], frozenset[int]]:
     """Generators drawn from elements, and the subgroup they span.
 
-    Breadth-first right multiplication from the identity; whenever the walk
-    stalls, the smallest element not yet reached becomes a new generator. In a
-    finite group every inverse is a positive power, so each stall leaves a
-    subgroup and each new generator at least doubles it: there are at most
-    log2 |span| generators, and the span is the subgroup elements generate.
+    Greedy: the smallest element not yet spanned becomes the next generator a.
+    The first spans its powers, walked along row a. Each later one closes
+    <S, a> over the left cosets of the span S so far (Holt, Eick & O'Brien,
+    *Handbook of Computational Group Theory*, 2005, ch. 4): g(yS) = (gy)S, and
+    in a finite group every inverse is a positive power, so S's orbit under
+    left multiplication by every generator so far is the cosets of S in
+    <S, a>. Each new coset yS is S translated through row y. Each generator
+    at least doubles the span: there are at most log2 |span| of them.
+
+    On rows that are not a group, a walk stops at a repeat and a closure once
+    the span has n entries, so the span lies among the table's entries. Every
+    spanned element is a product of generators in the table's own operation,
+    and every element is spanned or a generator: validate_cayley_table may
+    run Light's test over the generators of range(n) before it knows the
+    table is associative.
     """
-    seen = {0}
-    reached = [0]
+    n = len(rows)
+    span = bytearray(1)  # the identity 0, then each coset as it is found
     generators: list[int] = []
     for a in sorted(elements):
-        if a in seen:
+        if a in span:
             continue
         generators.append(a)
-        for x in reached:  # the list grows while it is walked: breadth-first
-            row = rows[x]
-            for g in generators:
-                if row[g] not in seen:
-                    seen.add(row[g])
-                    reached.append(row[g])
-    return tuple(generators), frozenset(reached)
+        if len(generators) == 1:  # <a>: the powers of a, up to the first repeat
+            row, x = rows[a], a
+            while x not in span:
+                span.append(x)
+                x = row[x]
+            continue
+        S, reps = bytes(span), [0]
+        left = [rows[g] for g in generators]
+        pad = bytes(256 - n)  # translate maps through a table of exactly 256 bytes
+        for y in reps:  # the list grows while it is walked: one coset yS per entry
+            if len(span) >= n:
+                break
+            for row_g in left:
+                gy = row_g[y]
+                if gy not in span:
+                    span += S.translate(rows[gy] + pad)
+                    reps.append(gy)
+    return tuple(generators), frozenset(span)
 
 
 class GroupSpec(NamedTuple):

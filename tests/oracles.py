@@ -7,7 +7,7 @@ import math
 from collections import deque
 from typing import NamedTuple
 
-from nspg.groups import FiniteGroup, generate
+from nspg.groups import FiniteGroup
 from nspg.power_graphs import NSBPowerGraph, SimpleGraph
 from nspg.subgroups import MAX_NORMAL_SUBGROUPS
 
@@ -409,6 +409,28 @@ def element_power(G: FiniteGroup, a: int, k: int) -> int:
     return x
 
 
+def generate_by_elements(rows, elements) -> tuple[tuple[int, ...], frozenset[int]]:
+    """A frozen copy of the library's generate as it was before it closed over
+    cosets: breadth-first right multiplication from the identity, element by
+    element; whenever the walk stalls, the smallest element not yet reached
+    becomes a new generator, and the walk runs again over everything reached.
+    The library must give the same generators and the same span."""
+    seen = {0}
+    reached = [0]
+    generators: list[int] = []
+    for a in sorted(elements):
+        if a in seen:
+            continue
+        generators.append(a)
+        for x in reached:  # the list grows while it is walked: breadth-first
+            row = rows[x]
+            for g in generators:
+                if row[g] not in seen:
+                    seen.add(row[g])
+                    reached.append(row[g])
+    return tuple(generators), frozenset(reached)
+
+
 def is_associative_brute(table) -> bool:
     """(a*b)*c == a*(b*c) over every triple."""
     n = len(table)
@@ -581,7 +603,8 @@ def all_normal_subgroups_by_sets(G: FiniteGroup) -> list[tuple[int, ...]]:
     """Element tuples of every normal subgroup, in all_normal_subgroups' order.
 
     An independent breadth-first walk on Python sets: one closure per conjugacy
-    class, and every subgroup found joined with every closure it lacks, each join
+    class, spanned by generate_by_elements rather than the library's generate,
+    and every subgroup found joined with every closure it lacks, each join
     rebuilt coset by coset with set.update and kept if the seen set lacks it. It
     has no canonicity test, so it does not share the library's Close-by-One
     pruning. Raises ValueError past MAX_NORMAL_SUBGROUPS.
@@ -599,7 +622,7 @@ def all_normal_subgroups_by_sets(G: FiniteGroup) -> list[tuple[int, ...]]:
                     if y not in classified:
                         classified.add(y)
                         conj.append(y)
-            closures.setdefault(generate(table, conj)[1], g)
+            closures.setdefault(generate_by_elements(table, conj)[1], g)
     found = [frozenset((0,))]
     seen = set(found)
     for N in found:  # the list grows while it is walked: breadth-first

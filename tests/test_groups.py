@@ -11,6 +11,7 @@ from nspg.groups import (
     GroupSpec,
     euler_phi,
     from_cayley_table,
+    generate,
     make_group,
     parse_group_spec,
     validate_cayley_table,
@@ -27,7 +28,9 @@ from oracles import (
     cyclic_table_brute,
     divisor_count,
     element_power,
+    generate_by_elements,
     is_associative_brute,
+    is_normal_brute,
     order_by_iteration,
     phi_by_gcd,
     powers_by_table,
@@ -303,12 +306,13 @@ def _swappable_intercalates(table):
     ]
 
 
-def test_validation_agrees_with_brute_force_associativity():
-    # Swapping x and y in an intercalate keeps the Latin square and the identity,
-    # so only associativity can fail; the validator must reject exactly when it does.
+def _intercalate_swapped_tables():
+    """2000 seeded tables, each a small group's with one to three intercalates swapped.
+
+    Swapping x and y in an intercalate keeps the Latin square and the identity,
+    so only associativity can fail."""
     rng = random.Random(20161)
     groups = [grp(t) for t in ["Z4", "Z2xZ2", "Z6", "S3", "Z8", "Z2xZ4", "E(2,3)", "D4", "Q8"]]
-    outcomes = {True: 0, False: 0}
     for _ in range(2000):
         table = [list(row) for row in rng.choice(groups).table]
         for _ in range(rng.randint(1, 3)):
@@ -319,6 +323,14 @@ def test_validation_agrees_with_brute_force_associativity():
             x, y = table[r1][c1], table[r1][c2]
             table[r1][c1] = table[r2][c2] = y
             table[r1][c2] = table[r2][c1] = x
+        yield table
+
+
+def test_validation_agrees_with_brute_force_associativity():
+    # The validator must reject an intercalate-swapped table exactly when it is
+    # not associative.
+    outcomes = {True: 0, False: 0}
+    for table in _intercalate_swapped_tables():
         associative = is_associative_brute(table)
         outcomes[associative] += 1
         if associative:
@@ -356,6 +368,55 @@ ONE_SIDED5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 3, 4, 0, 1), (3, 4, 1, 2, 0)
 def test_each_malformed_table_class_keeps_its_message(table, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         validate_cayley_table(table)
+
+
+def test_generate_returns_on_tables_that_are_not_groups():
+    # generate runs before a table is known to be a group: in validate_cayley_table
+    # ahead of Light's test, and in _from_group_table on whatever a builder made.
+    # It must return with a span among the table's entries and every element
+    # spanned or a generator, so that Light's test over the generators covers
+    # the table.
+    tables = [
+        (b"\0\1\2", b"\0\2\1", b"\2\0\1"),  # a walk that never reaches e
+        (b"\0\1\2", b"\2\0\2", b"\0\0\2"),  # the coset 2{0, 1} = {0} misses 2, which 1*0 and 1*2 make again
+        LOOP5,
+        ONE_SIDED5,
+    ]
+    tables += [t for t in _intercalate_swapped_tables() if not is_associative_brute(t)]
+    for table in tables:
+        rows = tuple(map(bytes, table))
+        generators, span = generate(rows, range(len(rows)))
+        assert span <= set(range(len(rows)))
+        assert span | set(generators) == set(range(len(rows)))
+    for table in tables[2:]:  # the Latin squares with identity 0
+        with pytest.raises(ValueError, match="^multiplication is not associative$"):
+            validate_cayley_table(table)
+
+
+def test_generate_equals_the_element_walk_on_groups_and_their_normal_subgroups():
+    for text in dict.fromkeys(DEFAULT_CATALOG_GROUPS + ("S5", "Q8xQ8", "D64", "Z256")):
+        G = grp(text)
+        for elements in [G.elements()] + [H.elements for H in all_normal_subgroups(G)]:
+            assert generate(G.table, elements) == generate_by_elements(G.table, elements), (text, elements)
+    G = grp("E(2,8)")  # past the enumeration's cap: the whole group alone
+    assert generate(G.table, G.elements()) == generate_by_elements(G.table, G.elements())
+
+
+@pytest.mark.parametrize("text", ["S4", "S5", "Q8xQ8", "D64", "E(2,8)", "Z2xS4xZ3"])
+def test_generate_equals_the_element_walk_on_random_sets(text):
+    # Outside E(2,8) some greedy step starts from a span that is not normal, so
+    # its cosets need every generator so far, not the new one alone.
+    G = grp(text)
+    rng = random.Random(5201)
+    non_normal = False
+    for _ in range(300):
+        elements = rng.sample(range(G.order), rng.randint(1, 5))
+        generators, span = generate(G.table, elements)
+        assert (generators, span) == generate_by_elements(G.table, elements), elements
+        if not non_normal:
+            prefixes = (generate_by_elements(G.table, generators[:k])[1] for k in range(1, len(generators)))
+            non_normal = any(not is_normal_brute(G, S) for S in prefixes)
+    assert non_normal != (text == "E(2,8)")
 
 
 def test_a_float_entry_is_out_of_range():

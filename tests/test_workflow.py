@@ -176,3 +176,9 @@ def test_installed_console_script_is_checked_between_the_tests_and_the_benchmark
 def test_tier1_step_prints_the_ten_slowest_tests():
     # Informational only: each Python's log shows whether any test nears 3 s; it gates nothing.
     assert _run_of_step("Tier-1 tests").endswith(" --durations=10")
+
+
+def test_tier1_step_runs_under_an_address_space_cap():
+    # A closure that runs away on a bad table fails as a MemoryError naming its
+    # test, not as a job killed for memory; the whole suite fits in 3 GB.
+    assert _run_of_step("Tier-1 tests").startswith("ulimit -v 4194304 && PYTHONPATH=src")
