@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import deque
 from typing import NamedTuple
@@ -375,6 +376,18 @@ def brute_is_planar(g: SimpleGraph) -> bool:
             if _assign_paths(adj, pairs, spare):
                 return False
     return True
+
+
+# --- graph serialisation ---------------------------------------------------
+
+
+def graph_to_json_by_dumps(g: SimpleGraph) -> str:
+    """The graph JSON wire format as json.dumps(obj, indent=2) writes it, plus a
+    newline: the reference for power_graphs.graph_to_json, which writes the same
+    bytes row by row. Edges come from has_edge on every pair, not from g.edges()."""
+    n = g.vertex_count
+    edges = [[u, v] for u in range(n) for v in range(u + 1, n) if g.has_edge(u, v)]
+    return json.dumps({"vertices": list(g.vertex_labels), "edges": edges}, indent=2) + "\n"
 
 
 # --- group-side oracles ------------------------------------------------------

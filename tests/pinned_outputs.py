@@ -38,6 +38,9 @@ PINS = (
     # The two largest power graphs of verify-large, whose every walk is long.
     ("power-graph Z256", (1084456, "7988f677d2ed0d565238a6041c146e8a682d5df797c54f1ed7a1dcf2e5a3b6b4")),
     ("power-graph Z2xZ64", (131182, "002bd25a5ca2a382a63c8a7a0c7414de86d56f328a730ec219bd7c679d468c26")),
+    # The same Γ(Z256) as DOT: the one large pin of graph_to_dot.
+    ("power-graph Z256 --format dot",
+     (434083, "182eee277a41283ebadd39d84fa165b0e94b88ca8c3d7edd164787a46b13d392")),
     # Non-abelian: Γ(S5), and Γ_H(G) by the direct route on D64 (order 128) mod <r2>.
     ("power-graph S5", (10488, "5f346b2324fe6550396b2f31a0134f8984150f842bdcf34c5058943b84bd853e")),
     ("build D64 --subgroup 2", (51395, "c6e130d6219f0990c42e6ca0772dbb297a54c5ffd1d8cfc0f5e075ddb7221fbd")),

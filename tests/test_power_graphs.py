@@ -1,8 +1,10 @@
 import contextlib
+import random
 
 import pytest
 
 from nspg.groups import FiniteGroup, euler_phi, from_cayley_table, make_group, parse_group_spec
+from nspg.harness import DEFAULT_CATALOG_GROUPS
 from nspg.invariants import degree_in_power_graph_formula
 from nspg.power_graphs import (
     SimpleGraph,
@@ -15,11 +17,13 @@ from nspg.power_graphs import (
 from nspg.subgroups import all_normal_subgroups, generated_subgroup, quotient, recognize
 from oracles import (
     closure,
+    graph_to_json_by_dumps,
     nsb_adjacent_literal,
     nsb_power_graph_brute,
     order_by_iteration,
     power_graph_brute,
     powers_by_table,
+    random_graph,
 )
 
 
@@ -320,6 +324,45 @@ def test_dot_doubles_a_trailing_backslash_in_a_label():
 def test_dot_doubles_a_trailing_backslash_in_the_name():
     g = SimpleGraph(['say "hi"'], [])
     assert graph_to_dot(g, 'a "b"\\') == 'graph "a \'b\'\\\\" {\n  0 [label="say \'hi\'"];\n}\n'
+
+
+# The benchmark's analyze ladder: (group, generators of H).
+LADDER = (
+    ("Q8xQ8", [0]),
+    ("E(2,5)", [0]),
+    ("S5", [0]),
+    ("D64", [2]),
+    ("E(2,8)", [1, 2, 4, 8, 16, 32, 64]),
+    ("Z256", [0]),
+)
+
+
+def test_graph_json_equals_json_dumps_on_catalog_and_ladder_graphs(catalog_pairs):
+    graphs = [nsb_power_graph(G, H).graph for G, H in catalog_pairs]
+    graphs += [power_graph(grp(text)) for text in DEFAULT_CATALOG_GROUPS]
+    graphs += [nsb_power_graph(*instance(text, gens)).graph for text, gens in LADDER]
+    assert len(graphs) == 223 + 43 + 6
+    for g in graphs:
+        assert graph_to_json(g) == graph_to_json_by_dumps(g), g
+
+
+def test_graph_json_equals_json_dumps_on_random_graphs():
+    rng = random.Random(20161103)
+    densities = (0.0, 0.1, 0.5, 0.9, 1.0)
+    graphs = [random_graph(rng, rng.randint(1, 30), rng.choice(densities)) for _ in range(500)]
+    assert any(g.edge_count == 0 and g.vertex_count > 1 for g in graphs)
+    assert any(g.edge_count == g.vertex_count * (g.vertex_count - 1) // 2 > 0 for g in graphs)
+    for g in graphs:
+        assert graph_to_json(g) == graph_to_json_by_dumps(g), g
+
+
+def test_graph_json_escapes_labels_and_writes_one_vertex_as_json_dumps_does():
+    labels = ['say "hi"', "back\\slash", "tab\there\x01", "ünïcödé ☃", "\ud800", "x"]
+    for edges in ([], [(0, 1), (1, 5), (2, 3), (0, 5)]):
+        g = SimpleGraph(labels, edges)
+        assert graph_to_json(g) == graph_to_json_by_dumps(g), edges
+    one = SimpleGraph(["e"], [])
+    assert graph_to_json(one) == graph_to_json_by_dumps(one) == '{\n  "vertices": [\n    "e"\n  ],\n  "edges": []\n}\n'
 
 
 def test_edges_listing_is_sorted():
